@@ -4,7 +4,7 @@ around the aligned/kink transition of an odd chain."""
 import argparse
 
 from ionspins.cli import main as cli_main
-from ionspins.phases import _fm_kink_cached
+from ionspins.phases import fm_kink_interval
 
 
 def main():
@@ -16,7 +16,7 @@ def main():
     parser.add_argument("--out", default="out_order_map")
     args = parser.parse_args()
 
-    t, left, right = _fm_kink_cached(args.n, args.beta)
+    t, left, right = fm_kink_interval(args.n, args.beta)
     lo = 0.5 * (left.lo + left.hi)
     hi = 0.5 * (right.lo + right.hi)
     code = cli_main(

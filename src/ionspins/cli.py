@@ -27,7 +27,7 @@ from .chain import (
     transverse_modes,
 )
 from .couplings import ResonanceError, bond_graph, coupling_from_trap
-from .lanczos import DEFAULT_SEED, NoConvergence
+from .lanczos import NoConvergence
 from .phases import fit_alpha, linear_fit, phase_table, scan_2d
 
 
@@ -41,14 +41,12 @@ class RunConfig:
     beta: float = 10.0
     mu_tilde: float | None = None
     mu_range: str = ""
-    b: float = 0.0
     b_range: str = ""
     samples: str = ""
     tol: float | None = None
     out: str = "ionspins_out"
     format: str = "both"
     threads: int = 1
-    seed: int = DEFAULT_SEED
     check: bool = False
 
     def header(self):
@@ -61,14 +59,12 @@ _FIELD_TYPES = {
     "beta": float,
     "mu_tilde": float,
     "mu_range": str,
-    "b": float,
     "b_range": str,
     "samples": str,
     "tol": float,
     "out": str,
     "format": str,
     "threads": int,
-    "seed": int,
     "check": lambda s: s.strip().lower() in ("1", "true", "yes"),
 }
 
@@ -308,14 +304,12 @@ def _build_parser():
         p.add_argument("--beta", type=float, help="trap aspect ratio wx/wz (default 10)")
         p.add_argument("--mu-tilde", dest="mu_tilde", type=float, help="rescaled detuning")
         p.add_argument("--mu-range", dest="mu_range", help="detuning range lo:hi")
-        p.add_argument("--b", type=float, help="transverse field in units of Jbar")
         p.add_argument("--b-range", dest="b_range", help="field range lo:hi")
         p.add_argument("--samples", help="grid samples (N or NxM)")
         p.add_argument("--tol", type=float, help="solver/refinement tolerance")
         p.add_argument("--out", help="output directory (default ionspins_out)")
         p.add_argument("--format", choices=["csv", "json", "both"], help="extra outputs")
         p.add_argument("--threads", type=int, help="worker threads for sweeps")
-        p.add_argument("--seed", type=int, help="iterative eigensolver start seed")
         p.add_argument(
             "--check", action="store_const", const=True, help="re-verify outputs after writing"
         )

@@ -14,6 +14,7 @@ interpolate linearly between the adjacent mode frequencies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,18 +141,11 @@ def bond_graph(coupling):
     return bonds
 
 
-_spectrum_cache = {}
-
-
+@functools.cache
 def chain_spectrum(n_ions, beta=10.0, tol=1e-12):
     """Mode spectrum for (n_ions, beta), memoized across sweep calls."""
-    key = (int(n_ions), float(beta), float(tol))
-    spec = _spectrum_cache.get(key)
-    if spec is None:
-        chain = equilibrium_positions(TrapConfig(n_ions=n_ions, aspect_ratio=beta), tol=tol)
-        spec = transverse_modes(chain)
-        _spectrum_cache[key] = spec
-    return spec
+    chain = equilibrium_positions(TrapConfig(n_ions=n_ions, aspect_ratio=beta), tol=tol)
+    return transverse_modes(chain)
 
 
 def coupling_from_trap(n_ions, beta, mu_tilde, tol=1e-12):

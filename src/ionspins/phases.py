@@ -11,13 +11,15 @@ parameter of the transition.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import coupling_from_trap
+from .couplings import ResonanceError, coupling_from_trap
+from .lanczos import NoConvergence
 from .spins import (
     AmbiguousGround,
     classical_ground,
@@ -334,15 +336,17 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
 def _try(fn, arg):
     try:
         return fn(arg)
-    except Exception as exc:  # per-point failure, not an abort
+    except (ResonanceError, NoConvergence) as exc:  # per-point failure, not an abort
         return exc
 
 
+@functools.cache
 def fm_kink_interval(n_ions, beta=10.0, samples=64, refine_tol=1e-8):
     """The FM/kink transition of an odd chain in the interval (N-2, N-1).
 
     Returns (transition, fm_subinterval, kink_subinterval); raises if that
-    interval does not show exactly this order change.
+    interval does not show exactly this order change.  Memoized across sweep
+    calls.
     """
     if n_ions % 2 == 0 or n_ions < 3:
         raise ValueError("the FM/kink transition lives in odd chains")
@@ -396,16 +400,6 @@ class GapPoint:
     gap: float
     gap_e1_e0: float
     crossing_mu: float
-
-
-_fm_kink_cache = {}
-
-
-def _fm_kink_cached(n_ions, beta):
-    key = (int(n_ions), float(beta))
-    if key not in _fm_kink_cache:
-        _fm_kink_cache[key] = fm_kink_interval(n_ions, beta)
-    return _fm_kink_cache[key]
 
 
 def _levels_at(n_ions, beta, mu, b_abs):
@@ -504,7 +498,7 @@ def min_gap(n_ions, beta, b_over_njbar, bracket=None, rel_tol=1e-11, coarse=25, 
     the precondition that exactly one FM/kink transition sits inside the
     bracket.
     """
-    t, left, right = _fm_kink_cached(n_ions, beta)
+    t, left, right = fm_kink_interval(n_ions, beta)
     if bracket is None:
         bracket = (0.5 * (left.lo + left.hi), 0.5 * (right.lo + right.hi))
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -583,7 +577,7 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None, bracket=None):
     if np.max(b_over_njbar) > 0.1 * (1 + 1e-9):
         raise ValueError("fit window requires B <= 0.1 N Jbar")
     if bracket is None:
-        t, left, right = _fm_kink_cached(n_ions, beta)
+        t, left, right = fm_kink_interval(n_ions, beta)
         bracket = (0.5 * (left.lo + left.hi), 0.5 * (right.lo + right.hi))
     points, skipped = [], []
     for b in np.sort(b_over_njbar):
@@ -633,7 +627,7 @@ def transition_width(n_ions, beta, b_over_njbar, thresholds=0.5, max_halvings=70
     the requested B/(N Jbar); both threshold crossings are refined by
     bisection.
     """
-    t, left, right = _fm_kink_cached(n_ions, beta)
+    t, left, right = fm_kink_interval(n_ions, beta)
     lo_anchor = 0.5 * (left.lo + left.hi)
     hi_anchor = 0.5 * (right.lo + right.hi)
     gp = min_gap(n_ions, beta, b_over_njbar, bracket=(lo_anchor, hi_anchor))

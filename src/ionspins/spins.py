@@ -185,47 +185,55 @@ def field_scale(coupling):
     return coupling.jbar if coupling.jbar > 0.0 else 1.0
 
 
-def _flip_targets(n_ions):
-    idx = np.arange(1 << n_ions, dtype=np.int64)
-    return [idx ^ (1 << p) for p in range(n_ions)]
+def _flip(x, p):
+    """x[s ^ (1 << p)] along the first axis: spin bit p flipped, with no index table."""
+    return x.reshape(-1, 2, x[0].size << p)[:, ::-1].reshape(x.shape)
+
+
+class _SpinOperator:
+    """H for one (coupling, field): Ising energies on the diagonal, -b_abs per spin flip."""
+
+    def __init__(self, coupling, b_field):
+        self.n_ions = coupling.n_ions
+        self.diag = classical_energies(coupling)
+        self.b_abs = b_field * field_scale(coupling)
+
+    def matvec(self, x):
+        """H @ x for a state vector, or column by column for a (2^N, m) block."""
+        out = (x.T * self.diag).T
+        for p in range(self.n_ions):
+            out -= self.b_abs * _flip(x, p)
+        return out
+
+    def dense(self):
+        h = np.diag(self.diag)
+        idx = np.arange(len(self.diag))
+        for p in range(self.n_ions):
+            h[idx, _flip(idx, p)] -= self.b_abs
+        return h
 
 
 def apply_hamiltonian(coupling, b_field, v):
     """Matrix-free H @ v: diagonal Ising energies minus b * single-spin flips."""
-    n = coupling.n_ions
-    dim = 1 << n
+    dim = 1 << coupling.n_ions
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"state vector must have length {dim}, got {v.shape}")
-    out = classical_energies(coupling) * v
-    b_abs = b_field * field_scale(coupling)
-    if b_abs != 0.0:
-        for tgt in _flip_targets(n):
-            out -= b_abs * v[tgt]
-    return out
+    return _SpinOperator(coupling, b_field).matvec(v)
 
 
 def dense_hamiltonian(coupling, b_field):
     """Explicit 2^N x 2^N matrix; intended for small N."""
-    n = coupling.n_ions
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    h[np.arange(dim), np.arange(dim)] = classical_energies(coupling)
-    b_abs = b_field * field_scale(coupling)
-    if b_abs != 0.0:
-        idx = np.arange(dim, dtype=np.int64)
-        for p in range(n):
-            h[idx, idx ^ (1 << p)] = -b_abs
-    return h
+    return _SpinOperator(coupling, b_field).dense()
 
 
 def lowest_eigenpairs(coupling, b_field, k=4, tol=1e-10, method="auto", seed=lanczos.DEFAULT_SEED):
     """k lowest eigenpairs of the spin Hamiltonian.
 
-    Dense diagonalization is used for 2^N <= 4096, a matrix-free Lanczos
-    iteration with full reorthogonalization above (method="dense"/"lanczos"
-    forces either path).  Residuals ||Hv - Ev|| are verified against
-    1e-9 * max(1, |E|) for every returned pair.
+    Dense diagonalization is used for 2^N <= 4096, the block Krylov solver of
+    ``lanczos`` above (method="dense"/"lanczos" forces either path).
+    Residuals ||Hv - Ev|| are verified against 1e-9 * max(1, |E|) for every
+    returned pair.
     """
     n = coupling.n_ions
     dim = 1 << n
@@ -235,30 +243,17 @@ def lowest_eigenpairs(coupling, b_field, k=4, tol=1e-10, method="auto", seed=lan
         raise ValueError("transverse field must be non-negative")
     if method == "auto":
         method = "dense" if dim <= 4096 else "lanczos"
-    if method == "dense":
-        h = dense_hamiltonian(coupling, b_field)
-        evals, vecs = np.linalg.eigh(h)
-        evals, vecs = evals[:k], vecs[:, :k]
-    elif method == "lanczos":
-        diag = classical_energies(coupling)
-        b_abs = b_field * field_scale(coupling)
-        flips = _flip_targets(n)
-
-        def matvec(x):
-            y = diag * x
-            for tgt in flips:
-                y -= b_abs * x[tgt]
-            return y
-
-        evals, vecs = lanczos.lowest_eigenpairs(matvec, dim, k, tol=tol, seed=seed)
-    else:
+    if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
+    op = _SpinOperator(coupling, b_field)
+    if method == "dense":
+        evals, vecs = np.linalg.eigh(op.dense())
+        evals, vecs = evals[:k], vecs[:, :k]
+    else:
+        evals, vecs = lanczos.lowest_eigenpairs(op.matvec, dim, k, tol=tol, seed=seed)
 
-    norms = np.linalg.norm(vecs, axis=0)
-    vecs = vecs / norms
-    resid = np.empty(k)
-    for i in range(k):
-        resid[i] = np.linalg.norm(apply_hamiltonian(coupling, b_field, vecs[:, i]) - evals[i] * vecs[:, i])
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    resid = np.array([np.linalg.norm(r) for r in (op.matvec(vecs) - vecs * evals).T])
     bound = 1e-9 * np.maximum(1.0, np.abs(evals))
     if np.any(resid > bound):
         raise lanczos.NoConvergence(
@@ -269,7 +264,7 @@ def lowest_eigenpairs(coupling, b_field, k=4, tol=1e-10, method="auto", seed=lan
         eigenvectors=vecs,
         n_ions=n,
         b_field=float(b_field),
-        b_abs=float(b_field * field_scale(coupling)),
+        b_abs=float(op.b_abs),
         method=method,
         residuals=resid,
     )
@@ -278,10 +273,7 @@ def lowest_eigenpairs(coupling, b_field, k=4, tol=1e-10, method="auto", seed=lan
 def polarization(result, which=0):
     """<sum_n sigma^x_n> / N for one eigenstate; lies in [-1, 1]."""
     v = result.eigenvectors[:, which]
-    total = 0.0
-    for tgt in _flip_targets(result.n_ions):
-        total += float(v @ v[tgt])
-    return total / result.n_ions
+    return sum(float(v @ _flip(v, p)) for p in range(result.n_ions)) / result.n_ions
 
 
 def subspace_projection(result, basis, which=0):

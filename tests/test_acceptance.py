@@ -218,18 +218,18 @@ def test_criterion_09_polarization_behavior():
         j = coupling_from_trap(n, 10.0, mu)
         return cluster_polarization(lowest_eigenpairs(j, b_jbar, k=min(6, 1 << n)))
 
-    from ionspins.phases import _fm_kink_cached
+    from ionspins.phases import fm_kink_interval
 
     details = []
     critical_ok = True
     for n in (5, 7):
-        t, left, right = _fm_kink_cached(n, 10.0)
+        t, left, right = fm_kink_interval(n, 10.0)
         p_crit = pol(n, t.mu, 0.1)
         p_left = pol(n, 0.5 * (left.lo + left.hi), 0.1)
         p_right = pol(n, 0.5 * (right.lo + right.hi), 0.1)
         critical_ok = critical_ok and p_crit > max(p_left, p_right)
         details.append(f"N={n}: crit {p_crit:.3f} vs centers {p_left:.3f}/{p_right:.3f}")
-    t5, _, _ = _fm_kink_cached(5, 10.0)
+    t5, _, _ = fm_kink_interval(5, 10.0)
     p_sat = pol(5, t5.mu, 50.0)
     saturation_ok = abs(1.0 - p_sat) <= 1e-3
     elapsed = time.perf_counter() - t0

@@ -132,6 +132,11 @@ def test_scan2d_requires_ranges(tmp_path):
     assert run("scan2d", "--n", "5", "--mu-range", "oops", "--b-range", "0:1", "--out", str(tmp_path)) == 2
 
 
+def test_scan2d_detuning_outside_chain_is_configuration_error(tmp_path):
+    argv = ("scan2d", "--n", "5", "--mu-range", "0.5:1.5", "--b-range", "0:1", "--samples", "4x2")
+    assert run(*argv, "--out", str(tmp_path)) == 2
+
+
 def test_gap_outputs(tmp_path):
     out = str(tmp_path)
     assert run("gap", "--n-list", "3,5", "--out", out) == 0
@@ -191,7 +196,7 @@ def test_header_carries_resolved_config(tmp_path):
     assert config["n"] == "4"
     assert config["beta"] == "12.5"
     assert config["command"] == "modes"
-    assert "seed" in config and "threads" in config
+    assert "threads" in config
 
 
 def test_check_empty_directory_exits_2(tmp_path):

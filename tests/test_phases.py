@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from ionspins import phases
 from ionspins.couplings import coupling_from_trap
 from ionspins.phases import (
     NoInteriorMinimum,
     TransitionLost,
-    _fm_kink_cached,
     even_odd_symmetry_report,
     fit_alpha,
     fm_kink_interval,
@@ -123,6 +123,16 @@ def test_scan_records_failures_per_point():
     assert np.isfinite(grid.order_parameter[0, 0])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_propagates_programming_errors(monkeypatch, threads):
+    def broken(*args):
+        raise TypeError("bug inside a scan point")
+
+    monkeypatch.setattr(phases, "_scan_point", broken)
+    with pytest.raises(TypeError):
+        scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2), threads=threads)
+
+
 def test_scan_rejects_even_chains():
     with pytest.raises(ValueError):
         scan_2d(6, 10.0, (3.1, 3.4), (0.0, 0.5))
@@ -147,7 +157,7 @@ def test_min_gap_matches_fine_grid_dense_oracle():
         e = lowest_eigenpairs(j, gp.b_abs / j.jbar, k=3).eigenvalues
         return e[2] - e[0]
 
-    t, left, right = _fm_kink_cached(n, beta)
+    t, left, right = fm_kink_interval(n, beta)
     lo = 0.5 * (left.lo + left.hi)
     hi = 0.5 * (right.lo + right.hi)
     xs = np.linspace(lo, hi, 401)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionspins import spins
 from ionspins.couplings import CouplingMatrix, coupling_from_trap
 from ionspins.spins import (
     AmbiguousGround,
@@ -275,6 +276,19 @@ def test_dense_and_iterative_paths_agree():
         dense = lowest_eigenpairs(j, b, k=4, method="dense")
         krylov = lowest_eigenpairs(j, b, k=4, method="lanczos")
         assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+def test_eigensolve_enumerates_energies_once(coupling_n7_51, monkeypatch, method):
+    calls = []
+
+    def counted(coupling, half=False):
+        calls.append(half)
+        return classical_energies(coupling, half)
+
+    monkeypatch.setattr(spins, "classical_energies", counted)
+    lowest_eigenpairs(coupling_n7_51, 0.3, k=6, method=method)
+    assert calls == [False]
 
 
 def test_iterative_path_reproducible(coupling_n7_51):
