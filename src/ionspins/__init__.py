@@ -6,12 +6,9 @@ diagrams, and the scaling of the ferromagnet/kink avoided crossing.
 """
 
 from .chain import (
-    ConvergenceError,
-    DegenerateModes,
     IonChain,
     ModeSpectrum,
     TrapConfig,
-    ZigzagInstability,
     equilibrium_positions,
     mode_spectrum,
     transverse_mode_matrix,
@@ -22,19 +19,28 @@ from .couplings import (
     Bond,
     CouplingMatrix,
     DetuningSpec,
-    ResonanceError,
     bond_graph,
     coupling_from_trap,
     coupling_matrix,
     resolve_detuning,
 )
+from .errors import (
+    AmbiguousGround,
+    CheckFailure,
+    ConvergenceError,
+    DegenerateModes,
+    NoConvergence,
+    NoInteriorMinimum,
+    NumericalFailure,
+    ResonanceError,
+    TransitionLost,
+    ZigzagInstability,
+)
 from .phases import (
     AlphaFit,
-    AlphaScaling,
     GapPoint,
     PhaseTable,
     ScanGrid,
-    alpha_vs_n,
     even_odd_symmetry_report,
     fit_alpha,
     fm_kink_interval,
@@ -44,7 +50,6 @@ from .phases import (
     transition_width,
 )
 from .spins import (
-    AmbiguousGround,
     GroundState,
     SpectrumResult,
     SpinOrder,

@@ -16,17 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested gradient norm."""
-
-
-class ZigzagInstability(ValueError):
-    """The linear chain is transversally unstable (non-positive mode eigenvalue)."""
-
-
-class DegenerateModes(ValueError):
-    """Two transverse eigenvalues coincide; integer mode labels would be ambiguous."""
+from .errors import ConvergenceError, DegenerateModes, ZigzagInstability
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ Flag precedence is command line > config file (--config, key=value lines) >
 built-in defaults; the fully resolved configuration is echoed into every
 output file so any artifact can be reproduced byte for byte.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 invalid request (any ValueError or OSError), 3 valid
+request without a trustworthy result (any ``errors.NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -18,16 +19,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fileio
-from .chain import (
-    ConvergenceError,
-    DegenerateModes,
-    TrapConfig,
-    ZigzagInstability,
-    equilibrium_positions,
-    transverse_modes,
-)
-from .couplings import ResonanceError, bond_graph, coupling_from_trap
-from .lanczos import NoConvergence
+from .chain import TrapConfig, equilibrium_positions, transverse_modes
+from .couplings import bond_graph, coupling_from_trap
+from .errors import NoConvergence, NumericalFailure
 from .phases import fit_alpha, linear_fit, phase_table, scan_2d
 
 
@@ -304,7 +298,7 @@ def _build_parser():
         p.add_argument("--beta", type=float, help="trap aspect ratio wx/wz (default 10)")
         p.add_argument("--mu-tilde", dest="mu_tilde", type=float, help="rescaled detuning")
         p.add_argument("--mu-range", dest="mu_range", help="detuning range lo:hi")
-        p.add_argument("--b-range", dest="b_range", help="field range lo:hi")
+        p.add_argument("--b-range", dest="b_range", help="field lo:hi, B/Jbar (scan2d), B/(N Jbar) (gap)")
         p.add_argument("--samples", help="grid samples (N or NxM)")
         p.add_argument("--tol", type=float, help="solver/refinement tolerance")
         p.add_argument("--out", help="output directory (default ionspins_out)")
@@ -325,14 +319,11 @@ def main(argv=None):
         if cfg.check and cfg.command != "check":
             for message in fileio.check_directory(cfg.out):
                 print(message)
-    except (ZigzagInstability, DegenerateModes, ConvergenceError, NoConvergence) as exc:
-        print(f"ionspins: numerical failure: {exc}", file=sys.stderr)
+    except NumericalFailure as exc:
+        print(f"ionspins: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except fileio.CheckFailure as exc:
-        print(f"ionspins: check failed: {exc}", file=sys.stderr)
-        return 3
-    except (ResonanceError, ValueError, FileNotFoundError, OSError) as exc:
-        print(f"ionspins: configuration error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"ionspins: configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

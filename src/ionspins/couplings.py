@@ -21,10 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TrapConfig, equilibrium_positions, transverse_modes
-
-
-class ResonanceError(ValueError):
-    """Detuning sits on (or too close to) a phonon mode, where J_mn diverges."""
+from .errors import ResonanceError
 
 
 @dataclass(frozen=True)

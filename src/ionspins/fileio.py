@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .errors import CheckFailure
+
 
 def fmt(x):
     """17-significant-digit decimal form (round-trips IEEE doubles)."""
@@ -64,10 +66,6 @@ def read_csv(path):
             else:
                 rows.append(line.split(","))
     return config, columns, rows
-
-
-class CheckFailure(RuntimeError):
-    """A written artifact violates one of its module invariants."""
 
 
 def _require(cond, message):
@@ -213,17 +211,14 @@ def check_gap_files(csv_path, json_path=None):
     return "; ".join(messages)
 
 
+# artifact -> (its checker, the companion files the checker also reads)
 _CHECKS = {
-    "positions.csv": lambda d: check_positions(os.path.join(d, "positions.csv")),
-    "modes.csv": lambda d: check_modes(os.path.join(d, "modes.csv")),
-    "couplings.csv": lambda d: check_couplings(
-        os.path.join(d, "couplings.csv"), os.path.join(d, "bond_graph.json")
-    ),
-    "phase_table.json": lambda d: check_phase_table(os.path.join(d, "phase_table.json")),
-    "scan2d.csv": lambda d: check_scan2d(os.path.join(d, "scan2d.csv")),
-    "gap_scaling.csv": lambda d: check_gap_files(
-        os.path.join(d, "gap_scaling.csv"), os.path.join(d, "alpha_fit.json")
-    ),
+    "positions.csv": (check_positions,),
+    "modes.csv": (check_modes,),
+    "couplings.csv": (check_couplings, "bond_graph.json"),
+    "phase_table.json": (check_phase_table,),
+    "scan2d.csv": (check_scan2d,),
+    "gap_scaling.csv": (check_gap_files, "alpha_fit.json"),
 }
 
 
@@ -231,12 +226,18 @@ def check_directory(directory):
     """Re-verify every recognized artifact in a directory from the files alone.
 
     Returns a list of per-file messages; raises CheckFailure on the first
-    violated invariant and FileNotFoundError if nothing checkable is present.
+    violated invariant or malformed file and FileNotFoundError if nothing
+    checkable is present.
     """
     messages = []
-    for name, runner in _CHECKS.items():
-        if os.path.exists(os.path.join(directory, name)):
-            messages.append(runner(directory))
+    for name, (checker, *companions) in _CHECKS.items():
+        paths = [os.path.join(directory, f) for f in (name, *companions)]
+        if os.path.exists(paths[0]):
+            try:
+                messages.append(checker(*paths))
+            except (LookupError, TypeError, AttributeError, ValueError) as exc:  # malformed file
+                where = " or ".join(p for p in paths if os.path.exists(p))
+                raise CheckFailure(f"{where}: malformed ({type(exc).__name__}: {exc})") from exc
     if not messages:
         raise FileNotFoundError(f"no checkable artifacts found in {directory}")
     return messages

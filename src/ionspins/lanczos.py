@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NoConvergence
+
 DEFAULT_SEED = 0x5EED
 
 
-class NoConvergence(RuntimeError):
-    """Eigensolver failed to meet the residual bound within its basis budget."""
-
-
-def lowest_eigenpairs(matvec, dim, k, tol=1e-10, max_basis=None, seed=DEFAULT_SEED):
+def lowest_eigenpairs(matvec, dim, k, tol=1e-10, max_basis=None):
     """Return (eigenvalues, eigenvectors) for the k lowest eigenpairs.
 
     Args:
@@ -28,7 +26,6 @@ def lowest_eigenpairs(matvec, dim, k, tol=1e-10, max_basis=None, seed=DEFAULT_SE
         k: number of lowest eigenpairs requested.
         tol: residual bound ||Av - ev|| <= tol * max(1, |e|) per pair.
         max_basis: Krylov basis cap (default min(dim, max(60 * k, 400))).
-        seed: start-block seed; fixed by default for reproducibility.
     """
     if k < 1 or k > dim:
         raise ValueError(f"k must lie in [1, {dim}]")
@@ -36,7 +33,7 @@ def lowest_eigenpairs(matvec, dim, k, tol=1e-10, max_basis=None, seed=DEFAULT_SE
         max_basis = min(dim, max(60 * k, 400))
     max_basis = min(max_basis, dim)
     block = min(max(k, 2), dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
 
     basis = np.zeros((dim, max_basis))
     a_basis = np.zeros((dim, max_basis))

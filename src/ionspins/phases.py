@@ -18,10 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import ResonanceError, coupling_from_trap
-from .lanczos import NoConvergence
-from .spins import (
+from .couplings import coupling_from_trap
+from .errors import (
     AmbiguousGround,
+    NoConvergence,
+    NoInteriorMinimum,
+    ResonanceError,
+    TransitionLost,
+)
+from .spins import (
     classical_ground,
     cluster_polarization,
     cluster_projection,
@@ -29,6 +34,14 @@ from .spins import (
     kink_basis,
     lowest_eigenpairs,
 )
+
+# sweep settings that no caller varies
+_FM_KINK_SAMPLES = 64  # probes of the interval (N-2, N-1)
+_FM_KINK_TOL = 1e-8  # bisection width of its order changes
+_GAP_COARSE = 25  # coarse probes of a gap bracket
+_GAP_REL_TOL = 1e-11  # golden-section stop, relative to the detuning
+_WIDTH_EDGE = 0.5  # |order parameter| at the edges of the transition width
+_WIDTH_MAX_HALVINGS = 70
 
 
 @dataclass(frozen=True)
@@ -341,45 +354,32 @@ def _try(fn, arg):
 
 
 @functools.cache
-def fm_kink_interval(n_ions, beta=10.0, samples=64, refine_tol=1e-8):
+def fm_kink_interval(n_ions, beta=10.0):
     """The FM/kink transition of an odd chain in the interval (N-2, N-1).
 
-    Returns (transition, fm_subinterval, kink_subinterval); raises if that
-    interval does not show exactly this order change.  Memoized across sweep
-    calls.
+    Returns (transition, fm_subinterval, kink_subinterval); raises
+    TransitionLost if that interval does not show exactly this order change.
+    Memoized across sweep calls.
     """
     if n_ions % 2 == 0 or n_ions < 3:
         raise ValueError("the FM/kink transition lives in odd chains")
-    iv = _interval_phases(n_ions, beta, n_ions - 2, samples, refine_tol, 1e-10)
+    iv = _interval_phases(n_ions, beta, n_ions - 2, _FM_KINK_SAMPLES, _FM_KINK_TOL, 1e-10)
     fm_bits = "0" * n_ions
     kink_bits = format(kink_basis(n_ions)[0], f"0{n_ions}b")
     for t in iv.transitions:
         if t.left_bits == fm_bits and t.right_bits == kink_bits:
             left = max(
-                (s for s in iv.subintervals if s.order_bits == fm_bits and s.hi <= t.mu + refine_tol),
+                (s for s in iv.subintervals if s.order_bits == fm_bits and s.hi <= t.mu + _FM_KINK_TOL),
                 key=lambda s: s.hi,
             )
             right = min(
-                (s for s in iv.subintervals if s.order_bits == kink_bits and s.lo >= t.mu - refine_tol),
+                (s for s in iv.subintervals if s.order_bits == kink_bits and s.lo >= t.mu - _FM_KINK_TOL),
                 key=lambda s: s.lo,
             )
             return t, left, right
-    raise RuntimeError(
+    raise TransitionLost(
         f"no FM->kink transition found in ({n_ions - 2}, {n_ions - 1}) at beta={beta}"
     )
-
-
-class TransitionLost(RuntimeError):
-    """No sharp FM/kink transition inside the bracket at the requested field.
-
-    Raised when the order parameter is no longer saturated (|OP| > 0.5 with
-    opposite signs) at the two bracket ends: the transition line has
-    terminated into the polarized crossover at this field.
-    """
-
-
-class NoInteriorMinimum(ValueError):
-    """The scanned bracket shows no interior gap minimum."""
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,7 @@ def _levels_at(n_ions, beta, mu, b_abs):
     return float(e[2] - e[0]), float(e[1] - e[0]), float(e[2] - e[1])
 
 
-def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi, rel_tol, coarse):
+def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi):
     """Coarse probe + golden section + parabolic polish of E2 - E0 over mu."""
     seen = {}
 
@@ -424,7 +424,7 @@ def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi, rel_tol, coarse):
     lo_cap = n_ions - 2 + 1e-4
     hi_cap = n_ions - 1 - 1e-4
     for _ in range(5):
-        for x in np.linspace(lo, hi, coarse):
+        for x in np.linspace(lo, hi, _GAP_COARSE):
             levels(float(x))
         order = sorted(seen)
         i_min = int(np.argmin([seen[x][0] for x in order]))
@@ -446,7 +446,7 @@ def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi, rel_tol, coarse):
     x1 = c - invphi * (c - a)
     x2 = a + invphi * (c - a)
     f1, f2 = gap_at(x1), gap_at(x2)
-    tol = max(rel_tol * max(abs(a), abs(c)), 1e-14)
+    tol = max(_GAP_REL_TOL * max(abs(a), abs(c)), 1e-14)
     while c - a > tol:
         if f1 <= f2:
             c, x2, f2 = x2, x1, f1
@@ -480,7 +480,7 @@ def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi, rel_tol, coarse):
     return mu_star, gap, e10, crossing_mu
 
 
-def min_gap(n_ions, beta, b_over_njbar, bracket=None, rel_tol=1e-11, coarse=25, require_sharp=True):
+def min_gap(n_ions, beta, b_over_njbar, bracket=None):
     """Locate the avoided crossing: minimize E2 - E0 over the detuning.
 
     E2 - E0 is the ground state's closest approach to the excited manifold;
@@ -493,10 +493,9 @@ def min_gap(n_ions, beta, b_over_njbar, bracket=None, rel_tol=1e-11, coarse=25, 
 
     The absolute field b_abs = b_over_njbar * N * Jbar(zero-field transition)
     is held fixed while the detuning is scanned, mirroring a level diagram
-    taken at constant drive.  With require_sharp the bracket ends must still
-    be order-saturated at this field (TransitionLost otherwise), enforcing
-    the precondition that exactly one FM/kink transition sits inside the
-    bracket.
+    taken at constant drive.  The bracket ends must still be order-saturated
+    at this field (TransitionLost otherwise), enforcing the precondition that
+    exactly one FM/kink transition sits inside the bracket.
     """
     t, left, right = fm_kink_interval(n_ions, beta)
     if bracket is None:
@@ -504,22 +503,15 @@ def min_gap(n_ions, beta, b_over_njbar, bracket=None, rel_tol=1e-11, coarse=25, 
     lo, hi = float(bracket[0]), float(bracket[1])
     jbar_ref = coupling_from_trap(n_ions, beta, t.mu).jbar
     b_abs = b_over_njbar * n_ions * jbar_ref
-    mu_star, gap, e10, crossing_mu = _minimize_gap_scan(
-        n_ions, beta, b_abs, lo, hi, rel_tol, coarse
-    )
-    if require_sharp:
-        # both bracket ends must keep their saturated orders at this field
-        op_lo = order_parameter_at(
-            n_ions, beta, lo, b_abs / coupling_from_trap(n_ions, beta, lo).jbar
+    mu_star, gap, e10, crossing_mu = _minimize_gap_scan(n_ions, beta, b_abs, lo, hi)
+    # both bracket ends must keep their saturated orders at this field
+    op_lo = order_parameter_at(n_ions, beta, lo, b_abs / coupling_from_trap(n_ions, beta, lo).jbar)
+    op_hi = order_parameter_at(n_ions, beta, hi, b_abs / coupling_from_trap(n_ions, beta, hi).jbar)
+    if not (op_lo > 0.5 and op_hi < -0.5):
+        raise TransitionLost(
+            f"order parameter not saturated across the bracket at "
+            f"B/(N Jbar)={b_over_njbar:g} (ends: {op_lo:+.3f}, {op_hi:+.3f})"
         )
-        op_hi = order_parameter_at(
-            n_ions, beta, hi, b_abs / coupling_from_trap(n_ions, beta, hi).jbar
-        )
-        if not (op_lo > 0.5 and op_hi < -0.5):
-            raise TransitionLost(
-                f"order parameter not saturated across the bracket at "
-                f"B/(N Jbar)={b_over_njbar:g} (ends: {op_lo:+.3f}, {op_hi:+.3f})"
-            )
     return GapPoint(
         n_ions=n_ions,
         beta=float(beta),
@@ -538,9 +530,8 @@ def power_law_fit(x_values, y_values):
     y = np.asarray(y_values, dtype=float)
     if np.any(y <= 0.0) or np.any(x <= 0.0):
         raise ValueError("power-law fit needs strictly positive samples")
-    coeffs, residuals, *_ = np.polyfit(np.log(x), np.log(y), 1, full=True)
-    rms = float(np.sqrt(residuals[0] / len(x))) if len(residuals) else 0.0
-    return float(coeffs[0]), rms
+    alpha, _, rms = linear_fit(np.log(x), np.log(y))
+    return alpha, rms
 
 
 def linear_fit(x_values, y_values):
@@ -562,7 +553,7 @@ class AlphaFit:
     skipped: tuple = ()
 
 
-def fit_alpha(n_ions, beta=10.0, b_over_njbar=None, bracket=None):
+def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
     """Exponent of the gap law gap ~ (B / N Jbar)^alpha at the FM/kink transition.
 
     Field samples at which the sharp transition no longer exists (the line has
@@ -576,13 +567,11 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None, bracket=None):
         raise ValueError("need at least 5 field samples for the fit")
     if np.max(b_over_njbar) > 0.1 * (1 + 1e-9):
         raise ValueError("fit window requires B <= 0.1 N Jbar")
-    if bracket is None:
-        t, left, right = fm_kink_interval(n_ions, beta)
-        bracket = (0.5 * (left.lo + left.hi), 0.5 * (right.lo + right.hi))
+    fm_kink_interval(n_ions, beta)  # a chain without the transition fails here, not per field
     points, skipped = [], []
     for b in np.sort(b_over_njbar):
         try:
-            points.append(min_gap(n_ions, beta, float(b), bracket=bracket))
+            points.append(min_gap(n_ions, beta, float(b)))
         except (TransitionLost, NoInteriorMinimum):
             skipped.append(float(b))
     if len(points) < 5:
@@ -600,27 +589,13 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None, bracket=None):
     )
 
 
-@dataclass(frozen=True)
-class AlphaScaling:
-    slope: float
-    intercept: float
-    fits: tuple
-
-
-def alpha_vs_n(n_list, beta=10.0, b_over_njbar=None):
-    """Linear fit of the gap exponent alpha against the (odd) ion number."""
-    fits = tuple(fit_alpha(n, beta, b_over_njbar) for n in n_list)
-    slope, intercept, _ = linear_fit([f.n_ions for f in fits], [f.alpha for f in fits])
-    return AlphaScaling(slope=slope, intercept=intercept, fits=fits)
-
-
 def order_parameter_at(n_ions, beta, mu, b_field_jbar):
     """Cluster-averaged P_FM - P_K at one (mu, B/Jbar) point."""
     op, _, _, _ = _scan_point(n_ions, beta, mu, b_field_jbar)
     return op
 
 
-def transition_width(n_ions, beta, b_over_njbar, thresholds=0.5, max_halvings=70):
+def transition_width(n_ions, beta, b_over_njbar):
     """Detuning width over which the order parameter falls from +0.5 to -0.5.
 
     Measured along a scan at the fixed absolute field located by min_gap for
@@ -630,20 +605,15 @@ def transition_width(n_ions, beta, b_over_njbar, thresholds=0.5, max_halvings=70
     t, left, right = fm_kink_interval(n_ions, beta)
     lo_anchor = 0.5 * (left.lo + left.hi)
     hi_anchor = 0.5 * (right.lo + right.hi)
-    gp = min_gap(n_ions, beta, b_over_njbar, bracket=(lo_anchor, hi_anchor))
+    gp = min_gap(n_ions, beta, b_over_njbar)  # TransitionLost unless both anchors saturate
 
     def op(mu):
         j = coupling_from_trap(n_ions, beta, mu)
         return order_parameter_at(n_ions, beta, mu, gp.b_abs / j.jbar)
 
-    if not op(lo_anchor) > thresholds:
-        raise RuntimeError("FM-side anchor is not order-saturated at this field")
-    if not op(hi_anchor) < -thresholds:
-        raise RuntimeError("kink-side anchor is not order-saturated at this field")
-
     def crossing(target, lo, hi):
         # op decreases with mu; find mu where op == target
-        for _ in range(max_halvings):
+        for _ in range(_WIDTH_MAX_HALVINGS):
             mid = 0.5 * (lo + hi)
             if op(mid) > target:
                 lo = mid
@@ -653,6 +623,6 @@ def transition_width(n_ions, beta, b_over_njbar, thresholds=0.5, max_halvings=70
                 break
         return 0.5 * (lo + hi)
 
-    upper = crossing(thresholds, lo_anchor, gp.mu_star if op(gp.mu_star) < thresholds else hi_anchor)
-    lower = crossing(-thresholds, upper, hi_anchor)
+    upper = crossing(_WIDTH_EDGE, lo_anchor, gp.mu_star if op(gp.mu_star) < _WIDTH_EDGE else hi_anchor)
+    lower = crossing(-_WIDTH_EDGE, upper, hi_anchor)
     return lower - upper

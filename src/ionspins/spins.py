@@ -20,18 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanczos
+from .errors import AmbiguousGround, NoConvergence
 
 _ENUM_CHUNK = 1 << 18
-
-
-class AmbiguousGround(RuntimeError):
-    """Distinct spin orders tie for the classical minimum (an exact crossing)."""
-
-    def __init__(self, orders, energy):
-        self.orders = tuple(sorted(orders, key=lambda o: o.canonical))
-        self.energy = energy
-        names = ", ".join(o.bits for o in self.orders)
-        super().__init__(f"degenerate classical minimum across orders {{{names}}}")
+_CLUSTER_RTOL = 1e-9  # relative width of the degenerate ground cluster
 
 
 @dataclass(frozen=True)
@@ -227,7 +219,7 @@ def dense_hamiltonian(coupling, b_field):
     return _SpinOperator(coupling, b_field).dense()
 
 
-def lowest_eigenpairs(coupling, b_field, k=4, tol=1e-10, method="auto", seed=lanczos.DEFAULT_SEED):
+def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
     """k lowest eigenpairs of the spin Hamiltonian.
 
     Dense diagonalization is used for 2^N <= 4096, the block Krylov solver of
@@ -250,13 +242,13 @@ def lowest_eigenpairs(coupling, b_field, k=4, tol=1e-10, method="auto", seed=lan
         evals, vecs = np.linalg.eigh(op.dense())
         evals, vecs = evals[:k], vecs[:, :k]
     else:
-        evals, vecs = lanczos.lowest_eigenpairs(op.matvec, dim, k, tol=tol, seed=seed)
+        evals, vecs = lanczos.lowest_eigenpairs(op.matvec, dim, k)
 
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     resid = np.array([np.linalg.norm(r) for r in (op.matvec(vecs) - vecs * evals).T])
     bound = 1e-9 * np.maximum(1.0, np.abs(evals))
     if np.any(resid > bound):
-        raise lanczos.NoConvergence(
+        raise NoConvergence(
             f"eigenpair residual {np.max(resid):.3e} exceeds bound {np.max(bound):.3e}"
         )
     return SpectrumResult(
@@ -287,24 +279,24 @@ def subspace_projection(result, basis, which=0):
     return float(np.sum(v[np.asarray(basis, dtype=np.int64)] ** 2))
 
 
-def ground_cluster(result, rtol=1e-9):
+def ground_cluster(result):
     """Indices of eigenstates degenerate with the ground state."""
     e = result.eigenvalues
-    width = rtol * max(1.0, abs(e[0]))
+    width = _CLUSTER_RTOL * max(1.0, abs(e[0]))
     return np.nonzero(e - e[0] <= width)[0]
 
 
-def cluster_projection(result, basis, rtol=1e-9):
+def cluster_projection(result, basis):
     """Subspace probability averaged over the (possibly degenerate) ground cluster.
 
     The average equals tr(P_cluster P_basis) / dim(cluster) and is independent
     of the arbitrary eigenbasis chosen inside a degenerate cluster.
     """
-    members = ground_cluster(result, rtol)
+    members = ground_cluster(result)
     return sum(subspace_projection(result, basis, which=i) for i in members) / len(members)
 
 
-def cluster_polarization(result, rtol=1e-9):
+def cluster_polarization(result):
     """Polarization averaged over the degenerate ground cluster."""
-    members = ground_cluster(result, rtol)
+    members = ground_cluster(result)
     return sum(polarization(result, which=i) for i in members) / len(members)

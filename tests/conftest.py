@@ -17,3 +17,17 @@ def coupling_n7_53():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def without_fm_kink_transition(monkeypatch):
+    """The zero-field interval (N-2, N-1) shows no order change at all."""
+    from ionspins import phases
+
+    def no_transition(n_ions, beta, k, *rest):
+        return phases.IntervalPhases(lower_mode=k, subintervals=(), transitions=())
+
+    monkeypatch.setattr(phases, "_interval_phases", no_transition)
+    phases.fm_kink_interval.cache_clear()
+    yield
+    phases.fm_kink_interval.cache_clear()

@@ -213,3 +213,26 @@ def test_check_flags_corrupted_file(tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert run("check", "--out", out) == 3
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("phase_table.json", "{}\n"),  # KeyError
+        ("positions.csv", "n,u\n1\n"),  # IndexError
+        ("phase_table.json", "not json\n"),  # JSONDecodeError
+        ("phase_table.json", "[]\n"),  # AttributeError
+        ("phase_table.json", '{"table": 5}\n'),  # TypeError
+    ],
+    ids=["missing-key", "short-row", "not-json", "json-list", "wrong-type"],
+)
+def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text)
+    assert run("check", "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "CheckFailure" in err and name in err
+
+
+def test_gap_without_fm_kink_transition_exits_3(tmp_path, capsys, without_fm_kink_transition):
+    assert run("gap", "--n", "5", "--out", str(tmp_path)) == 3
+    assert "TransitionLost" in capsys.readouterr().err
