@@ -100,15 +100,20 @@ def resolve_detuning(spectrum, rescaled):
     return DetuningSpec(rescaled=rescaled, resolved=float(mu))
 
 
+def mode_denominators(spectrum, mu):
+    """mu^2 - omega_k^2 for a resolved detuning, or one row per entry of an array of them."""
+    w = np.asarray(spectrum.frequencies, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None]
+    denom = mu * mu - w * w
+    if np.any(np.abs(denom) < 1e-12):
+        raise ResonanceError("detuning resonant with a mode; coupling diverges")
+    return denom
+
+
 def coupling_matrix(spectrum, detuning, beta=None):
     """Evaluate J_mn from a mode spectrum at a resolved detuning."""
     b = spectrum.mode_matrix
-    w = np.asarray(spectrum.frequencies, dtype=float)
-    mu = detuning.resolved
-    denom = mu * mu - w * w
-    if np.min(np.abs(denom)) < 1e-12:
-        raise ResonanceError("detuning resonant with a mode; coupling diverges")
-    j = (b / denom) @ b.T
+    j = (b / mode_denominators(spectrum, detuning.resolved)) @ b.T
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
     return CouplingMatrix(j=j, jbar=rms_coupling(j), detuning=detuning, beta=beta)

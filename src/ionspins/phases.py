@@ -27,10 +27,10 @@ from .errors import (
     TransitionLost,
 )
 from .spins import (
-    classical_ground,
     cluster_polarization,
     cluster_projection,
     fm_basis,
+    ground_orders,
     kink_basis,
     lowest_eigenpairs,
 )
@@ -120,30 +120,27 @@ class PhaseTable:
         }
 
 
-def _ground_order(n_ions, beta, mu, tie_rtol=1e-10, nudge=None):
-    """Classical order at mu; optionally sidestep exact crossings by nudging."""
-    try:
-        return classical_ground(coupling_from_trap(n_ions, beta, mu), tie_rtol).order
-    except AmbiguousGround:
-        if nudge is None:
-            raise
-        for shift in (nudge, -nudge, 3 * nudge):
-            try:
-                return classical_ground(
-                    coupling_from_trap(n_ions, beta, mu + shift), tie_rtol
-                ).order
-            except AmbiguousGround:
-                continue
-        raise
+def _nudged_orders(n_ions, beta, mus, nudges, tie_rtol):
+    """Ground order at each mu; an exact crossing is sidestepped at mu + nu, mu - nu, mu + 3 nu."""
+    orders = ground_orders(n_ions, beta, mus, tie_rtol)
+    for i, tie in enumerate(orders):
+        if not isinstance(tie, AmbiguousGround):
+            continue
+        for shift in (nudges[i], -nudges[i], 3 * nudges[i]):
+            (orders[i],) = ground_orders(n_ions, beta, [mus[i] + shift], tie_rtol)
+            if not isinstance(orders[i], AmbiguousGround):
+                break
+        else:
+            raise tie
+    return orders
 
 
 def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol):
     """Refine every order change in (lo, hi); recursion handles interlopers."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        try:
-            o_mid = _ground_order(n_ions, beta, mid, tie_rtol)
-        except AmbiguousGround:
+        (o_mid,) = ground_orders(n_ions, beta, [mid], tie_rtol)
+        if isinstance(o_mid, AmbiguousGround):
             return [
                 Transition(
                     mu=mid,
@@ -173,10 +170,8 @@ def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol):
 
 def _interval_phases(n_ions, beta, k, samples, refine_tol, tie_rtol):
     step = 1.0 / samples
-    grid = k + (np.arange(samples) + 0.5) * step
-    orders = [
-        _ground_order(n_ions, beta, float(mu), tie_rtol, nudge=step * 1e-3) for mu in grid
-    ]
+    grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
+    orders = _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples, tie_rtol)
     transitions = []
     for i in range(samples - 1):
         if orders[i] != orders[i + 1]:
@@ -184,9 +179,9 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol, tie_rtol):
                 _bisect_orders(
                     n_ions,
                     beta,
-                    float(grid[i]),
+                    grid[i],
                     orders[i],
-                    float(grid[i + 1]),
+                    grid[i + 1],
                     orders[i + 1],
                     refine_tol,
                     tie_rtol,
@@ -194,15 +189,14 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol, tie_rtol):
             )
     transitions.sort(key=lambda t: t.mu)
     cuts = [float(k)] + [t.mu for t in transitions] + [float(k + 1)]
-    subintervals = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        o = _ground_order(n_ions, beta, 0.5 * (lo + hi), tie_rtol, nudge=(hi - lo) * 1e-3)
-        subintervals.append(
-            Subinterval(lo=lo, hi=hi, order_bits=o.bits, degeneracy=o.degeneracy)
-        )
-    return IntervalPhases(
-        lower_mode=k, subintervals=tuple(subintervals), transitions=tuple(transitions)
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    mids = [0.5 * (lo + hi) for lo, hi in spans]
+    nudges = [(hi - lo) * 1e-3 for lo, hi in spans]
+    subintervals = tuple(
+        Subinterval(lo=lo, hi=hi, order_bits=o.bits, degeneracy=o.degeneracy)
+        for (lo, hi), o in zip(spans, _nudged_orders(n_ions, beta, mids, nudges, tie_rtol))
     )
+    return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=tuple(transitions))
 
 
 def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie_rtol=1e-10):
@@ -210,7 +204,8 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
     is bisected down to refine_tol; exact crossings hit along the way are
-    recorded as zero-uncertainty transitions.
+    recorded as zero-uncertainty transitions.  Every probe goes through
+    ``spins.ground_orders`` (mode space, a tile of detunings per product).
     """
     if n_ions < 3:
         raise ValueError("phase tables need at least 3 ions")
@@ -558,7 +553,7 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
 
     Field samples at which the sharp transition no longer exists (the line has
     ended in the polarized crossover) are rejected and recorded in ``skipped``;
-    at least 5 samples must survive.
+    at least 5 samples must survive (TransitionLost otherwise).
     """
     if b_over_njbar is None:
         b_over_njbar = np.geomspace(0.01, 0.1, 8)
@@ -575,7 +570,7 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
         except (TransitionLost, NoInteriorMinimum):
             skipped.append(float(b))
     if len(points) < 5:
-        raise ValueError(
+        raise TransitionLost(
             f"only {len(points)} field samples keep a sharp transition; need 5 for the fit"
         )
     alpha, rms = power_law_fit([p.b_over_njbar for p in points], [p.gap for p in points])

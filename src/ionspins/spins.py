@@ -15,14 +15,17 @@ bare coupling units.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lanczos
+from .couplings import chain_spectrum, mode_denominators, resolve_detuning
 from .errors import AmbiguousGround, NoConvergence
 
 _ENUM_CHUNK = 1 << 18
+_TILE_DOUBLES = 1 << 14  # energies held per product in ground_orders
 _CLUSTER_RTOL = 1e-9  # relative width of the degenerate ground cluster
 
 
@@ -152,6 +155,26 @@ def classical_energies(coupling, half=False):
     return out
 
 
+def _check_budget(n_ions):
+    if n_ions > 24:
+        raise ValueError("exhaustive scan budget is N <= 24")
+
+
+def _order_or_tie(energies, n_ions, tie_rtol):
+    """The canonical order minimizing half-basis energies, or the AmbiguousGround of a tie.
+
+    A tie is configurations from distinct orders within
+    tie_rtol * max(1, |E_min|) of the minimum - the signature of an exact
+    level crossing.
+    """
+    emin = float(energies.min())
+    winners = np.nonzero(energies <= emin + tie_rtol * max(1.0, abs(emin)))[0]
+    orders = {canonicalize(int(s), n_ions) for s in winners}
+    if len(orders) > 1:
+        return AmbiguousGround(orders, emin)
+    return orders.pop()
+
+
 def classical_ground(coupling, tie_rtol=1e-10):
     """Exhaustive classical minimum over the Z2-reduced half basis.
 
@@ -160,16 +183,56 @@ def classical_ground(coupling, tie_rtol=1e-10):
     tie_rtol * max(1, |E_min|) - the signature of an exact level crossing.
     """
     n = coupling.n_ions
-    if n > 24:
-        raise ValueError("exhaustive scan budget is N <= 24")
+    _check_budget(n)
     e = classical_energies(coupling, half=True)
-    emin = float(np.min(e))
-    winners = np.nonzero(e <= emin + tie_rtol * max(1.0, abs(emin)))[0]
-    orders = {canonicalize(int(s), n) for s in winners}
-    if len(orders) > 1:
-        raise AmbiguousGround(orders, emin)
-    order = orders.pop()
-    return GroundState(order=order, energy=emin, configs=orbit(order.canonical, n))
+    order = _order_or_tie(e, n, tie_rtol)
+    if isinstance(order, AmbiguousGround):
+        raise order
+    return GroundState(order=order, energy=float(np.min(e)), configs=orbit(order.canonical, n))
+
+
+def _mode_projections(n_ions, beta, lo):
+    """(z . b^k)^2 for the half-basis configurations lo .. lo + _ENUM_CHUNK - 1."""
+    idx = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << (n_ions - 1)), dtype=np.int64)
+    p = _signs(idx, n_ions) @ chain_spectrum(n_ions, beta, tol=1e-12).mode_matrix
+    p *= p
+    return p
+
+
+# Two chunks: up to N = 20 a whole table stays cached.  Larger tables are
+# rebuilt chunk by chunk per detuning, as classical_energies enumerates, so
+# the 1.6 GB table of N = 24 is never held.
+_cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
+
+
+def ground_orders(n_ions, beta, mu_tildes, tie_rtol=1e-10):
+    """Zero-field ground order of the trapped chain at each rescaled detuning.
+
+    The modes are orthonormal, so z . J(mu) . z = sum_k d_k [(z . b^k)^2 - 1]
+    with d_k = 1 / (mu^2 - omega_k^2): the half-basis energies of a tile of
+    detunings are one product with the cached (z . b^k)^2 table.  Each entry
+    is what classical_ground(coupling_from_trap(n_ions, beta, mu)) finds: the
+    canonical SpinOrder, or the AmbiguousGround it would raise (returned, not
+    raised).
+    """
+    _check_budget(n_ions)
+    spec = chain_spectrum(n_ions, beta, tol=1e-12)  # the cache entry coupling_from_trap uses
+    mus = [resolve_detuning(spec, mu).resolved for mu in mu_tildes]
+    d = 1.0 / mode_denominators(spec, mus)
+    half = 1 << (n_ions - 1)
+    tile = max(1, _TILE_DOUBLES // half)
+    chunks = range(0, half, _ENUM_CHUNK)
+    project = _cached_projections if len(chunks) <= 2 else _mode_projections
+    found = []
+    for start in range(0, len(d), tile):
+        dt = d[start : start + tile]
+        e = np.empty((len(dt), half))
+        for lo in chunks:
+            p = project(n_ions, beta, lo)
+            e[:, lo : lo + len(p)] = dt @ p.T
+        e -= dt.sum(axis=1)[:, None]
+        found.extend(_order_or_tie(row, n_ions, tie_rtol) for row in e)
+    return found
 
 
 def field_scale(coupling):

@@ -5,6 +5,7 @@ import pytest
 
 from ionspins import phases
 from ionspins.couplings import coupling_from_trap
+from ionspins.errors import AmbiguousGround
 from ionspins.phases import (
     NoInteriorMinimum,
     TransitionLost,
@@ -18,7 +19,8 @@ from ionspins.phases import (
     scan_2d,
     transition_width,
 )
-from ionspins.spins import classical_ground, lowest_eigenpairs
+from ionspins.cli import main as cli_main
+from ionspins.spins import classical_ground, flip_all, lowest_eigenpairs, reverse_bits
 
 
 def ground_bits(n, beta, mu):
@@ -69,6 +71,45 @@ def test_table_validation():
         phase_table(2, 10.0)
     with pytest.raises(ValueError):
         phase_table(5, 10.0, samples_per_interval=8)
+    with pytest.raises(ValueError, match="budget"):
+        phase_table(25, 10.0)
+
+
+def enumerated_orders(n_ions, beta, mus, tie_rtol):
+    """The scalar path: classical_ground on each full coupling matrix."""
+    found = []
+    for mu in mus:
+        try:
+            found.append(classical_ground(coupling_from_trap(n_ions, beta, mu), tie_rtol).order)
+        except AmbiguousGround as tie:
+            found.append(tie)
+    return found
+
+
+def table_or_error(n, tie_rtol):
+    try:
+        return phase_table(n, 10.0, 64, tie_rtol=tie_rtol).to_dict()
+    except AmbiguousGround as tie:
+        return tie.orders
+
+
+@pytest.mark.parametrize("tie_rtol", [1e-10, 1e-4, 1e-3])
+def test_table_equals_enumerated_table(monkeypatch, tie_rtol):
+    """Wide tie windows reach the nudges, the exact transitions and the raised tie."""
+    batched = [table_or_error(n, tie_rtol) for n in (3, 5, 7, 9)]
+    monkeypatch.setattr(phases, "ground_orders", enumerated_orders)
+    assert batched == [table_or_error(n, tie_rtol) for n in (3, 5, 7, 9)]
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_degeneracy_law_holds_on_every_subinterval(n):
+    """Criterion 04's {2,4} law and reflection rule, past its N <= 9 sample."""
+    for iv in phase_table(n, 10.0, 64).intervals:
+        for sub in iv.subintervals:
+            assert sub.degeneracy in (2, 4)
+            s = int(sub.order_bits, 2)
+            symmetric = reverse_bits(s, n) in (s, flip_all(s, n))
+            assert symmetric == (sub.degeneracy == 2), (n, sub)
 
 
 def test_even_interval_orders_are_reflection_symmetric():
@@ -222,6 +263,25 @@ def test_fit_alpha_validation():
         fit_alpha(5, 10.0, [0.01, 0.02, 0.03])
     with pytest.raises(ValueError):
         fit_alpha(5, 10.0, [0.02, 0.04, 0.06, 0.08, 0.12])
+
+
+@pytest.fixture
+def one_field_loses_transition(monkeypatch):
+    """min_gap finds a sharp transition at every field outside (0.025, 0.035)."""
+
+    def fake_min_gap(n_ions, beta, b):
+        if 0.025 < b < 0.035:
+            raise TransitionLost("transition ended at this field")
+        return phases.GapPoint(n_ions, beta, b, b, 3.5, b**2, b**2, 3.5)
+
+    monkeypatch.setattr(phases, "min_gap", fake_min_gap)
+
+
+def test_fit_alpha_with_too_few_sharp_fields_is_transition_lost(tmp_path, capsys, one_field_loses_transition):
+    with pytest.raises(TransitionLost, match="only 4 field samples"):
+        fit_alpha(5, 10.0, [0.01, 0.02, 0.03, 0.04, 0.05])
+    assert cli_main(["gap", "--n", "5", "--b-range", "0.01:0.05", "--samples", "5", "--out", str(tmp_path)]) == 3
+    assert "TransitionLost" in capsys.readouterr().err
 
 
 def test_fit_alpha_five_ions():

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from ionspins import spins
 from ionspins.couplings import CouplingMatrix, coupling_from_trap
+from ionspins.errors import ResonanceError
+from ionspins.phases import phase_table
 from ionspins.spins import (
     AmbiguousGround,
     apply_hamiltonian,
@@ -25,6 +27,7 @@ from ionspins.spins import (
     flip_all,
     fm_basis,
     ground_cluster,
+    ground_orders,
     hamming_distance,
     index_to_bits,
     kink_basis,
@@ -190,6 +193,44 @@ def test_ambiguous_ground_detected():
 def test_ground_budget_guard():
     with pytest.raises(ValueError):
         classical_ground(CouplingMatrix.from_matrix(np.zeros((25, 25))))
+
+
+def scalar_ground(n, mu, tie_rtol=1e-10):
+    """classical_ground on the full coupling matrix: the order, or the tied order set."""
+    try:
+        return classical_ground(coupling_from_trap(n, 10.0, mu), tie_rtol).order
+    except AmbiguousGround as tie:
+        return tie.orders
+
+
+def batched_ground(found):
+    return found.orders if isinstance(found, AmbiguousGround) else found
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_mode_space_grounds_match_coupling_enumeration(n):
+    grid = [k + (i + 0.5) / 64 for k in range(1, n) for i in range(64)]
+    transitions = [t.mu for t in phase_table(n, 10.0, 64).transitions]
+    mus = grid + transitions
+    found = ground_orders(n, 10.0, mus)
+    assert [batched_ground(f) for f in found] == [scalar_ground(n, mu) for mu in mus]
+    # one product over many detunings answers as one call per detuning does
+    one_by_one = [ground_orders(n, 10.0, [mu])[0] for mu in mus]
+    assert [batched_ground(f) for f in one_by_one] == [batched_ground(f) for f in found]
+    # trap tables show no exact crossing; a wide tie window makes every transition one
+    wide = ground_orders(n, 10.0, transitions, tie_rtol=1e-3)
+    assert all(isinstance(f, AmbiguousGround) for f in wide)
+    assert [f.orders for f in wide] == [scalar_ground(n, mu, 1e-3) for mu in transitions]
+
+
+def test_mode_space_grounds_reject_invalid_detunings():
+    with pytest.raises(ResonanceError):
+        ground_orders(5, 10.0, [3.5, 4.0, 4.5])
+    for outside in (0.5, 5.5):
+        with pytest.raises(ValueError):
+            ground_orders(5, 10.0, [3.5, outside])
+    with pytest.raises(ValueError, match="budget"):
+        ground_orders(25, 10.0, [3.5])
 
 
 # --- Hamiltonian application and eigensolvers ---------------------------------
