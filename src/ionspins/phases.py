@@ -203,9 +203,10 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie
     """Zero-field phase table: spin orders tiling every inter-mode interval.
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
-    is bisected down to refine_tol; exact crossings hit along the way are
-    recorded as zero-uncertainty transitions.  Every probe goes through
-    ``spins.ground_orders`` (mode space, a tile of detunings per product).
+    is bisected down to refine_tol; an exact crossing hit along the way is
+    recorded at the tied midpoint with ``exact=True``.  Every probe goes
+    through ``spins.ground_orders`` (mode space, a tile of detunings per
+    product).
     """
     if n_ions < 3:
         raise ValueError("phase tables need at least 3 ions")
