@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ionspins import phases
+from ionspins.cli import main as cli_main
 from ionspins.couplings import coupling_from_trap
 from ionspins.errors import AmbiguousGround
 from ionspins.phases import (
@@ -19,7 +20,6 @@ from ionspins.phases import (
     scan_2d,
     transition_width,
 )
-from ionspins.cli import main as cli_main
 from ionspins.spins import classical_ground, flip_all, lowest_eigenpairs, reverse_bits
 
 
