@@ -1,9 +1,12 @@
 """Command-line front end for the trapped-ion Ising pipeline.
 
-Subcommands: modes, couplings, phase-table, scan2d, gap, check.
-Flag precedence is command line > config file (--config, key=value lines) >
-built-in defaults; the fully resolved configuration is echoed into every
-output file so any artifact can be reproduced byte for byte.
+Subcommands: modes, couplings, phase-table, scan2d, gap, check.  Each accepts
+--config plus the flags (``--name``) and config keys (``name=value``) of only
+the settings it reads, listed per command in ``_COMMANDS`` (``out`` for all,
+``check`` for all but check); any other flag or key is an invalid request.
+Precedence is command line > config file (--config, key=value lines) >
+built-in defaults; the resolved settings the command read are echoed into
+every output file so any artifact can be reproduced byte for byte.
 
 Exit codes: 0 success, 2 invalid request (any ValueError or OSError), 3 valid
 request without a trustworthy result (any ``errors.NumericalFailure``).
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,45 +28,36 @@ from .errors import NoConvergence, NumericalFailure
 from .phases import fit_alpha, linear_fit, phase_table, scan_2d
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters; every field has a documented default."""
-
-    command: str = ""
-    n: int = 7
-    n_list: str = ""
-    beta: float = 10.0
-    mu_tilde: float | None = None
-    mu_range: str = ""
-    b_range: str = ""
-    samples: str = ""
-    tol: float | None = None
-    out: str = "ionspins_out"
-    format: str = "both"
-    threads: int = 1
-    check: bool = False
-
-    def header(self):
-        return {k: v for k, v in asdict(self).items()}
+class _Setting(NamedTuple):
+    type: Callable
+    default: object
+    help: str
+    choices: tuple | None = None
 
 
-_FIELD_TYPES = {
-    "n": int,
-    "n_list": str,
-    "beta": float,
-    "mu_tilde": float,
-    "mu_range": str,
-    "b_range": str,
-    "samples": str,
-    "tol": float,
-    "out": str,
-    "format": str,
-    "threads": int,
-    "check": lambda s: s.strip().lower() in ("1", "true", "yes"),
+def _truthy(text):
+    return text.strip().lower() in ("1", "true", "yes")
+
+
+# Every run setting, declared once; the flag of ``name`` is ``--name`` with
+# '-' for '_'.  A bool default makes a switch on the command line.
+_SETTINGS = {
+    "n": _Setting(int, 7, "ion count (default 7)"),
+    "n_list": _Setting(str, "", "comma-separated ion counts"),
+    "beta": _Setting(float, 10.0, "trap aspect ratio wx/wz (default 10)"),
+    "mu_tilde": _Setting(float, None, "rescaled detuning"),
+    "mu_range": _Setting(str, "", "detuning range lo:hi"),
+    "b_range": _Setting(str, "", "field lo:hi, B/Jbar (scan2d), B/(N Jbar) (gap)"),
+    "samples": _Setting(str, "", "grid samples (N or NxM)"),
+    "tol": _Setting(float, None, "solver/refinement tolerance"),
+    "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
+    "format": _Setting(str, "both", "extra outputs", ("csv", "json", "both")),
+    "threads": _Setting(int, 1, "worker threads for sweeps"),
+    "check": _Setting(_truthy, False, "re-verify outputs after writing"),
 }
 
 
-def _read_config_file(path):
+def _read_config_file(path, command, reads):
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -74,22 +68,25 @@ def _read_config_file(path):
                 raise ValueError(f"config file line without '=': {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _FIELD_TYPES[key](val.strip())
+            if key not in reads:
+                raise ValueError(f"config key {key!r} is not read by {command}")
+            setting = _SETTINGS[key]
+            values[key] = setting.type(val.strip())
+            if setting.choices and values[key] not in setting.choices:
+                raise ValueError(f"config key {key!r} must be one of {setting.choices}")
     return values
 
 
 def _resolve(args):
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        for key, val in _read_config_file(args.config).items():
-            setattr(cfg, key, val)
-    for key in _FIELD_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+    """The settings the command reads: defaults < config file < flags."""
+    reads = _COMMANDS[args.command][1]
+    values = {key: _SETTINGS[key].default for key in reads}
+    if args.config:
+        values.update(_read_config_file(args.config, args.command, reads))
+    for key in reads:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return argparse.Namespace(command=args.command, **values)
 
 
 def _parse_range(text, name):
@@ -124,7 +121,7 @@ def cmd_modes(cfg):
     tol = cfg.tol if cfg.tol is not None else 1e-12
     chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta), tol=tol)
     spec = transverse_modes(chain)
-    header = cfg.header()
+    header = vars(cfg)
     fileio.write_csv(
         os.path.join(out, "positions.csv"),
         ["n", "u"],
@@ -150,7 +147,7 @@ def cmd_couplings(cfg):
     tol = cfg.tol if cfg.tol is not None else 1e-12
     coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde, tol=tol)
     edges = bond_graph(coupling)
-    header = cfg.header()
+    header = vars(cfg)
     fileio.write_csv(
         os.path.join(out, "couplings.csv"),
         ["m", "n", "j"],
@@ -184,7 +181,7 @@ def cmd_phase_table(cfg):
     fileio.write_json(
         os.path.join(out, "phase_table.json"),
         {"table": table.to_dict(), "transition_count": table.transition_count},
-        cfg.header(),
+        vars(cfg),
     )
     return ["phase_table.json"]
 
@@ -199,7 +196,7 @@ def cmd_scan2d(cfg):
     grid = scan_2d(
         cfg.n, cfg.beta, mu_range, b_range, resolution=resolution, threads=cfg.threads
     )
-    header = cfg.header()
+    header = vars(cfg)
     fileio.write_csv(
         os.path.join(out, "scan2d.csv"),
         ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
@@ -243,7 +240,7 @@ def cmd_gap(cfg):
     count = int(cfg.samples) if cfg.samples else 8
     b_values = np.geomspace(lo, hi, count)
     fits = [fit_alpha(n, cfg.beta, b_values) for n in n_values]
-    header = cfg.header()
+    header = vars(cfg)
     rows = []
     for fit in fits:
         for p in fit.points:
@@ -274,13 +271,18 @@ def cmd_check(cfg):
     return []
 
 
+# Each command's handler and the settings it reads; its flags, the config keys
+# it accepts and its artifact header are exactly these.
 _COMMANDS = {
-    "modes": cmd_modes,
-    "couplings": cmd_couplings,
-    "phase-table": cmd_phase_table,
-    "scan2d": cmd_scan2d,
-    "gap": cmd_gap,
-    "check": cmd_check,
+    "modes": (cmd_modes, ("n", "beta", "tol", "out", "check")),
+    "couplings": (cmd_couplings, ("n", "beta", "mu_tilde", "tol", "out", "check")),
+    "phase-table": (cmd_phase_table, ("n", "beta", "samples", "tol", "out", "check")),
+    "scan2d": (
+        cmd_scan2d,
+        ("n", "beta", "mu_range", "b_range", "samples", "format", "threads", "out", "check"),
+    ),
+    "gap": (cmd_gap, ("n", "n_list", "beta", "b_range", "samples", "out", "check")),
+    "check": (cmd_check, ("out",)),
 }
 
 
@@ -290,23 +292,18 @@ def _build_parser():
         description="Trapped-ion frustrated Ising pipeline: modes, couplings, phase diagrams",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, reads) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
-        p.add_argument("--n", type=int, help="ion count (default 7)")
-        p.add_argument("--n-list", dest="n_list", help="comma-separated ion counts (gap)")
-        p.add_argument("--beta", type=float, help="trap aspect ratio wx/wz (default 10)")
-        p.add_argument("--mu-tilde", dest="mu_tilde", type=float, help="rescaled detuning")
-        p.add_argument("--mu-range", dest="mu_range", help="detuning range lo:hi")
-        p.add_argument("--b-range", dest="b_range", help="field lo:hi, B/Jbar (scan2d), B/(N Jbar) (gap)")
-        p.add_argument("--samples", help="grid samples (N or NxM)")
-        p.add_argument("--tol", type=float, help="solver/refinement tolerance")
-        p.add_argument("--out", help="output directory (default ionspins_out)")
-        p.add_argument("--format", choices=["csv", "json", "both"], help="extra outputs")
-        p.add_argument("--threads", type=int, help="worker threads for sweeps")
-        p.add_argument(
-            "--check", action="store_const", const=True, help="re-verify outputs after writing"
-        )
+        for key in reads:
+            setting = _SETTINGS[key]
+            flag = "--" + key.replace("_", "-")
+            if isinstance(setting.default, bool):
+                p.add_argument(flag, action="store_const", const=True, help=setting.help)
+            else:
+                p.add_argument(
+                    flag, type=setting.type, choices=setting.choices, help=setting.help
+                )
     return parser
 
 
@@ -315,8 +312,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        _COMMANDS[cfg.command](cfg)
-        if cfg.check and cfg.command != "check":
+        _COMMANDS[cfg.command][0](cfg)
+        if getattr(cfg, "check", False):
             for message in fileio.check_directory(cfg.out):
                 print(message)
     except NumericalFailure as exc:

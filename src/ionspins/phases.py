@@ -212,6 +212,8 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie
         raise ValueError("phase tables need at least 3 ions")
     if samples_per_interval < 16:
         raise ValueError("need at least 16 samples per interval")
+    if not refine_tol > 0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
     intervals = tuple(
         _interval_phases(n_ions, beta, k, samples_per_interval, refine_tol, tie_rtol)
         for k in range(1, n_ions)
@@ -305,6 +307,10 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
     """
     if n_ions % 2 == 0:
         raise ValueError("the kink subspace (hence the order parameter) needs odd N")
+    if min(resolution) < 1:
+        raise ValueError(f"resolution needs at least 1 point per axis, got {resolution!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     mu_values = np.linspace(mu_range[0], mu_range[1], resolution[0])
     b_values = np.linspace(b_range[0], b_range[1], resolution[1])
     shape = (len(mu_values), len(b_values))

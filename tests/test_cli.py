@@ -196,7 +196,73 @@ def test_header_carries_resolved_config(tmp_path):
     assert config["n"] == "4"
     assert config["beta"] == "12.5"
     assert config["command"] == "modes"
-    assert "threads" in config
+    assert config["tol"] == ""
+    assert "threads" not in config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("modes", "--n", "3", "--mu-tilde", "1.5"),
+        ("couplings", "--n", "3", "--mu-tilde", "1.5", "--samples", "16"),
+        ("phase-table", "--n", "3", "--threads", "2"),
+        ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--tol", "1e-9"),
+        ("gap", "--n", "3", "--threads", "2"),
+        ("check", "--n", "3"),
+        ("check", "--check"),
+    ],
+    ids=[
+        "modes --mu-tilde",
+        "couplings --samples",
+        "phase-table --threads",
+        "scan2d --tol",
+        "gap --threads",
+        "check --n",
+        "check --check",
+    ],
+)
+def test_unread_flag_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not os.listdir(tmp_path)
+
+
+def test_config_file_rejects_unread_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=3\nthreads=2\n")
+    out = tmp_path / "out"
+    assert run("modes", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "'threads'" in err and "modes" in err
+    assert not out.exists()
+
+
+def test_scan2d_header_carries_threads_and_format(tmp_path):
+    out = str(tmp_path)
+    argv = ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--samples", "3x2")
+    assert run(*argv, "--format", "csv", "--threads", "2", "--out", out) == 0
+    config, _, _ = read_csv(os.path.join(out, "scan2d.csv"))
+    assert config["threads"] == "2"
+    assert config["format"] == "csv"
+    assert "tol" not in config
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_phase_table_non_positive_tol_exits_2(tmp_path, tol):
+    assert run("phase-table", "--n", "5", "--samples", "16", f"--tol={tol}", "--out", str(tmp_path)) == 2
+    assert not os.path.exists(os.path.join(str(tmp_path), "phase_table.json"))
+
+
+@pytest.mark.parametrize(
+    "size",
+    [("--samples", "0x3"), ("--samples", "3x3", "--threads", "-4")],
+    ids=["samples", "threads"],
+)
+def test_scan2d_bad_sizes_exit_2(tmp_path, size):
+    argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:1")
+    assert run(*argv, *size, "--out", str(tmp_path)) == 2
+    assert not os.path.exists(os.path.join(str(tmp_path), "scan2d.csv"))
 
 
 def test_check_empty_directory_exits_2(tmp_path):

@@ -75,6 +75,13 @@ def test_table_validation():
         phase_table(25, 10.0)
 
 
+@pytest.mark.parametrize("refine_tol", [0.0, -1.0])
+def test_table_rejects_non_positive_refine_tol(refine_tol):
+    # bisection would only stop at the tie window and mark every transition exact
+    with pytest.raises(ValueError, match="refine_tol"):
+        phase_table(5, 10.0, samples_per_interval=16, refine_tol=refine_tol)
+
+
 def enumerated_orders(n_ions, beta, mus, tie_rtol):
     """The scalar path: classical_ground on each full coupling matrix."""
     found = []
@@ -177,6 +184,15 @@ def test_scan_propagates_programming_errors(monkeypatch, threads):
 def test_scan_rejects_even_chains():
     with pytest.raises(ValueError):
         scan_2d(6, 10.0, (3.1, 3.4), (0.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "resolution, threads",
+    [((0, 3), 1), ((3, 0), 1), ((-2, 2), 1), ((2, 2), 0), ((2, 2), -4)],
+)
+def test_scan_rejects_bad_sizes(resolution, threads):
+    with pytest.raises(ValueError):
+        scan_2d(5, 10.0, (3.1, 3.4), (0.0, 0.5), resolution=resolution, threads=threads)
 
 
 # --- gap minimization --------------------------------------------------------------
