@@ -214,6 +214,10 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie
         raise ValueError("need at least 16 samples per interval")
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
+    floor = float(np.spacing(float(n_ions)))
+    if refine_tol < floor:
+        # bisection on doubles cannot narrow a bracket below the spacing at mu = N
+        raise ValueError(f"refine_tol {refine_tol!r} is below the float spacing {floor!r} at {n_ions}")
     intervals = tuple(
         _interval_phases(n_ions, beta, k, samples_per_interval, refine_tol, tie_rtol)
         for k in range(1, n_ions)

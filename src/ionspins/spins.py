@@ -260,6 +260,21 @@ class _SpinOperator:
             out -= self.b_abs * _flip(x, p)
         return out
 
+    def sector_matvec(self, x, sign):
+        """H on the global-flip sector of the given sign (+1 or -1), in the half basis.
+
+        The half basis holds the configurations with ion 1 up; a sector state
+        (x, sign * x[::-1]) / sqrt(2) is its full-space image.  Flipping ion 1
+        leaves the half, and the global flip that brings it back reverses the
+        index order inside it: hence the sign * x[::-1] term.  The diagonal
+        reuses diag[:half], exact because E(s) = E(flip s) bit for bit.
+        """
+        out = (x.T * self.diag[: len(x)]).T
+        for p in range(self.n_ions - 1):
+            out -= self.b_abs * _flip(x, p)
+        out -= sign * self.b_abs * x[::-1]
+        return out
+
     def dense(self):
         h = np.diag(self.diag)
         idx = np.arange(len(self.diag))
@@ -285,10 +300,16 @@ def dense_hamiltonian(coupling, b_field):
 def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
     """k lowest eigenpairs of the spin Hamiltonian.
 
-    Dense diagonalization is used for 2^N <= 4096, the block Krylov solver of
-    ``lanczos`` above (method="dense"/"lanczos" forces either path).
-    Residuals ||Hv - Ev|| are verified against 1e-9 * max(1, |E|) for every
-    returned pair.
+    ``method`` selects the solver: "dense" diagonalizes the full 2^N x 2^N
+    matrix, "lanczos" runs the block Krylov solver of ``lanczos`` once per
+    global-flip sector, and "auto" picks dense for 2^N <= 4096.  At zero
+    field H is diagonal and no solver runs on any path: the pairs are the k
+    lowest Ising energies (stable order) with their basis vectors, and the
+    result reports method="diagonal".  The Krylov path solves the two sectors
+    of the global flip in the half basis (dimension 2^(N-1)), min(k, 2^(N-1))
+    levels each, embeds their vectors in the full space and keeps the k
+    lowest of the merged levels.  Residuals ||Hv - Ev|| of the full-space
+    operator are verified against 1e-9 * max(1, |E|) for every returned pair.
     """
     n = coupling.n_ions
     dim = 1 << n
@@ -301,11 +322,17 @@ def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     op = _SpinOperator(coupling, b_field)
-    if method == "dense":
+    if op.b_abs == 0.0:
+        method = "diagonal"
+        levels = np.argsort(op.diag, kind="stable")[:k]
+        evals = op.diag[levels]
+        vecs = np.zeros((dim, k))
+        vecs[levels, np.arange(k)] = 1.0
+    elif method == "dense":
         evals, vecs = np.linalg.eigh(op.dense())
         evals, vecs = evals[:k], vecs[:, :k]
     else:
-        evals, vecs = lanczos.lowest_eigenpairs(op.matvec, dim, k)
+        evals, vecs = _flip_sector_eigenpairs(op, k)
 
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     resid = np.array([np.linalg.norm(r) for r in (op.matvec(vecs) - vecs * evals).T])
@@ -323,6 +350,20 @@ def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
         method=method,
         residuals=resid,
     )
+
+
+def _flip_sector_eigenpairs(op, k):
+    """k lowest pairs from a Krylov solve in each global-flip sector, embedded in the full space."""
+    half = len(op.diag) // 2
+    evals, vecs = [], []
+    for sign in (1.0, -1.0):
+        e, x = lanczos.lowest_eigenpairs(
+            functools.partial(op.sector_matvec, sign=sign), half, min(k, half)
+        )
+        evals.append(e)
+        vecs.append(np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0))
+    keep = np.argsort(np.concatenate(evals), kind="stable")[:k]
+    return np.concatenate(evals)[keep], np.concatenate(vecs, axis=1)[:, keep]
 
 
 def polarization(result, which=0):

@@ -254,6 +254,11 @@ def test_phase_table_non_positive_tol_exits_2(tmp_path, tol):
     assert not os.path.exists(os.path.join(str(tmp_path), "phase_table.json"))
 
 
+def test_phase_table_unreachable_tol_exits_2(tmp_path):
+    assert run("phase-table", "--n", "5", "--samples", "16", "--tol", "1e-17", "--out", str(tmp_path)) == 2
+    assert not os.path.exists(os.path.join(str(tmp_path), "phase_table.json"))
+
+
 @pytest.mark.parametrize(
     "size",
     [("--samples", "0x3"), ("--samples", "3x3", "--threads", "-4")],

@@ -82,6 +82,16 @@ def test_table_rejects_non_positive_refine_tol(refine_tol):
         phase_table(5, 10.0, samples_per_interval=16, refine_tol=refine_tol)
 
 
+@pytest.mark.parametrize("n_ions", [3, 5, 8])
+def test_table_rejects_refine_tol_below_float_spacing(n_ions):
+    # bisection on doubles cannot narrow a bracket near mu = N below np.spacing(N)
+    floor = np.spacing(float(n_ions))
+    for refine_tol in (1e-17, np.nextafter(floor, 0.0)):
+        with pytest.raises(ValueError, match="refine_tol"):
+            phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=refine_tol)
+    assert phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=floor).refine_tol == floor
+
+
 def enumerated_orders(n_ions, beta, mus, tie_rtol):
     """The scalar path: classical_ground on each full coupling matrix."""
     found = []

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ionspins import spins
 from ionspins.couplings import CouplingMatrix, coupling_from_trap
-from ionspins.errors import ResonanceError
+from ionspins.errors import NoConvergence, ResonanceError
 from ionspins.phases import phase_table
 from ionspins.spins import (
     AmbiguousGround,
@@ -375,6 +375,69 @@ def test_quantum_ground_equals_classical_minimum_at_zero_field():
         j = coupling_from_trap(n, 10.0, mu)
         res = lowest_eigenpairs(j, 0.0, k=1)
         assert abs(res.eigenvalues[0] - classical_ground(j).energy) <= 1e-12
+
+
+def detunings(rng, n, count):
+    """Random rescaled detunings in (1.05, n - 0.05), kept off the mode resonances."""
+    found = []
+    while len(found) < count:
+        mu = float(rng.uniform(1.05, n - 0.05))
+        if abs(mu - round(mu)) >= 2e-3:
+            found.append(mu)
+    return found
+
+
+def test_classical_energies_flip_symmetric_bit_for_bit():
+    # the flip sectors reuse diag[:half] for both halves of the basis
+    rng = np.random.default_rng(0xD1A6)
+    for n in range(2, 14):
+        for mu in detunings(rng, n, 2):
+            diag = classical_energies(coupling_from_trap(n, 10.0, mu))
+            s = np.arange(1 << n)
+            assert np.array_equal(diag, diag[s ^ ((1 << n) - 1)]), (n, mu)
+
+
+def test_flip_sectors_match_dense_oracle():
+    rng = np.random.default_rng(0x5EC7)
+    for n in range(2, 12):
+        k = min(6, 1 << n)
+        for mu in detunings(rng, n, 2):
+            j = coupling_from_trap(n, 10.0, mu)
+            for b in (0.0, 0.01, 0.3, 1.5):
+                dense = lowest_eigenpairs(j, b, k=k, method="dense")
+                krylov = lowest_eigenpairs(j, b, k=k, method="lanczos")
+                assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) <= 1e-8
+                p_dense = cluster_projection(dense, fm_basis(n))
+                assert abs(p_dense - cluster_projection(krylov, fm_basis(n))) <= 1e-8
+                assert abs(cluster_polarization(dense) - cluster_polarization(krylov)) <= 1e-8
+
+
+def test_zero_field_runs_no_solver(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran at zero field")
+
+    rng = np.random.default_rng(0x0B0)
+    couplings = [coupling_from_trap(n, 10.0, detunings(rng, n, 1)[0]) for n in range(3, 14)]
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", no_solver)
+    monkeypatch.setattr(spins._SpinOperator, "dense", no_solver)
+    for j in couplings:
+        for method in ("auto", "dense", "lanczos"):
+            res = lowest_eigenpairs(j, 0.0, k=min(6, 1 << j.n_ions), method=method)
+            assert res.method == "diagonal"
+            assert res.eigenvalues[0] == classical_ground(j).energy
+            assert np.all(res.residuals == 0.0)
+
+
+def test_residual_check_guards_flip_sector_solves(coupling_n7_51, monkeypatch):
+    solve = spins.lanczos.lowest_eigenpairs
+
+    def perturbed(matvec, dim, k, **kwargs):
+        evals, vecs = solve(matvec, dim, k, **kwargs)
+        return evals, vecs + 1e-6 * np.random.default_rng(1).standard_normal(vecs.shape)
+
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", perturbed)
+    with pytest.raises(NoConvergence, match="residual"):
+        lowest_eigenpairs(coupling_n7_51, 0.3, k=4, method="lanczos")
 
 
 # --- observables ---------------------------------------------------------------
