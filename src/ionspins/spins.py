@@ -362,8 +362,9 @@ def _flip_sector_eigenpairs(op, k):
         )
         evals.append(e)
         vecs.append(np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0))
-    keep = np.argsort(np.concatenate(evals), kind="stable")[:k]
-    return np.concatenate(evals)[keep], np.concatenate(vecs, axis=1)[:, keep]
+    evals = np.concatenate(evals)
+    keep = np.argsort(evals, kind="stable")[:k]
+    return evals[keep], np.concatenate(vecs, axis=1)[:, keep]
 
 
 def polarization(result, which=0):
