@@ -4,9 +4,10 @@ Subcommands: modes, couplings, phase-table, scan2d, gap, check.  Each accepts
 --config plus the flags (``--name``) and config keys (``name=value``) of only
 the settings it reads, listed per command in ``_COMMANDS`` (``out`` for all,
 ``check`` for all but check); any other flag or key is an invalid request.
-Precedence is command line > config file (--config, key=value lines) >
-built-in defaults; the resolved settings the command read are echoed into
-every output file so any artifact can be reproduced byte for byte.
+Precedence is command line > config file (--config, key=value lines) > the
+command's defaults; every output file carries the settings that ran, so any
+artifact can be reproduced byte for byte.  ``--check`` re-verifies the files
+the command wrote; ``check`` re-verifies every artifact in --out.
 
 Exit codes: 0 success, 2 invalid request (any ValueError or OSError), 3 valid
 request without a trustworthy result (any ``errors.NumericalFailure``).
@@ -51,9 +52,9 @@ _SETTINGS = {
     "samples": _Setting(str, "", "grid samples (N or NxM)"),
     "tol": _Setting(float, None, "solver/refinement tolerance"),
     "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
-    "format": _Setting(str, "both", "extra outputs", ("csv", "json", "both")),
+    "format": _Setting(str, "both", "csv, or csv and json", ("csv", "both")),
     "threads": _Setting(int, 1, "worker threads for sweeps"),
-    "check": _Setting(_truthy, False, "re-verify outputs after writing"),
+    "check": _Setting(_truthy, False, "re-verify the written files"),
 }
 
 
@@ -79,8 +80,8 @@ def _read_config_file(path, command, reads):
 
 def _resolve(args):
     """The settings the command reads: defaults < config file < flags."""
-    reads = _COMMANDS[args.command][1]
-    values = {key: _SETTINGS[key].default for key in reads}
+    _, reads, defaults = _COMMANDS[args.command]
+    values = {key: defaults.get(key, _SETTINGS[key].default) for key in reads}
     if args.config:
         values.update(_read_config_file(args.config, args.command, reads))
     for key in reads:
@@ -100,63 +101,51 @@ def _parse_range(text, name):
     return lo, hi
 
 
-def _parse_resolution(text, default):
-    if not text:
-        return default
+def _parse_resolution(text):
     parts = text.lower().split("x")
-    if len(parts) == 1:
-        return int(parts[0]), int(parts[0])
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError(f"--samples expects N or NxM, got {text!r}")
+    if len(parts) > 2:
+        raise ValueError(f"--samples expects N or NxM, got {text!r}")
+    return int(parts[0]), int(parts[-1])
 
 
-def _ensure_out(cfg):
+def _write(cfg, files):
+    """Write each ``name: data`` into cfg.out under the run's settings; return the names.
+
+    ``data`` is ``(columns, rows)`` for a ``.csv`` name and a JSON payload otherwise.
+    """
     os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+    for name, data in files.items():
+        path = os.path.join(cfg.out, name)
+        if name.endswith(".csv"):
+            fileio.write_csv(path, *data, vars(cfg))
+        else:
+            fileio.write_json(path, data, vars(cfg))
+    return list(files)
 
 
 def cmd_modes(cfg):
-    out = _ensure_out(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta), tol=tol)
+    chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta), tol=cfg.tol)
     spec = transverse_modes(chain)
-    header = vars(cfg)
-    fileio.write_csv(
-        os.path.join(out, "positions.csv"),
-        ["n", "u"],
-        [(i + 1, chain.positions[i]) for i in range(cfg.n)],
-        header,
-    )
-    fileio.write_csv(
-        os.path.join(out, "modes.csv"),
-        ["k", "omega"] + [f"b_{i + 1}" for i in range(cfg.n)],
-        [
-            (k + 1, spec.frequencies[k], *spec.mode_matrix[:, k])
-            for k in range(cfg.n)
-        ],
-        header,
-    )
-    return ["positions.csv", "modes.csv"]
+    return _write(cfg, {
+        "positions.csv": (["n", "u"], [(i + 1, chain.positions[i]) for i in range(cfg.n)]),
+        "modes.csv": (
+            ["k", "omega"] + [f"b_{i + 1}" for i in range(cfg.n)],
+            [(k + 1, spec.frequencies[k], *spec.mode_matrix[:, k]) for k in range(cfg.n)],
+        ),
+    })
 
 
 def cmd_couplings(cfg):
     if cfg.mu_tilde is None:
         raise ValueError("couplings requires --mu-tilde")
-    out = _ensure_out(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde, tol=tol)
+    coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde, tol=cfg.tol)
     edges = bond_graph(coupling)
-    header = vars(cfg)
-    fileio.write_csv(
-        os.path.join(out, "couplings.csv"),
-        ["m", "n", "j"],
-        [(e.m, e.n, e.coupling) for e in sorted(edges, key=lambda e: (e.m, e.n))],
-        header,
-    )
-    fileio.write_json(
-        os.path.join(out, "bond_graph.json"),
-        {
+    return _write(cfg, {
+        "couplings.csv": (
+            ["m", "n", "j"],
+            [(e.m, e.n, e.coupling) for e in sorted(edges, key=lambda e: (e.m, e.n))],
+        ),
+        "bond_graph.json": {
             "n_ions": cfg.n,
             "beta": cfg.beta,
             "mu_tilde": coupling.detuning.rescaled,
@@ -168,121 +157,105 @@ def cmd_couplings(cfg):
                 for e in edges
             ],
         },
-        header,
-    )
-    return ["couplings.csv", "bond_graph.json"]
+    })
 
 
 def cmd_phase_table(cfg):
-    out = _ensure_out(cfg)
-    samples = int(cfg.samples) if cfg.samples else 64
-    refine = cfg.tol if cfg.tol is not None else 1e-6
-    table = phase_table(cfg.n, cfg.beta, samples_per_interval=samples, refine_tol=refine)
-    fileio.write_json(
-        os.path.join(out, "phase_table.json"),
-        {"table": table.to_dict(), "transition_count": table.transition_count},
-        vars(cfg),
-    )
-    return ["phase_table.json"]
+    table = phase_table(cfg.n, cfg.beta, samples_per_interval=int(cfg.samples), refine_tol=cfg.tol)
+    return _write(cfg, {
+        "phase_table.json": {"table": table.to_dict(), "transition_count": table.transition_count}
+    })
 
 
 def cmd_scan2d(cfg):
     if not cfg.mu_range or not cfg.b_range:
         raise ValueError("scan2d requires --mu-range and --b-range")
-    out = _ensure_out(cfg)
     mu_range = _parse_range(cfg.mu_range, "mu-range")
     b_range = _parse_range(cfg.b_range, "b-range")
-    resolution = _parse_resolution(cfg.samples, (128, 64))
-    grid = scan_2d(
-        cfg.n, cfg.beta, mu_range, b_range, resolution=resolution, threads=cfg.threads
-    )
-    header = vars(cfg)
-    fileio.write_csv(
-        os.path.join(out, "scan2d.csv"),
-        ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
-        list(grid.rows()),
-        header,
-    )
-    written = ["scan2d.csv"]
-    if cfg.format in ("json", "both"):
-        fileio.write_json(
-            os.path.join(out, "scan2d.json"),
-            {
-                "n_ions": grid.n_ions,
-                "beta": grid.beta,
-                "mu_values": [float(x) for x in grid.mu_values],
-                "b_over_jbar_values": [float(x) for x in grid.b_values],
-                "order_parameter": [[fileio.fmt(v) for v in row] for row in grid.order_parameter],
-                "polarization": [[fileio.fmt(v) for v in row] for row in grid.polarization],
-                "failures": grid.failures,
-            },
-            header,
+    resolution = _parse_resolution(cfg.samples)
+    grid = scan_2d(cfg.n, cfg.beta, mu_range, b_range, resolution=resolution, threads=cfg.threads)
+    files = {
+        "scan2d.csv": (
+            ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
+            grid.rows(),
         )
-        written.append("scan2d.json")
+    }
+    if cfg.format == "both":
+        files["scan2d.json"] = {
+            "n_ions": grid.n_ions,
+            "beta": grid.beta,
+            "mu_values": [float(x) for x in grid.mu_values],
+            "b_over_jbar_values": [float(x) for x in grid.b_values],
+            "order_parameter": [[fileio.fmt(v) for v in row] for row in grid.order_parameter],
+            "polarization": [[fileio.fmt(v) for v in row] for row in grid.polarization],
+            "failures": grid.failures,
+        }
+    written = _write(cfg, files)
     n_points = grid.order_parameter.size
     if len(grid.failures) > 0.01 * n_points:
-        raise NoConvergence(
-            f"{len(grid.failures)} of {n_points} grid points failed"
-        )
+        raise NoConvergence(f"{len(grid.failures)} of {n_points} grid points failed")
     return written
 
 
 def cmd_gap(cfg):
-    out = _ensure_out(cfg)
     if cfg.n_list:
         n_values = [int(x) for x in cfg.n_list.split(",") if x.strip()]
     else:
         n_values = [cfg.n]
-    if cfg.b_range:
-        lo, hi = _parse_range(cfg.b_range, "b-range")
-    else:
-        lo, hi = 0.01, 0.1
-    count = int(cfg.samples) if cfg.samples else 8
-    b_values = np.geomspace(lo, hi, count)
+    lo, hi = _parse_range(cfg.b_range, "b-range")
+    b_values = np.geomspace(lo, hi, int(cfg.samples))
     fits = [fit_alpha(n, cfg.beta, b_values) for n in n_values]
-    header = vars(cfg)
-    rows = []
-    for fit in fits:
-        for p in fit.points:
-            rows.append((fit.n_ions, p.b_over_njbar, p.gap, p.mu_star))
-    fileio.write_csv(
-        os.path.join(out, "gap_scaling.csv"),
-        ["N", "B_over_NJbar", "delta_E", "mu_star"],
-        rows,
-        header,
-    )
     payload = {
         "alphas": [
             {"n_ions": f.n_ions, "alpha": f.alpha, "residual": f.residual} for f in fits
         ]
     }
     if len(fits) >= 2:
-        slope, intercept, rms = linear_fit(
-            [f.n_ions for f in fits], [f.alpha for f in fits]
-        )
+        slope, intercept, rms = linear_fit([f.n_ions for f in fits], [f.alpha for f in fits])
         payload["fit"] = {"slope": slope, "intercept": intercept, "residual": rms}
-    fileio.write_json(os.path.join(out, "alpha_fit.json"), payload, header)
-    return ["gap_scaling.csv", "alpha_fit.json"]
+    return _write(cfg, {
+        "gap_scaling.csv": (
+            ["N", "B_over_NJbar", "delta_E", "mu_star"],
+            [(f.n_ions, p.b_over_njbar, p.gap, p.mu_star) for f in fits for p in f.points],
+        ),
+        "alpha_fit.json": payload,
+    })
 
 
 def cmd_check(cfg):
-    for message in fileio.check_directory(cfg.out):
-        print(message)
-    return []
+    """Writes nothing; ``main`` then re-verifies every artifact in cfg.out."""
 
 
-# Each command's handler and the settings it reads; its flags, the config keys
-# it accepts and its artifact header are exactly these.
+class _Command(NamedTuple):
+    run: Callable
+    reads: tuple
+    defaults: dict = {}
+
+
+# Each command's handler, the settings it reads and the defaults it overrides;
+# its flags, the config keys it accepts and its artifact header are exactly
+# the settings it reads.
 _COMMANDS = {
-    "modes": (cmd_modes, ("n", "beta", "tol", "out", "check")),
-    "couplings": (cmd_couplings, ("n", "beta", "mu_tilde", "tol", "out", "check")),
-    "phase-table": (cmd_phase_table, ("n", "beta", "samples", "tol", "out", "check")),
-    "scan2d": (
+    "modes": _Command(cmd_modes, ("n", "beta", "tol", "out", "check"), {"tol": 1e-12}),
+    "couplings": _Command(
+        cmd_couplings, ("n", "beta", "mu_tilde", "tol", "out", "check"), {"tol": 1e-12}
+    ),
+    "phase-table": _Command(
+        cmd_phase_table,
+        ("n", "beta", "samples", "tol", "out", "check"),
+        {"samples": "64", "tol": 1e-6},
+    ),
+    "scan2d": _Command(
         cmd_scan2d,
         ("n", "beta", "mu_range", "b_range", "samples", "format", "threads", "out", "check"),
+        {"samples": "128x64"},
     ),
-    "gap": (cmd_gap, ("n", "n_list", "beta", "b_range", "samples", "out", "check")),
-    "check": (cmd_check, ("out",)),
+    "gap": _Command(
+        cmd_gap,
+        ("n", "n_list", "beta", "b_range", "samples", "out", "check"),
+        {"samples": "8", "b_range": "0.01:0.1"},
+    ),
+    "check": _Command(cmd_check, ("out",)),
 }
 
 
@@ -292,10 +265,10 @@ def _build_parser():
         description="Trapped-ion frustrated Ising pipeline: modes, couplings, phase diagrams",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, reads) in _COMMANDS.items():
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
-        for key in reads:
+        for key in command.reads:
             setting = _SETTINGS[key]
             flag = "--" + key.replace("_", "-")
             if isinstance(setting.default, bool):
@@ -312,9 +285,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        _COMMANDS[cfg.command][0](cfg)
-        if getattr(cfg, "check", False):
-            for message in fileio.check_directory(cfg.out):
+        written = _COMMANDS[cfg.command].run(cfg)
+        if cfg.command == "check" or cfg.check:
+            for message in fileio.check_directory(cfg.out, written):
                 print(message)
     except NumericalFailure as exc:
         print(f"ionspins: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -114,9 +114,7 @@ def coupling_matrix(spectrum, detuning, beta=None):
     """Evaluate J_mn from a mode spectrum at a resolved detuning."""
     b = spectrum.mode_matrix
     j = (b / mode_denominators(spectrum, detuning.resolved)) @ b.T
-    j = 0.5 * (j + j.T)
-    np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(j=j, jbar=rms_coupling(j), detuning=detuning, beta=beta)
+    return CouplingMatrix.from_matrix(j, detuning=detuning, beta=beta)
 
 
 def bond_graph(coupling):

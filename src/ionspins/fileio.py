@@ -222,17 +222,19 @@ _CHECKS = {
 }
 
 
-def check_directory(directory):
+def check_directory(directory, names=None):
     """Re-verify every recognized artifact in a directory from the files alone.
 
-    Returns a list of per-file messages; raises CheckFailure on the first
-    violated invariant or malformed file and FileNotFoundError if nothing
-    checkable is present.
+    ``names`` limits the check to those artifacts (with the companion files
+    their checkers read); by default every recognized artifact present is
+    checked.  Returns a list of per-file messages; raises CheckFailure on the
+    first violated invariant or malformed file and FileNotFoundError if
+    nothing checkable is present.
     """
     messages = []
     for name, (checker, *companions) in _CHECKS.items():
         paths = [os.path.join(directory, f) for f in (name, *companions)]
-        if os.path.exists(paths[0]):
+        if (names is None or name in names) and os.path.exists(paths[0]):
             try:
                 messages.append(checker(*paths))
             except (LookupError, TypeError, AttributeError, ValueError) as exc:  # malformed file

@@ -39,7 +39,7 @@ def lowest_eigenpairs(matvec, dim, k, tol=1e-10, max_basis=None):
     a_basis = np.zeros((dim, max_basis))
     proj = np.zeros((max_basis, max_basis))
     m = 0
-    blk = _orthonormal_block(rng, basis, 0, block)
+    blk = _repair_block(rng, basis, 0, rng.standard_normal((dim, block)))
     best_resid = np.inf
     while m < max_basis:
         b = min(blk.shape[1], max_basis - m)
@@ -77,15 +77,6 @@ def lowest_eigenpairs(matvec, dim, k, tol=1e-10, max_basis=None):
     raise NoConvergence(
         f"block Krylov solver hit the basis cap {max_basis}; best residual {best_resid:.3e}"
     )
-
-
-def _orthonormal_block(rng, basis, m, width):
-    """Deterministic random block, orthonormal and orthogonal to basis[:, :m]."""
-    w = rng.standard_normal((basis.shape[0], width))
-    for _ in range(2):
-        if m > 0:
-            w -= basis[:, :m] @ (basis[:, :m].T @ w)
-    return _repair_block(rng, basis, m, w)
 
 
 def _repair_block(rng, basis, m, w):

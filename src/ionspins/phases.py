@@ -120,50 +120,50 @@ class PhaseTable:
         }
 
 
+def _sidestep(n_ions, beta, mu, nudge, tie, tie_rtol):
+    """(point, order) at the first of mu + nu, mu - nu, mu + 3 nu off the tie; else raise it."""
+    for shift in (nudge, -nudge, 3 * nudge):
+        (order,) = ground_orders(n_ions, beta, [mu + shift], tie_rtol)
+        if not isinstance(order, AmbiguousGround):
+            return mu + shift, order
+    raise tie
+
+
 def _nudged_orders(n_ions, beta, mus, nudges, tie_rtol):
-    """Ground order at each mu; an exact crossing is sidestepped at mu + nu, mu - nu, mu + 3 nu."""
+    """Ground order at each mu; an exact crossing is sidestepped (``_sidestep``)."""
     orders = ground_orders(n_ions, beta, mus, tie_rtol)
     for i, tie in enumerate(orders):
-        if not isinstance(tie, AmbiguousGround):
-            continue
-        for shift in (nudges[i], -nudges[i], 3 * nudges[i]):
-            (orders[i],) = ground_orders(n_ions, beta, [mus[i] + shift], tie_rtol)
-            if not isinstance(orders[i], AmbiguousGround):
-                break
-        else:
-            raise tie
+        if isinstance(tie, AmbiguousGround):
+            _, orders[i] = _sidestep(n_ions, beta, mus[i], nudges[i], tie, tie_rtol)
     return orders
 
 
-def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol):
-    """Refine every order change in (lo, hi); recursion handles interlopers."""
+def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol, ties=()):
+    """Refine every order change in (lo, hi); recursion handles interlopers.
+
+    A tied midpoint is sidestepped by 1e-3 of the bracket, as a tied grid point
+    is; a transition whose final bracket holds a tied midpoint is exact.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         (o_mid,) = ground_orders(n_ions, beta, [mid], tie_rtol)
         if isinstance(o_mid, AmbiguousGround):
-            return [
-                Transition(
-                    mu=mid,
-                    uncertainty=0.5 * (hi - lo),
-                    left_bits=o_lo.bits,
-                    right_bits=o_hi.bits,
-                    exact=True,
-                )
-            ]
+            ties += (mid,)
+            mid, o_mid = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o_mid, tie_rtol)
         if o_mid == o_lo:
             lo = mid
         elif o_mid == o_hi:
             hi = mid
         else:
-            return _bisect_orders(n_ions, beta, lo, o_lo, mid, o_mid, tol, tie_rtol) + _bisect_orders(
-                n_ions, beta, mid, o_mid, hi, o_hi, tol, tie_rtol
-            )
+            left = _bisect_orders(n_ions, beta, lo, o_lo, mid, o_mid, tol, tie_rtol, ties)
+            return left + _bisect_orders(n_ions, beta, mid, o_mid, hi, o_hi, tol, tie_rtol, ties)
     return [
         Transition(
             mu=0.5 * (lo + hi),
             uncertainty=0.5 * (hi - lo),
             left_bits=o_lo.bits,
             right_bits=o_hi.bits,
+            exact=any(lo < t < hi for t in ties),
         )
     ]
 
@@ -204,7 +204,8 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
     is bisected down to refine_tol; an exact crossing hit along the way is
-    recorded at the tied midpoint with ``exact=True``.  Every probe goes
+    sidestepped and its transition marked ``exact=True``, and one that every
+    sidestep still ties is raised (``AmbiguousGround``).  Every probe goes
     through ``spins.ground_orders`` (mode space, a tile of detunings per
     product).
     """

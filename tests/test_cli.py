@@ -196,7 +196,7 @@ def test_header_carries_resolved_config(tmp_path):
     assert config["n"] == "4"
     assert config["beta"] == "12.5"
     assert config["command"] == "modes"
-    assert config["tol"] == ""
+    assert config["tol"] == "1e-12"
     assert "threads" not in config
 
 
@@ -259,6 +259,24 @@ def test_phase_table_unreachable_tol_exits_2(tmp_path):
     assert not os.path.exists(os.path.join(str(tmp_path), "phase_table.json"))
 
 
+def test_phase_table_tol_inside_tie_window_exits_3(tmp_path, capsys):
+    # above the float floor, but a bracket that narrow falls inside an exact crossing's tie window
+    assert run("phase-table", "--n", "5", "--samples", "16", "--tol", "1e-11", "--out", str(tmp_path)) == 3
+    assert "AmbiguousGround" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(str(tmp_path), "phase_table.json"))
+
+
+def test_scan2d_json_format_exits_2(tmp_path):
+    argv = ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--samples", "3x2")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "key")) == 2
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 @pytest.mark.parametrize(
     "size",
     [("--samples", "0x3"), ("--samples", "3x3", "--threads", "-4")],
@@ -283,6 +301,61 @@ def test_check_flags_corrupted_file(tmp_path):
     lines[-1] = lines[-1].replace(lines[-1].split(",")[1], "99.9")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    assert run("check", "--out", out) == 3
+
+
+def _edit_lines(path, edit):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+def _edit_json(path, edit):
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _asymmetric(out):
+    """J_12 no longer equals its mirror image J_45."""
+    _edit_lines(
+        os.path.join(out, "couplings.csv"),
+        lambda lines: ["1,2,1.5" if line.startswith("1,2,") else line for line in lines],
+    )
+
+
+_COUPLING_CORRUPTIONS = {
+    "asymmetric": _asymmetric,
+    "missing-pair": lambda out: _edit_lines(os.path.join(out, "couplings.csv"), lambda ls: ls[:-1]),
+    "jbar": lambda out: _edit_json(
+        os.path.join(out, "bond_graph.json"), lambda doc: doc.update(jbar=1.01 * doc["jbar"])
+    ),
+    "edge-order": lambda out: _edit_json(
+        os.path.join(out, "bond_graph.json"), lambda doc: doc["edges"].reverse()
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_COUPLING_CORRUPTIONS), ids=list(_COUPLING_CORRUPTIONS))
+def test_check_flags_corrupted_couplings(tmp_path, capsys, corrupt):
+    out = str(tmp_path)
+    assert run("couplings", "--n", "5", "--mu-tilde", "3.4", "--out", out, "--check") == 0
+    assert "reflection-symmetric" in capsys.readouterr().out
+    _COUPLING_CORRUPTIONS[corrupt](out)
+    assert run("check", "--out", out) == 3
+    assert "CheckFailure" in capsys.readouterr().err
+
+
+def test_check_flag_verifies_only_the_files_written(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("couplings", "--n", "5", "--mu-tilde", "3.4", "--out", out) == 0
+    _asymmetric(out)
+    assert run("modes", "--n", "5", "--out", out, "--check") == 0
+    printed = capsys.readouterr().out
+    assert "modes.csv" in printed and "couplings.csv" not in printed
     assert run("check", "--out", out) == 3
 
 

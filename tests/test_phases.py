@@ -89,7 +89,13 @@ def test_table_rejects_refine_tol_below_float_spacing(n_ions):
     for refine_tol in (1e-17, np.nextafter(floor, 0.0)):
         with pytest.raises(ValueError, match="refine_tol"):
             phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=refine_tol)
-    assert phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=floor).refine_tol == floor
+    # at the floor a bracket narrows into the tie window unless the crossing is sharp enough
+    try:
+        table = phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=floor)
+    except AmbiguousGround:
+        return
+    assert table.refine_tol == floor
+    assert all(t.uncertainty <= floor for t in table.transitions)
 
 
 def enumerated_orders(n_ions, beta, mus, tie_rtol):
@@ -116,6 +122,24 @@ def test_table_equals_enumerated_table(monkeypatch, tie_rtol):
     batched = [table_or_error(n, tie_rtol) for n in (3, 5, 7, 9)]
     monkeypatch.setattr(phases, "ground_orders", enumerated_orders)
     assert batched == [table_or_error(n, tie_rtol) for n in (3, 5, 7, 9)]
+
+
+def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):
+    """An exact crossing on a bisection midpoint is stepped round, and the bracket still narrows."""
+    left, right = phases.ground_orders(3, 10.0, [1.1, 1.9])
+    cross = 1.5  # the first midpoint between the 16-sample grid points 1.46875 and 1.53125
+
+    def crossing_at(n_ions, beta, mus, tie_rtol):
+        tie = AmbiguousGround([left, right], 0.0)
+        return [left if mu < cross else right if mu > cross else tie for mu in mus]
+
+    monkeypatch.setattr(phases, "ground_orders", crossing_at)
+    table = phase_table(3, 10.0, 16)
+    (t,) = table.transitions
+    assert (t.left_bits, t.right_bits) == (left.bits, right.bits)
+    assert t.exact
+    assert t.uncertainty <= table.refine_tol
+    assert abs(t.mu - cross) <= table.refine_tol
 
 
 @pytest.mark.parametrize("n", [13, 15])
