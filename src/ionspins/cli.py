@@ -200,6 +200,8 @@ def cmd_scan2d(cfg):
 def cmd_gap(cfg):
     if cfg.n_list:
         n_values = [int(x) for x in cfg.n_list.split(",") if x.strip()]
+        if not n_values:
+            raise ValueError(f"--n-list {cfg.n_list!r} names no ion count")
     else:
         n_values = [cfg.n]
     lo, hi = _parse_range(cfg.b_range, "b-range")

@@ -199,6 +199,7 @@ def check_gap_files(csv_path, json_path=None):
         cols == ["N", "B_over_NJbar", "delta_E", "mu_star"],
         f"{csv_path}: unexpected columns {cols}",
     )
+    _require(rows, f"{csv_path}: no gap samples")
     gaps = np.array([float(r[2]) for r in rows])
     _require(np.all(gaps > 0), f"{csv_path}: non-positive gap recorded")
     messages = [f"{csv_path}: {len(rows)} gap samples positive"]

@@ -336,8 +336,8 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
     else:
         results = [_try(work, p) for p in points]
     for (i, l), outcome in zip(points, results):
-        if isinstance(outcome, Exception):
-            failures.append((i, l, f"{type(outcome).__name__}: {outcome}"))
+        if isinstance(outcome, str):
+            failures.append((i, l, outcome))
         else:
             op[i, l], pol[i, l], e0[i, l], e1[i, l] = outcome
     return ScanGrid(
@@ -354,10 +354,16 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
 
 
 def _try(fn, arg):
+    """fn(arg), or the message of a per-point failure.
+
+    Only the message is kept: the exception's traceback holds every frame of
+    the failed solve (a Krylov basis among them), and through the caller's
+    result list those frames would form a cycle that only a full gc frees.
+    """
     try:
         return fn(arg)
     except (ResonanceError, NoConvergence) as exc:  # per-point failure, not an abort
-        return exc
+        return f"{type(exc).__name__}: {exc}"
 
 
 @functools.cache

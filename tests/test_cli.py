@@ -152,6 +152,17 @@ def test_gap_outputs(tmp_path):
     assert run("check", "--out", out) == 0
 
 
+def test_gap_empty_n_list_exits_2(tmp_path):
+    assert run("gap", "--n-list", ",", "--out", str(tmp_path)) == 2
+    assert not os.path.exists(os.path.join(str(tmp_path), "gap_scaling.csv"))
+
+
+def test_check_rejects_empty_gap_table(tmp_path, capsys):
+    (tmp_path / "gap_scaling.csv").write_text("N,B_over_NJbar,delta_E,mu_star\n")
+    assert run("check", "--out", str(tmp_path)) == 3
+    assert "no gap samples" in capsys.readouterr().err
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out = tmp_path / "run"
     snap = tmp_path / "snap"

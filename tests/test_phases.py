@@ -1,12 +1,15 @@
 """Phase table, 2-D scans, gap minimization, and scaling-fit tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ionspins import phases
 from ionspins.cli import main as cli_main
 from ionspins.couplings import coupling_from_trap
-from ionspins.errors import AmbiguousGround
+from ionspins.errors import AmbiguousGround, NoConvergence
 from ionspins.phases import (
     NoInteriorMinimum,
     TransitionLost,
@@ -213,6 +216,28 @@ def test_scan_propagates_programming_errors(monkeypatch, threads):
     monkeypatch.setattr(phases, "_scan_point", broken)
     with pytest.raises(TypeError):
         scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2), threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_failures_keep_no_solver_frames(monkeypatch, threads):
+    class Sentinel:
+        pass
+
+    refs = []
+
+    def failing_solve(*args, **kwargs):
+        held = Sentinel()  # a local of the failing frame, like a Krylov basis
+        refs.append(weakref.ref(held))
+        raise NoConvergence("basis cap reached")
+
+    monkeypatch.setattr(phases, "lowest_eigenpairs", failing_solve)
+    gc.disable()
+    try:
+        grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 1), threads=threads)
+        assert len(grid.failures) == 2 and len(refs) == 2
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_scan_rejects_even_chains():
