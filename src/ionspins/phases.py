@@ -379,17 +379,9 @@ def fm_kink_interval(n_ions, beta=10.0):
     iv = _interval_phases(n_ions, beta, n_ions - 2, _FM_KINK_SAMPLES, _FM_KINK_TOL, 1e-10)
     fm_bits = "0" * n_ions
     kink_bits = format(kink_basis(n_ions)[0], f"0{n_ions}b")
-    for t in iv.transitions:
+    for i, t in enumerate(iv.transitions):
         if t.left_bits == fm_bits and t.right_bits == kink_bits:
-            left = max(
-                (s for s in iv.subintervals if s.order_bits == fm_bits and s.hi <= t.mu + _FM_KINK_TOL),
-                key=lambda s: s.hi,
-            )
-            right = min(
-                (s for s in iv.subintervals if s.order_bits == kink_bits and s.lo >= t.mu - _FM_KINK_TOL),
-                key=lambda s: s.lo,
-            )
-            return t, left, right
+            return t, iv.subintervals[i], iv.subintervals[i + 1]  # transition i ends subinterval i
     raise TransitionLost(
         f"no FM->kink transition found in ({n_ions - 2}, {n_ions - 1}) at beta={beta}"
     )
@@ -411,36 +403,56 @@ class GapPoint:
     b_abs: float
     mu_star: float
     gap: float
-    gap_e1_e0: float
-    crossing_mu: float
+
+
+def _fixed_field_op(n_ions, beta, mu, b_abs):
+    """Order parameter at detuning mu under the absolute field b_abs."""
+    return order_parameter_at(n_ions, beta, mu, b_abs / coupling_from_trap(n_ions, beta, mu).jbar)
+
+
+def _fixed_field(n_ions, beta, b_over_njbar):
+    """(FM anchor, kink anchor, b_abs) of a sweep at fixed absolute field.
+
+    The anchors are the midpoints of the zero-field FM and kink subintervals
+    next to the transition, and b_abs = b_over_njbar * N * Jbar(transition).
+    Both anchors must keep their saturated order at this field, else the
+    transition has ended in the polarized crossover (TransitionLost).
+    """
+    t, left, right = fm_kink_interval(n_ions, beta)
+    lo, hi = 0.5 * (left.lo + left.hi), 0.5 * (right.lo + right.hi)
+    b_abs = b_over_njbar * n_ions * coupling_from_trap(n_ions, beta, t.mu).jbar
+    op_lo, op_hi = _fixed_field_op(n_ions, beta, lo, b_abs), _fixed_field_op(n_ions, beta, hi, b_abs)
+    if not (op_lo > 0.5 and op_hi < -0.5):
+        raise TransitionLost(
+            f"order parameter not saturated across the bracket at "
+            f"B/(N Jbar)={b_over_njbar:g} (ends: {op_lo:+.3f}, {op_hi:+.3f})"
+        )
+    return lo, hi, b_abs
 
 
 def _levels_at(n_ions, beta, mu, b_abs):
+    """E2 - E0 at detuning mu under the absolute field b_abs."""
     j = coupling_from_trap(n_ions, beta, mu)
-    res = lowest_eigenpairs(j, b_abs / j.jbar, k=3)
-    e = res.eigenvalues
-    return float(e[2] - e[0]), float(e[1] - e[0]), float(e[2] - e[1])
+    e = lowest_eigenpairs(j, b_abs / j.jbar, k=3).eigenvalues
+    return float(e[2] - e[0])
 
 
 def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi):
     """Coarse probe + golden section + parabolic polish of E2 - E0 over mu."""
     seen = {}
 
-    def levels(x):
+    def gap_at(x):
         if x not in seen:
             seen[x] = _levels_at(n_ions, beta, x, b_abs)
         return seen[x]
-
-    def gap_at(x):
-        return levels(x)[0]
 
     lo_cap = n_ions - 2 + 1e-4
     hi_cap = n_ions - 1 - 1e-4
     for _ in range(5):
         for x in np.linspace(lo, hi, _GAP_COARSE):
-            levels(float(x))
+            gap_at(float(x))
         order = sorted(seen)
-        i_min = int(np.argmin([seen[x][0] for x in order]))
+        i_min = int(np.argmin([seen[x] for x in order]))
         if 0 < i_min < len(order) - 1:
             break
         span = hi - lo
@@ -451,8 +463,6 @@ def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi):
         lo, hi = lo_new, hi_new
     else:
         raise NoInteriorMinimum("bracket shows no interior gap minimum")
-
-    crossing_mu = order[int(np.argmin([seen[x][2] for x in order]))]
 
     a, c = order[i_min - 1], order[i_min + 1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -489,42 +499,27 @@ def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi):
         gap_at(xv)
 
     mu_star = min(seen, key=gap_at)
-    gap, e10, _ = seen[mu_star]
-    return mu_star, gap, e10, crossing_mu
+    return mu_star, seen[mu_star]
 
 
-def min_gap(n_ions, beta, b_over_njbar, bracket=None):
+def min_gap(n_ions, beta, b_over_njbar):
     """Locate the avoided crossing: minimize E2 - E0 over the detuning.
 
     E2 - E0 is the ground state's closest approach to the excited manifold;
     the two levels in between belong to other symmetry sectors and cross
-    essentially unavoided (their near-crossing detuning is reported as
-    ``crossing_mu`` and the raw E1 - E0 splitting as ``gap_e1_e0``).  The
-    minimum sits at a corner (the crossing pair passes through it), so the
-    default search tolerance localizes the detuning well below the nominal
-    1e-8 target to pin the gap value itself to ~1e-9.
+    essentially unavoided.  The minimum sits at a corner (the crossing pair
+    passes through it), so the default search tolerance localizes the
+    detuning well below the nominal 1e-8 target to pin the gap value itself
+    to ~1e-9.
 
     The absolute field b_abs = b_over_njbar * N * Jbar(zero-field transition)
     is held fixed while the detuning is scanned, mirroring a level diagram
-    taken at constant drive.  The bracket ends must still be order-saturated
-    at this field (TransitionLost otherwise), enforcing the precondition that
-    exactly one FM/kink transition sits inside the bracket.
+    taken at constant drive.  Before any search, the FM and kink anchors must
+    still be order-saturated at this field (TransitionLost otherwise), so
+    exactly one FM/kink transition sits between them.
     """
-    t, left, right = fm_kink_interval(n_ions, beta)
-    if bracket is None:
-        bracket = (0.5 * (left.lo + left.hi), 0.5 * (right.lo + right.hi))
-    lo, hi = float(bracket[0]), float(bracket[1])
-    jbar_ref = coupling_from_trap(n_ions, beta, t.mu).jbar
-    b_abs = b_over_njbar * n_ions * jbar_ref
-    mu_star, gap, e10, crossing_mu = _minimize_gap_scan(n_ions, beta, b_abs, lo, hi)
-    # both bracket ends must keep their saturated orders at this field
-    op_lo = order_parameter_at(n_ions, beta, lo, b_abs / coupling_from_trap(n_ions, beta, lo).jbar)
-    op_hi = order_parameter_at(n_ions, beta, hi, b_abs / coupling_from_trap(n_ions, beta, hi).jbar)
-    if not (op_lo > 0.5 and op_hi < -0.5):
-        raise TransitionLost(
-            f"order parameter not saturated across the bracket at "
-            f"B/(N Jbar)={b_over_njbar:g} (ends: {op_lo:+.3f}, {op_hi:+.3f})"
-        )
+    lo, hi, b_abs = _fixed_field(n_ions, beta, b_over_njbar)
+    mu_star, gap = _minimize_gap_scan(n_ions, beta, b_abs, lo, hi)
     return GapPoint(
         n_ions=n_ions,
         beta=float(beta),
@@ -532,8 +527,6 @@ def min_gap(n_ions, beta, b_over_njbar, bracket=None):
         b_abs=float(b_abs),
         mu_star=float(mu_star),
         gap=float(gap),
-        gap_e1_e0=float(e10),
-        crossing_mu=float(crossing_mu),
     )
 
 
@@ -611,24 +604,18 @@ def order_parameter_at(n_ions, beta, mu, b_field_jbar):
 def transition_width(n_ions, beta, b_over_njbar):
     """Detuning width over which the order parameter falls from +0.5 to -0.5.
 
-    Measured along a scan at the fixed absolute field located by min_gap for
-    the requested B/(N Jbar); both threshold crossings are refined by
-    bisection.
+    Measured along a scan at the fixed absolute field of min_gap for the
+    requested B/(N Jbar), between the same FM and kink anchors (TransitionLost
+    unless both saturate); each threshold crossing is bisected from the
+    anchor bracket.
     """
-    t, left, right = fm_kink_interval(n_ions, beta)
-    lo_anchor = 0.5 * (left.lo + left.hi)
-    hi_anchor = 0.5 * (right.lo + right.hi)
-    gp = min_gap(n_ions, beta, b_over_njbar)  # TransitionLost unless both anchors saturate
-
-    def op(mu):
-        j = coupling_from_trap(n_ions, beta, mu)
-        return order_parameter_at(n_ions, beta, mu, gp.b_abs / j.jbar)
+    lo_anchor, hi_anchor, b_abs = _fixed_field(n_ions, beta, b_over_njbar)
 
     def crossing(target, lo, hi):
-        # op decreases with mu; find mu where op == target
+        # the order parameter decreases with mu; find mu where it equals target
         for _ in range(_WIDTH_MAX_HALVINGS):
             mid = 0.5 * (lo + hi)
-            if op(mid) > target:
+            if _fixed_field_op(n_ions, beta, mid, b_abs) > target:
                 lo = mid
             else:
                 hi = mid
@@ -636,6 +623,6 @@ def transition_width(n_ions, beta, b_over_njbar):
                 break
         return 0.5 * (lo + hi)
 
-    upper = crossing(_WIDTH_EDGE, lo_anchor, gp.mu_star if op(gp.mu_star) < _WIDTH_EDGE else hi_anchor)
+    upper = crossing(_WIDTH_EDGE, lo_anchor, hi_anchor)
     lower = crossing(-_WIDTH_EDGE, upper, hi_anchor)
     return lower - upper

@@ -300,15 +300,27 @@ def test_transition_line_tilts_with_field():
     assert all(a > b for a, b in zip(mus, mus[1:]))
 
 
-def test_min_gap_reports_missing_interior_minimum():
-    with pytest.raises((NoInteriorMinimum, TransitionLost)):
-        # bracket confined deep inside the kink phase: the gap only grows
-        min_gap(5, 10.0, 0.05, bracket=(3.5, 3.9))
+@pytest.mark.parametrize("lo, hi", [(3.0001, 3.0002), (3.9998, 3.9999)])
+def test_gap_scan_reports_missing_interior_minimum(lo, hi):
+    """A bracket at either end of (3, 4) cannot expand past the interval caps."""
+    _, _, b_abs = phases._fixed_field(5, 10.0, 0.05)
+    with pytest.raises(NoInteriorMinimum) as excinfo:
+        phases._minimize_gap_scan(5, 10.0, b_abs, lo, hi)
+    assert excinfo.type is NoInteriorMinimum
 
 
-def test_min_gap_detects_lost_transition():
+@pytest.mark.parametrize("sweep", [min_gap, transition_width])
+def test_sweeps_detect_lost_transition(sweep):
     with pytest.raises(TransitionLost):
-        min_gap(9, 10.0, 0.25)
+        sweep(9, 10.0, 0.25)
+
+
+def test_transition_width_runs_no_gap_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("transition_width ran a gap search")
+
+    monkeypatch.setattr(phases, "_minimize_gap_scan", no_search)
+    assert transition_width(5, 10.0, 0.05) > 0.0
 
 
 # --- scaling fits ----------------------------------------------------------------
@@ -347,7 +359,7 @@ def one_field_loses_transition(monkeypatch):
     def fake_min_gap(n_ions, beta, b):
         if 0.025 < b < 0.035:
             raise TransitionLost("transition ended at this field")
-        return phases.GapPoint(n_ions, beta, b, b, 3.5, b**2, b**2, 3.5)
+        return phases.GapPoint(n_ions, beta, b, b, 3.5, b**2)
 
     monkeypatch.setattr(phases, "min_gap", fake_min_gap)
 

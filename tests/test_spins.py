@@ -223,6 +223,29 @@ def test_mode_space_grounds_match_coupling_enumeration(n):
     assert [f.orders for f in wide] == [scalar_ground(n, mu, 1e-3) for mu in transitions]
 
 
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_multi_chunk_enumeration_matches_one_chunk(n, monkeypatch):
+    """32-row chunks (uncached mode projections) reproduce the one-chunk results bit for bit."""
+    j = coupling_from_trap(n, 10.0, n - 1.5)
+    mus = [k + (i + 0.5) / 16 for k in range(1, n) for i in range(16)]
+
+    def enumerate_all():
+        found = ground_orders(n, 10.0, mus)
+        return classical_energies(j), classical_energies(j, half=True), [batched_ground(f) for f in found]
+
+    spins._cached_projections.cache_clear()
+    full, half, orders = enumerate_all()
+    monkeypatch.setattr(spins, "_ENUM_CHUNK", 1 << 5)
+    spins._cached_projections.cache_clear()
+    try:
+        full_c, half_c, orders_c = enumerate_all()
+    finally:
+        spins._cached_projections.cache_clear()
+    np.testing.assert_array_equal(full_c, full)
+    np.testing.assert_array_equal(half_c, half)
+    assert orders_c == orders
+
+
 def test_mode_space_grounds_reject_invalid_detunings():
     with pytest.raises(ResonanceError):
         ground_orders(5, 10.0, [3.5, 4.0, 4.5])
