@@ -60,6 +60,7 @@ from .spins import (
     cluster_polarization,
     cluster_projection,
     dense_hamiltonian,
+    field_spectra,
     fm_basis,
     hamming_distance,
     kink_basis,

@@ -53,7 +53,7 @@ _SETTINGS = {
     "tol": _Setting(float, None, "solver/refinement tolerance"),
     "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
     "format": _Setting(str, "both", "csv, or csv and json", ("csv", "both")),
-    "threads": _Setting(int, 1, "worker threads for sweeps"),
+    "threads": _Setting(int, 1, "worker threads, one scan2d detuning column each"),
     "check": _Setting(_truthy, False, "re-verify the written files"),
 }
 
@@ -96,6 +96,8 @@ def _parse_range(text, name):
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise ValueError(f"--{name} expects lo:hi, got {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"--{name} needs finite bounds, got {text!r}")
     if not hi > lo:
         raise ValueError(f"--{name} needs hi > lo, got {text!r}")
     return lo, hi

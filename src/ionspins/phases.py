@@ -29,6 +29,7 @@ from .errors import (
 from .spins import (
     cluster_polarization,
     cluster_projection,
+    field_spectra,
     fm_basis,
     ground_orders,
     kink_basis,
@@ -295,20 +296,41 @@ class ScanGrid:
                 )
 
 
-def _scan_point(n_ions, beta, mu, b_field):
-    j = coupling_from_trap(n_ions, beta, mu)
-    dim = 1 << n_ions
-    res = lowest_eigenpairs(j, b_field, k=min(6, dim))
-    op = cluster_projection(res, fm_basis(n_ions)) - cluster_projection(res, kink_basis(n_ions))
-    pol = cluster_polarization(res)
-    return op, pol, float(res.eigenvalues[0]), float(res.eigenvalues[1])
+def _scan_column(n_ions, beta, mu, b_fields):
+    """(order parameter, polarization, E0, E1) at each field B/Jbar of one detuning.
+
+    Every field is solved in one ``field_spectra`` call on one coupling.  A
+    point whose solve fails holds its NoConvergence instead; a failure of the
+    whole column (a resonant mu) fills every point with the same exception.
+    The exceptions carry no traceback, so no solver frame outlives the call.
+    """
+    try:
+        spectra = field_spectra(coupling_from_trap(n_ions, beta, mu), b_fields, k=min(6, 1 << n_ions))
+    except (ResonanceError, NoConvergence) as exc:
+        return [exc.with_traceback(None)] * len(b_fields)
+    fm, kink = fm_basis(n_ions), kink_basis(n_ions)
+    return [
+        res
+        if isinstance(res, NoConvergence)
+        else (
+            cluster_projection(res, fm) - cluster_projection(res, kink),
+            cluster_polarization(res),
+            float(res.eigenvalues[0]),
+            float(res.eigenvalues[1]),
+        )
+        for res in spectra
+    ]
 
 
 def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
     """Ground-state order parameter P_FM - P_K and polarization over a 2-D grid.
 
-    B values are in units of the local Jbar.  Per-point solver failures are
-    recorded in ``failures`` and the grid entries left as NaN.
+    B values are in units of the local Jbar.  The unit of work is one
+    detuning column: its coupling and Ising energies are built once and all
+    of its fields solved in one call (``_scan_column``); with threads > 1 the
+    pool runs columns in parallel.  Per-point solver failures, and every
+    point of a resonant column, are recorded in ``failures`` as messages and
+    the grid entries left as NaN.
     """
     if n_ions % 2 == 0:
         raise ValueError("the kink subspace (hence the order parameter) needs odd N")
@@ -325,21 +347,22 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
     e1 = np.full(shape, np.nan)
     failures = []
 
-    def work(point):
-        i, l = point
-        return _scan_point(n_ions, beta, float(mu_values[i]), float(b_values[l]))
+    fields = [float(b) for b in b_values]
 
-    points = [(i, l) for i in range(shape[0]) for l in range(shape[1])]
+    def column(mu):
+        return _scan_column(n_ions, beta, float(mu), fields)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _try(work, p), points))
+            columns = list(pool.map(column, mu_values))
     else:
-        results = [_try(work, p) for p in points]
-    for (i, l), outcome in zip(points, results):
-        if isinstance(outcome, str):
-            failures.append((i, l, outcome))
-        else:
-            op[i, l], pol[i, l], e0[i, l], e1[i, l] = outcome
+        columns = [column(mu) for mu in mu_values]
+    for i, outcomes in enumerate(columns):
+        for l, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                failures.append((i, l, f"{type(outcome).__name__}: {outcome}"))
+            else:
+                op[i, l], pol[i, l], e0[i, l], e1[i, l] = outcome
     return ScanGrid(
         n_ions=n_ions,
         beta=float(beta),
@@ -351,19 +374,6 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
         e1=e1,
         failures=failures,
     )
-
-
-def _try(fn, arg):
-    """fn(arg), or the message of a per-point failure.
-
-    Only the message is kept: the exception's traceback holds every frame of
-    the failed solve (a Krylov basis among them), and through the caller's
-    result list those frames would form a cycle that only a full gc frees.
-    """
-    try:
-        return fn(arg)
-    except (ResonanceError, NoConvergence) as exc:  # per-point failure, not an abort
-        return f"{type(exc).__name__}: {exc}"
 
 
 @functools.cache
@@ -596,9 +606,11 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
 
 
 def order_parameter_at(n_ions, beta, mu, b_field_jbar):
-    """Cluster-averaged P_FM - P_K at one (mu, B/Jbar) point."""
-    op, _, _, _ = _scan_point(n_ions, beta, mu, b_field_jbar)
-    return op
+    """Cluster-averaged P_FM - P_K at one (mu, B/Jbar) point; a failed solve raises."""
+    (outcome,) = _scan_column(n_ions, beta, mu, [b_field_jbar])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 def transition_width(n_ions, beta, b_over_njbar):

@@ -27,6 +27,7 @@ from .errors import AmbiguousGround, NoConvergence
 _ENUM_CHUNK = 1 << 18
 _TILE_DOUBLES = 1 << 14  # energies held per product in ground_orders
 _CLUSTER_RTOL = 1e-9  # relative width of the degenerate ground cluster
+_STACK_DOUBLES = 1 << 21  # matrix entries per stacked dense eigh (16 MiB)
 
 
 @dataclass(frozen=True)
@@ -246,21 +247,28 @@ def _flip(x, p):
 
 
 class _SpinOperator:
-    """H for one (coupling, field): Ising energies on the diagonal, -b_abs per spin flip."""
+    """H for one coupling: Ising energies on the diagonal, -b_abs per spin flip.
 
-    def __init__(self, coupling, b_field):
+    The absolute field b_abs is an argument of every method, so one operator,
+    and one enumeration of the Ising energies, serves every field.
+    """
+
+    def __init__(self, coupling):
         self.n_ions = coupling.n_ions
         self.diag = classical_energies(coupling)
-        self.b_abs = b_field * field_scale(coupling)
 
-    def matvec(self, x):
-        """H @ x for a state vector, or column by column for a (2^N, m) block."""
+    def matvec(self, x, b_abs):
+        """H @ x along the first axis of x: a state vector or a (2^N, ...) block.
+
+        b_abs is one field, or an array that broadcasts against the trailing
+        axes of x (one field per group of columns).
+        """
         out = (x.T * self.diag).T
         for p in range(self.n_ions):
-            out -= self.b_abs * _flip(x, p)
+            out -= b_abs * _flip(x, p)
         return out
 
-    def sector_matvec(self, x, sign):
+    def sector_matvec(self, x, b_abs, sign):
         """H on the global-flip sector of the given sign (+1 or -1), in the half basis.
 
         The half basis holds the configurations with ion 1 up; a sector state
@@ -271,15 +279,19 @@ class _SpinOperator:
         """
         out = (x.T * self.diag[: len(x)]).T
         for p in range(self.n_ions - 1):
-            out -= self.b_abs * _flip(x, p)
-        out -= sign * self.b_abs * x[::-1]
+            out -= b_abs * _flip(x, p)
+        out -= sign * b_abs * x[::-1]
         return out
 
-    def dense(self):
-        h = np.diag(self.diag)
-        idx = np.arange(len(self.diag))
+    def dense(self, b_abs):
+        """The 2^N x 2^N matrix at one field, or their (m, 2^N, 2^N) stack for m fields."""
+        b_abs = np.asarray(b_abs, dtype=float)
+        dim = len(self.diag)
+        h = np.zeros(b_abs.shape + (dim, dim))
+        idx = np.arange(dim)
+        h[..., idx, idx] = self.diag
         for p in range(self.n_ions):
-            h[idx, _flip(idx, p)] -= self.b_abs
+            h[..., idx, _flip(idx, p)] = -b_abs[..., None]
         return h
 
 
@@ -289,12 +301,12 @@ def apply_hamiltonian(coupling, b_field, v):
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"state vector must have length {dim}, got {v.shape}")
-    return _SpinOperator(coupling, b_field).matvec(v)
+    return _SpinOperator(coupling).matvec(v, b_field * field_scale(coupling))
 
 
 def dense_hamiltonian(coupling, b_field):
     """Explicit 2^N x 2^N matrix; intended for small N."""
-    return _SpinOperator(coupling, b_field).dense()
+    return _SpinOperator(coupling).dense(b_field * field_scale(coupling))
 
 
 def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
@@ -309,56 +321,98 @@ def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
     of the global flip in the half basis (dimension 2^(N-1)), min(k, 2^(N-1))
     levels each, embeds their vectors in the full space and keeps the k
     lowest of the merged levels.  Residuals ||Hv - Ev|| of the full-space
-    operator are verified against 1e-9 * max(1, |E|) for every returned pair.
+    operator are verified against 1e-9 * max(1, |E|) for every returned pair
+    (NoConvergence otherwise, also for a NaN residual).  The field must be
+    finite and non-negative.  This is the one-field call of
+    ``field_spectra``, which raises the failure it returns.
+    """
+    (result,) = field_spectra(coupling, [b_field], k, method)
+    if isinstance(result, NoConvergence):
+        raise result
+    return result
+
+
+def field_spectra(coupling, b_fields, k=4, method="auto"):
+    """The k lowest eigenpairs of one coupling at each of several fields.
+
+    One entry per field, in order: the SpectrumResult of lowest_eigenpairs
+    (same solver choice, same checks), or the NoConvergence it would raise,
+    returned rather than raised and without its traceback, so a failed
+    Krylov basis is not kept alive.  The Ising energies are enumerated once
+    for all fields.  The dense path diagonalizes the nonzero fields' matrices
+    in stacks of one ``np.linalg.eigh`` call each (at most _STACK_DOUBLES
+    entries per stack); the Krylov path solves one field at a time.  One
+    residual check covers every solved pair of every field.
     """
     n = coupling.n_ions
     dim = 1 << n
     if not 1 <= k <= min(8, dim):
         raise ValueError(f"k must lie in [1, {min(8, dim)}], got {k}")
-    if b_field < 0.0:
-        raise ValueError("transverse field must be non-negative")
+    b_fields = np.asarray(b_fields, dtype=float)
+    if not np.all(np.isfinite(b_fields) & (b_fields >= 0.0)):
+        raise ValueError(f"transverse field must be finite and non-negative, got {b_fields}")
     if method == "auto":
         method = "dense" if dim <= 4096 else "lanczos"
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
-    op = _SpinOperator(coupling, b_field)
-    if op.b_abs == 0.0:
-        method = "diagonal"
+    op = _SpinOperator(coupling)
+    b_abs = b_fields * field_scale(coupling)
+    evals = np.empty((len(b_abs), k))
+    vecs = np.zeros((len(b_abs), dim, k))
+    failed = {}
+    zero, nonzero = np.flatnonzero(b_abs == 0.0), np.flatnonzero(b_abs != 0.0)
+    if len(zero):
         levels = np.argsort(op.diag, kind="stable")[:k]
-        evals = op.diag[levels]
-        vecs = np.zeros((dim, k))
-        vecs[levels, np.arange(k)] = 1.0
-    elif method == "dense":
-        evals, vecs = np.linalg.eigh(op.dense())
-        evals, vecs = evals[:k], vecs[:, :k]
+        evals[zero] = op.diag[levels]
+        vecs[zero[:, None], levels, np.arange(k)] = 1.0
+    if method == "dense":
+        per = max(1, _STACK_DOUBLES // dim**2)
+        for lo in range(0, len(nonzero), per):
+            stack = nonzero[lo : lo + per]
+            w, v = np.linalg.eigh(op.dense(b_abs[stack]))
+            evals[stack], vecs[stack] = w[:, :k], v[:, :, :k]
     else:
-        evals, vecs = _flip_sector_eigenpairs(op, k)
+        for i in nonzero:
+            try:
+                evals[i], vecs[i] = _flip_sector_eigenpairs(op, b_abs[i], k)
+            except NoConvergence as exc:
+                failed[i] = exc.with_traceback(None)
 
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    resid = np.array([np.linalg.norm(r) for r in (op.matvec(vecs) - vecs * evals).T])
-    bound = 1e-9 * np.maximum(1.0, np.abs(evals))
-    if np.any(resid > bound):
-        raise NoConvergence(
-            f"eigenpair residual {np.max(resid):.3e} exceeds bound {np.max(bound):.3e}"
-        )
-    return SpectrumResult(
-        eigenvalues=evals,
-        eigenvectors=vecs,
-        n_ions=n,
-        b_field=float(b_field),
-        b_abs=float(op.b_abs),
-        method=method,
-        residuals=resid,
-    )
+    results = [failed.get(i) for i in range(len(b_abs))]
+    solved = [i for i, r in enumerate(results) if r is None]
+    if not solved:
+        return results
+    vecs = vecs[solved]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    x = np.moveaxis(vecs, 1, 0)  # basis axis first, as matvec takes it
+    resid = np.linalg.norm(op.matvec(x, b_abs[solved, None]) - x * evals[solved], axis=0)
+    bound = 1e-9 * np.maximum(1.0, np.abs(evals[solved]))
+    passed = np.all(resid <= bound, axis=1)  # a NaN residual fails
+    for j, i in enumerate(solved):
+        if passed[j]:
+            results[i] = SpectrumResult(
+                eigenvalues=evals[i],
+                eigenvectors=vecs[j],
+                n_ions=n,
+                b_field=float(b_fields[i]),
+                b_abs=float(b_abs[i]),
+                method="diagonal" if b_abs[i] == 0.0 else method,
+                residuals=resid[j],
+            )
+        else:
+            results[i] = NoConvergence(
+                f"eigenpair residual {np.max(resid[j]):.3e} exceeds bound {np.max(bound[j]):.3e}"
+            )
+    return results
 
 
-def _flip_sector_eigenpairs(op, k):
+def _flip_sector_eigenpairs(op, b_abs, k):
     """k lowest pairs from a Krylov solve in each global-flip sector, embedded in the full space."""
     half = len(op.diag) // 2
     evals, vecs = [], []
     for sign in (1.0, -1.0):
         e, x = lanczos.lowest_eigenpairs(
-            functools.partial(op.sector_matvec, sign=sign), half, min(k, half)
+            functools.partial(op.sector_matvec, b_abs=b_abs, sign=sign), half, min(k, half)
         )
         evals.append(e)
         vecs.append(np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0))

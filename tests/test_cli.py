@@ -132,6 +132,13 @@ def test_scan2d_requires_ranges(tmp_path):
     assert run("scan2d", "--n", "5", "--mu-range", "oops", "--b-range", "0:1", "--out", str(tmp_path)) == 2
 
 
+def test_scan2d_non_finite_range_is_configuration_error(tmp_path, capsys):
+    argv = ("scan2d", "--n", "5", "--mu-range", "3.1:3.3", "--b-range", "0:inf", "--samples", "3x2")
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_scan2d_detuning_outside_chain_is_configuration_error(tmp_path):
     argv = ("scan2d", "--n", "5", "--mu-range", "0.5:1.5", "--b-range", "0:1", "--samples", "4x2")
     assert run(*argv, "--out", str(tmp_path)) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from ionspins.couplings import coupling_from_trap
 from ionspins.lanczos import NoConvergence, _repair_block, lowest_eigenpairs
-from ionspins.spins import _SpinOperator
+from ionspins.spins import _SpinOperator, field_scale
 
 
 def dense_operator(matrix):
@@ -82,8 +82,8 @@ def few_levels_operator(rng):
 
 def sector_operator_n11():
     """The + global-flip sector at N = 11, mu~ = 3.064, B = 1.5: it runs to the cap."""
-    op = _SpinOperator(coupling_from_trap(11, 10.0, 3.064), 1.5)
-    return functools.partial(op.sector_matvec, sign=1.0)
+    j = coupling_from_trap(11, 10.0, 3.064)
+    return functools.partial(_SpinOperator(j).sector_matvec, b_abs=1.5 * field_scale(j), sign=1.0)
 
 
 @pytest.mark.parametrize("case", ["random", "few-levels", "sector-n11"])

@@ -9,7 +9,7 @@ import pytest
 from ionspins import phases
 from ionspins.cli import main as cli_main
 from ionspins.couplings import coupling_from_trap
-from ionspins.errors import AmbiguousGround, NoConvergence
+from ionspins.errors import AmbiguousGround, NoConvergence, ResonanceError
 from ionspins.phases import (
     NoInteriorMinimum,
     TransitionLost,
@@ -199,13 +199,29 @@ def test_scan_threads_match_serial():
     threaded = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(5, 3), threads=3)
     assert np.array_equal(serial.order_parameter, threaded.order_parameter)
     assert np.array_equal(serial.polarization, threaded.polarization)
+    assert np.array_equal(serial.e0, threaded.e0)
+    assert np.array_equal(serial.e1, threaded.e1)
+    assert serial.failures == threaded.failures
 
 
 def test_scan_records_failures_per_point():
-    grid = scan_2d(5, 10.0, (2.9, 3.1), (0.1, 0.1), resolution=(3, 1))
-    assert len(grid.failures) == 1  # the mu = 3.0 resonance
-    assert np.isnan(grid.order_parameter[1, 0])
-    assert np.isfinite(grid.order_parameter[0, 0])
+    grid = scan_2d(5, 10.0, (2.9, 3.1), (0.1, 0.4), resolution=(3, 4))
+    # the mu = 3.0 resonance fails each point of its column, and only those
+    assert [(i, l) for i, l, _ in grid.failures] == [(1, l) for l in range(4)]
+    assert all(msg.startswith("ResonanceError: ") for _, _, msg in grid.failures)
+    assert np.all(np.isnan(grid.order_parameter[1]))
+    for values in (grid.order_parameter, grid.polarization, grid.e0, grid.e1):
+        assert np.all(np.isfinite(values[[0, 2]]))
+    threaded = scan_2d(5, 10.0, (2.9, 3.1), (0.1, 0.4), resolution=(3, 4), threads=2)
+    assert threaded.failures == grid.failures
+
+
+def test_order_parameter_at_raises_the_failure_of_its_point(monkeypatch):
+    with pytest.raises(ResonanceError):
+        phases.order_parameter_at(5, 10.0, 3.0, 0.1)
+    monkeypatch.setattr(phases, "field_spectra", lambda *args, **kwargs: [NoConvergence("cap")])
+    with pytest.raises(NoConvergence, match="cap"):
+        phases.order_parameter_at(5, 10.0, 3.2, 0.1)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -213,7 +229,7 @@ def test_scan_propagates_programming_errors(monkeypatch, threads):
     def broken(*args):
         raise TypeError("bug inside a scan point")
 
-    monkeypatch.setattr(phases, "_scan_point", broken)
+    monkeypatch.setattr(phases, "_scan_column", broken)
     with pytest.raises(TypeError):
         scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2), threads=threads)
 
@@ -230,7 +246,7 @@ def test_scan_failures_keep_no_solver_frames(monkeypatch, threads):
         refs.append(weakref.ref(held))
         raise NoConvergence("basis cap reached")
 
-    monkeypatch.setattr(phases, "lowest_eigenpairs", failing_solve)
+    monkeypatch.setattr(phases, "field_spectra", failing_solve)
     gc.disable()
     try:
         grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 1), threads=threads)

@@ -5,6 +5,9 @@ energy loop, a Kronecker-product dense Hamiltonian, and cross-checks between
 the dense and iterative eigensolvers.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from ionspins.spins import (
     cluster_polarization,
     cluster_projection,
     dense_hamiltonian,
+    field_spectra,
     flip_all,
     fm_basis,
     ground_cluster,
@@ -461,6 +465,99 @@ def test_residual_check_guards_flip_sector_solves(coupling_n7_51, monkeypatch):
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", perturbed)
     with pytest.raises(NoConvergence, match="residual"):
         lowest_eigenpairs(coupling_n7_51, 0.3, k=4, method="lanczos")
+
+
+def test_residual_check_fails_on_nan_residual(coupling_n7_51, monkeypatch):
+    solve = spins.lanczos.lowest_eigenpairs
+
+    def nan_vectors(matvec, dim, k, **kwargs):
+        evals, vecs = solve(matvec, dim, k, **kwargs)
+        return evals, np.full_like(vecs, np.nan)
+
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", nan_vectors)
+    with pytest.raises(NoConvergence, match="residual nan"):
+        lowest_eigenpairs(coupling_n7_51, 0.3, k=4, method="lanczos")
+
+
+@pytest.mark.parametrize("b_field", [float("nan"), float("inf")])
+def test_non_finite_field_rejected(b_field):
+    j = coupling_from_trap(5, 10.0, 3.2)
+    with pytest.raises(ValueError, match="finite"):
+        lowest_eigenpairs(j, b_field, k=3)
+    with pytest.raises(ValueError, match="finite"):
+        field_spectra(j, [0.1, b_field, 0.3], k=3)
+
+
+# --- the field-vector core ----------------------------------------------------------
+
+
+def assert_same_spectrum(a, b):
+    assert a.method == b.method
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_field_spectra_equal_one_field_solves(n):
+    j = coupling_from_trap(n, 10.0, n - 1.6)
+    fields = [0.3, 0.0, 0.01, 1.5, 0.0]
+    k = min(6, 1 << n)
+    spectra = field_spectra(j, fields, k=k, method="dense")
+    assert [s.method for s in spectra] == ["dense", "diagonal", "dense", "dense", "diagonal"]
+    for b, got in zip(fields, spectra):
+        assert got.b_field == b
+        assert_same_spectrum(got, lowest_eigenpairs(j, b, k=k, method="dense"))
+
+
+def test_field_spectra_equal_one_field_krylov_solves(coupling_n7_51):
+    fields = [0.2, 0.9]
+    spectra = field_spectra(coupling_n7_51, fields, k=4, method="lanczos")
+    for b, got in zip(fields, spectra):
+        assert got.method == "lanczos"
+        assert_same_spectrum(got, lowest_eigenpairs(coupling_n7_51, b, k=4, method="lanczos"))
+
+
+def test_field_spectra_return_a_krylov_failure_for_its_field_only(coupling_n7_51, monkeypatch):
+    class Sentinel:
+        pass
+
+    solve = spins.lanczos.lowest_eigenpairs
+    calls, refs = [], []
+
+    def fails_second_field(matvec, dim, k, **kwargs):
+        calls.append(dim)
+        if len(calls) == 3:  # the + sector of the second field
+            held = Sentinel()  # a local of the failing frame, like a Krylov basis
+            refs.append(weakref.ref(held))
+            raise NoConvergence("basis cap reached")
+        return solve(matvec, dim, k, **kwargs)
+
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", fails_second_field)
+    gc.disable()
+    try:
+        spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4, method="lanczos")
+        assert isinstance(spectra[1], NoConvergence) and "basis cap" in str(spectra[1])
+        assert spectra[1].__traceback__ is None and refs[0]() is None
+    finally:
+        gc.enable()
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", solve)
+    for i in (0, 2):
+        expected = lowest_eigenpairs(coupling_n7_51, (0.2, 0.5, 0.9)[i], k=4, method="lanczos")
+        assert_same_spectrum(spectra[i], expected)
+
+
+def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch):
+    dense = spins._SpinOperator.dense
+
+    def off_at_second_field(self, b_abs):
+        h = dense(self, b_abs)
+        h[1, 0, 0] += 1e-3  # the stack solves a matrix that is not H at this field
+        return h
+
+    monkeypatch.setattr(spins._SpinOperator, "dense", off_at_second_field)
+    spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4, method="dense")
+    assert isinstance(spectra[1], NoConvergence) and "residual" in str(spectra[1])
+    assert spectra[0].method == spectra[2].method == "dense"
 
 
 # --- observables ---------------------------------------------------------------
