@@ -53,7 +53,6 @@ _SETTINGS = {
     "tol": _Setting(float, None, "solver/refinement tolerance"),
     "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
     "format": _Setting(str, "both", "csv, or csv and json", ("csv", "both")),
-    "threads": _Setting(int, 1, "worker threads, one scan2d detuning column each"),
     "check": _Setting(_truthy, False, "re-verify the written files"),
 }
 
@@ -175,7 +174,7 @@ def cmd_scan2d(cfg):
     mu_range = _parse_range(cfg.mu_range, "mu-range")
     b_range = _parse_range(cfg.b_range, "b-range")
     resolution = _parse_resolution(cfg.samples)
-    grid = scan_2d(cfg.n, cfg.beta, mu_range, b_range, resolution=resolution, threads=cfg.threads)
+    grid = scan_2d(cfg.n, cfg.beta, mu_range, b_range, resolution=resolution)
     files = {
         "scan2d.csv": (
             ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
@@ -251,7 +250,7 @@ _COMMANDS = {
     ),
     "scan2d": _Command(
         cmd_scan2d,
-        ("n", "beta", "mu_range", "b_range", "samples", "format", "threads", "out", "check"),
+        ("n", "beta", "mu_range", "b_range", "samples", "format", "out", "check"),
         {"samples": "128x64"},
     ),
     "gap": _Command(

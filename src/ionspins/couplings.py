@@ -79,17 +79,17 @@ def resolve_detuning(spectrum, rescaled):
     """Map a rescaled detuning onto a physical one.
 
     mu = omega_k + frac * (omega_{k+1} - omega_k) with k = floor(rescaled).
-    Rejects integer values (ResonanceError: on-mode drive) and values outside
-    the open interval (1, N); the resolved detuning must clear every mode by
-    at least 1e-6 wz.
+    Rejects values outside the closed interval [1, N] (ValueError), then the
+    integer ones, each on a mode 1..N (ResonanceError: on-mode drive); the
+    resolved detuning must clear every mode by at least 1e-6 wz.
     """
     w = np.asarray(spectrum.frequencies, dtype=float)
     n = len(w)
     rescaled = float(rescaled)
-    if abs(rescaled - round(rescaled)) < 1e-6:
-        raise ResonanceError(f"rescaled detuning {rescaled} sits on a phonon mode")
-    if not 1.0 < rescaled < n:
+    if not 1.0 <= rescaled <= n:
         raise ValueError(f"rescaled detuning {rescaled} outside the open interval (1, {n})")
+    if abs(rescaled - round(rescaled)) < 1e-6:
+        raise ResonanceError(f"rescaled detuning {rescaled} sits on phonon mode {round(rescaled)}")
     k = math.floor(rescaled)
     frac = rescaled - k
     mu = w[k - 1] + frac * (w[k] - w[k - 1])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,7 @@ from .errors import (
     TransitionLost,
 )
 from .spins import (
-    cluster_polarization,
-    cluster_projection,
+    cluster_averages,
     field_spectra,
     fm_basis,
     ground_orders,
@@ -297,83 +295,55 @@ class ScanGrid:
 
 
 def _scan_column(n_ions, beta, mu, b_fields):
-    """(order parameter, polarization, E0, E1) at each field B/Jbar of one detuning.
+    """Order parameter, polarization, E0 and E1 at each field B/Jbar of one detuning.
 
-    Every field is solved in one ``field_spectra`` call on one coupling.  A
-    point whose solve fails holds its NoConvergence instead; a failure of the
-    whole column (a resonant mu) fills every point with the same exception.
+    Returns their (4, len(b_fields)) array and the {field index: exception}
+    of the points that failed, whose entries are NaN.  Every field is solved
+    in one ``field_spectra`` call on one coupling, and the observables of all
+    solved fields come from one ``cluster_averages`` call.  A failure of the
+    whole column (a resonant mu) fails every point with the same exception.
     The exceptions carry no traceback, so no solver frame outlives the call.
     """
+    values = np.full((4, len(b_fields)), np.nan)
     try:
         spectra = field_spectra(coupling_from_trap(n_ions, beta, mu), b_fields, k=min(6, 1 << n_ions))
     except (ResonanceError, NoConvergence) as exc:
-        return [exc.with_traceback(None)] * len(b_fields)
-    fm, kink = fm_basis(n_ions), kink_basis(n_ions)
-    return [
-        res
-        if isinstance(res, NoConvergence)
-        else (
-            cluster_projection(res, fm) - cluster_projection(res, kink),
-            cluster_polarization(res),
-            float(res.eigenvalues[0]),
-            float(res.eigenvalues[1]),
+        return values, dict.fromkeys(range(len(b_fields)), exc.with_traceback(None))
+    failed = {l: res for l, res in enumerate(spectra) if isinstance(res, NoConvergence)}
+    solved = [l for l in range(len(spectra)) if l not in failed]
+    if solved:
+        results = [spectra[l] for l in solved]
+        (p_fm, p_kink), values[1, solved] = cluster_averages(
+            results, (fm_basis(n_ions), kink_basis(n_ions))
         )
-        for res in spectra
-    ]
+        values[0, solved] = p_fm - p_kink
+        values[2:, solved] = np.array([r.eigenvalues[:2] for r in results]).T
+    return values, failed
 
 
-def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64), threads=1):
+def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64)):
     """Ground-state order parameter P_FM - P_K and polarization over a 2-D grid.
 
     B values are in units of the local Jbar.  The unit of work is one
-    detuning column: its coupling and Ising energies are built once and all
-    of its fields solved in one call (``_scan_column``); with threads > 1 the
-    pool runs columns in parallel.  Per-point solver failures, and every
-    point of a resonant column, are recorded in ``failures`` as messages and
-    the grid entries left as NaN.
+    detuning column: its coupling and Ising energies are built once, all of
+    its fields solved in one call and their observables computed in another
+    (``_scan_column``).  Per-point solver failures, and every point of a
+    resonant column, are recorded in ``failures`` as messages and the grid
+    entries left as NaN.
     """
     if n_ions % 2 == 0:
         raise ValueError("the kink subspace (hence the order parameter) needs odd N")
     if min(resolution) < 1:
         raise ValueError(f"resolution needs at least 1 point per axis, got {resolution!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
     mu_values = np.linspace(mu_range[0], mu_range[1], resolution[0])
     b_values = np.linspace(b_range[0], b_range[1], resolution[1])
-    shape = (len(mu_values), len(b_values))
-    op = np.full(shape, np.nan)
-    pol = np.full(shape, np.nan)
-    e0 = np.full(shape, np.nan)
-    e1 = np.full(shape, np.nan)
-    failures = []
-
     fields = [float(b) for b in b_values]
-
-    def column(mu):
-        return _scan_column(n_ions, beta, float(mu), fields)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, mu_values))
-    else:
-        columns = [column(mu) for mu in mu_values]
-    for i, outcomes in enumerate(columns):
-        for l, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                failures.append((i, l, f"{type(outcome).__name__}: {outcome}"))
-            else:
-                op[i, l], pol[i, l], e0[i, l], e1[i, l] = outcome
-    return ScanGrid(
-        n_ions=n_ions,
-        beta=float(beta),
-        mu_values=mu_values,
-        b_values=b_values,
-        order_parameter=op,
-        polarization=pol,
-        e0=e0,
-        e1=e1,
-        failures=failures,
-    )
+    values = np.empty((4, len(mu_values), len(b_values)))
+    failures = []
+    for i, mu in enumerate(mu_values):
+        values[:, i], failed = _scan_column(n_ions, beta, float(mu), fields)
+        failures.extend((i, l, f"{type(exc).__name__}: {exc}") for l, exc in failed.items())
+    return ScanGrid(n_ions, float(beta), mu_values, b_values, *values, failures=failures)
 
 
 @functools.cache
@@ -607,10 +577,10 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
 
 def order_parameter_at(n_ions, beta, mu, b_field_jbar):
     """Cluster-averaged P_FM - P_K at one (mu, B/Jbar) point; a failed solve raises."""
-    (outcome,) = _scan_column(n_ions, beta, mu, [b_field_jbar])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[0]
+    values, failed = _scan_column(n_ions, beta, mu, [b_field_jbar])
+    if failed:
+        raise failed[0]
+    return float(values[0, 0])
 
 
 def transition_width(n_ions, beta, b_over_njbar):

@@ -421,41 +421,70 @@ def _flip_sector_eigenpairs(op, b_abs, k):
     return evals[keep], np.concatenate(vecs, axis=1)[:, keep]
 
 
+def _basis_indices(basis, dim):
+    """The configurations of basis as an index array; ValueError unless distinct and in [0, dim)."""
+    basis = list(basis)
+    if not basis or len(set(basis)) != len(basis) or not all(0 <= s < dim for s in basis):
+        raise ValueError(f"basis must be non-empty, distinct configurations in [0, {dim})")
+    return np.asarray(basis, dtype=np.int64)
+
+
+def _level_weights(vecs, idx):
+    """Probability inside the span of the configurations idx, per level (basis axis first)."""
+    return np.sum(vecs[idx] ** 2, axis=0)
+
+
+def _level_polarizations(vecs, n_ions):
+    """<sum_n sigma^x_n> / N per level (basis axis first)."""
+    return sum(np.sum(vecs * _flip(vecs, p), axis=0) for p in range(n_ions)) / n_ions
+
+
+def _cluster_mask(evals):
+    """True on the levels degenerate with the ground state (levels on the last axis)."""
+    e0 = evals[..., :1]
+    return evals - e0 <= _CLUSTER_RTOL * np.maximum(1.0, np.abs(e0))
+
+
 def polarization(result, which=0):
     """<sum_n sigma^x_n> / N for one eigenstate; lies in [-1, 1]."""
-    v = result.eigenvectors[:, which]
-    return sum(float(v @ _flip(v, p)) for p in range(result.n_ions)) / result.n_ions
+    return float(_level_polarizations(result.eigenvectors[:, which], result.n_ions))
 
 
 def subspace_projection(result, basis, which=0):
-    """Probability of one eigenstate inside the span of the given configurations."""
-    basis = list(basis)
-    if not basis:
-        raise ValueError("basis must be non-empty")
-    if len(set(basis)) != len(basis):
-        raise ValueError("basis configurations must be distinct")
+    """Probability of one eigenstate inside the span of distinct configurations in [0, 2^N)."""
     v = result.eigenvectors[:, which]
-    return float(np.sum(v[np.asarray(basis, dtype=np.int64)] ** 2))
+    return float(_level_weights(v, _basis_indices(basis, len(v))))
 
 
 def ground_cluster(result):
     """Indices of eigenstates degenerate with the ground state."""
-    e = result.eigenvalues
-    width = _CLUSTER_RTOL * max(1.0, abs(e[0]))
-    return np.nonzero(e - e[0] <= width)[0]
+    return np.flatnonzero(_cluster_mask(result.eigenvalues))
+
+
+def cluster_averages(results, bases):
+    """Ground-cluster averages of spectra with one N and k, computed on their stacked vectors.
+
+    Returns (projections, polarization): projections[i, j] is the probability
+    of results[j] in the span of bases[i], polarization[j] its
+    <sum_n sigma^x_n> / N.  Each equals tr(P_cluster O) / dim(cluster),
+    independent of the eigenbasis chosen inside a degenerate cluster.
+    """
+    evals = np.array([r.eigenvalues for r in results])
+    vecs = np.stack([r.eigenvectors for r in results], axis=1)  # (2^N, fields, k)
+    levels = [_level_weights(vecs, _basis_indices(basis, len(vecs))) for basis in bases]
+    levels.append(_level_polarizations(vecs, results[0].n_ions))
+    members = _cluster_mask(evals)  # per field: the sum over its cluster / the cluster's size
+    means = np.sum(np.array(levels) * members, axis=-1) / np.sum(members, axis=-1)
+    return means[:-1], means[-1]
 
 
 def cluster_projection(result, basis):
-    """Subspace probability averaged over the (possibly degenerate) ground cluster.
-
-    The average equals tr(P_cluster P_basis) / dim(cluster) and is independent
-    of the arbitrary eigenbasis chosen inside a degenerate cluster.
-    """
-    members = ground_cluster(result)
-    return sum(subspace_projection(result, basis, which=i) for i in members) / len(members)
+    """Subspace probability averaged over the ground cluster (one-field ``cluster_averages``)."""
+    (projection,), _ = cluster_averages([result], [basis])
+    return float(projection[0])
 
 
 def cluster_polarization(result):
-    """Polarization averaged over the degenerate ground cluster."""
-    members = ground_cluster(result)
-    return sum(polarization(result, which=i) for i in members) / len(members)
+    """Polarization averaged over the ground cluster (one-field ``cluster_averages``)."""
+    _, (pol,) = cluster_averages([result], [])
+    return float(pol)

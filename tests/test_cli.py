@@ -66,6 +66,12 @@ def test_couplings_on_mode_exits_2(tmp_path):
     assert run("couplings", "--n", "7", "--mu-tilde", "5.0", "--out", str(tmp_path)) == 2
 
 
+def test_couplings_out_of_range_detuning_exits_2(tmp_path, capsys):
+    assert run("couplings", "--n", "5", "--mu-tilde", "7", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "outside the open interval (1, 5)" in err and "phonon mode" not in err
+
+
 def test_couplings_requires_detuning(tmp_path):
     assert run("couplings", "--n", "7", "--out", str(tmp_path)) == 2
 
@@ -215,7 +221,7 @@ def test_header_carries_resolved_config(tmp_path):
     assert config["beta"] == "12.5"
     assert config["command"] == "modes"
     assert config["tol"] == "1e-12"
-    assert "threads" not in config
+    assert "format" not in config
 
 
 @pytest.mark.parametrize(
@@ -223,18 +229,18 @@ def test_header_carries_resolved_config(tmp_path):
     [
         ("modes", "--n", "3", "--mu-tilde", "1.5"),
         ("couplings", "--n", "3", "--mu-tilde", "1.5", "--samples", "16"),
-        ("phase-table", "--n", "3", "--threads", "2"),
+        ("phase-table", "--n", "3", "--format", "csv"),
         ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--tol", "1e-9"),
-        ("gap", "--n", "3", "--threads", "2"),
+        ("gap", "--n", "3", "--format", "csv"),
         ("check", "--n", "3"),
         ("check", "--check"),
     ],
     ids=[
         "modes --mu-tilde",
         "couplings --samples",
-        "phase-table --threads",
+        "phase-table --format",
         "scan2d --tol",
-        "gap --threads",
+        "gap --format",
         "check --n",
         "check --check",
     ],
@@ -248,22 +254,32 @@ def test_unread_flag_exits_2(tmp_path, argv):
 
 def test_config_file_rejects_unread_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=3\nthreads=2\n")
+    cfg.write_text("n=3\nformat=csv\n")
     out = tmp_path / "out"
     assert run("modes", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "'threads'" in err and "modes" in err
+    assert "'format'" in err and "modes" in err
     assert not out.exists()
 
 
-def test_scan2d_header_carries_threads_and_format(tmp_path):
+def test_scan2d_header_carries_format(tmp_path):
     out = str(tmp_path)
     argv = ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--samples", "3x2")
-    assert run(*argv, "--format", "csv", "--threads", "2", "--out", out) == 0
+    assert run(*argv, "--format", "csv", "--out", out) == 0
     config, _, _ = read_csv(os.path.join(out, "scan2d.csv"))
-    assert config["threads"] == "2"
     assert config["format"] == "csv"
-    assert "tol" not in config
+    assert "tol" not in config and "threads" not in config
+
+
+def test_scan2d_rejects_threads(tmp_path):
+    argv = ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--samples", "3x2")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")
+    assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "key")) == 2
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -297,8 +313,8 @@ def test_scan2d_json_format_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "size",
-    [("--samples", "0x3"), ("--samples", "3x3", "--threads", "-4")],
-    ids=["samples", "threads"],
+    [("--samples", "0x3"), ("--samples", "3x0")],
+    ids=["samples", "fields"],
 )
 def test_scan2d_bad_sizes_exit_2(tmp_path, size):
     argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:1")

@@ -40,6 +40,9 @@ def test_integer_detuning_is_resonant():
         resolve_detuning(spec, 3.0)
     with pytest.raises(ResonanceError):
         resolve_detuning(spec, 2.0 + 5e-7)
+    for mode in (1.0, 3.0):  # the end modes resonate too
+        with pytest.raises(ResonanceError, match=f"mode {mode:.0f}"):
+            resolve_detuning(spec, mode)
 
 
 def test_out_of_range_detuning_rejected():
@@ -48,6 +51,11 @@ def test_out_of_range_detuning_rejected():
         resolve_detuning(spec, 0.5)
     with pytest.raises(ValueError):
         resolve_detuning(spec, 3.2)
+    # an integer past the last mode is out of range, not on a mode
+    for rescaled in (0.0, 4.0, 7.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="outside the open interval") as exc:
+            resolve_detuning(spec, rescaled)
+        assert not isinstance(exc.value, ResonanceError)
 
 
 def test_two_ion_coupling_closed_form():

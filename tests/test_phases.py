@@ -194,16 +194,6 @@ def test_scan_strong_field_depolarizes_order():
     assert np.all(grid.polarization >= 0.99)
 
 
-def test_scan_threads_match_serial():
-    serial = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(5, 3), threads=1)
-    threaded = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(5, 3), threads=3)
-    assert np.array_equal(serial.order_parameter, threaded.order_parameter)
-    assert np.array_equal(serial.polarization, threaded.polarization)
-    assert np.array_equal(serial.e0, threaded.e0)
-    assert np.array_equal(serial.e1, threaded.e1)
-    assert serial.failures == threaded.failures
-
-
 def test_scan_records_failures_per_point():
     grid = scan_2d(5, 10.0, (2.9, 3.1), (0.1, 0.4), resolution=(3, 4))
     # the mu = 3.0 resonance fails each point of its column, and only those
@@ -212,8 +202,27 @@ def test_scan_records_failures_per_point():
     assert np.all(np.isnan(grid.order_parameter[1]))
     for values in (grid.order_parameter, grid.polarization, grid.e0, grid.e1):
         assert np.all(np.isfinite(values[[0, 2]]))
-    threaded = scan_2d(5, 10.0, (2.9, 3.1), (0.1, 0.4), resolution=(3, 4), threads=2)
-    assert threaded.failures == grid.failures
+
+
+def test_scan_failed_field_leaves_its_column_neighbours_alone(monkeypatch):
+    args = (5, 10.0, (3.1, 3.4), (0.0, 0.6), (2, 4))
+    clean = scan_2d(*args)
+    solve = phases.field_spectra
+
+    def second_field_fails(*a, **kw):
+        spectra = solve(*a, **kw)
+        spectra[1] = NoConvergence("cap")
+        return spectra
+
+    monkeypatch.setattr(phases, "field_spectra", second_field_fails)
+    grid = scan_2d(*args)
+    assert grid.failures == [(0, 1, "NoConvergence: cap"), (1, 1, "NoConvergence: cap")]
+    for got, want in zip(
+        (grid.order_parameter, grid.polarization, grid.e0, grid.e1),
+        (clean.order_parameter, clean.polarization, clean.e0, clean.e1),
+    ):
+        assert np.all(np.isnan(got[:, 1]))
+        assert np.array_equal(got[:, [0, 2, 3]], want[:, [0, 2, 3]])
 
 
 def test_order_parameter_at_raises_the_failure_of_its_point(monkeypatch):
@@ -224,18 +233,16 @@ def test_order_parameter_at_raises_the_failure_of_its_point(monkeypatch):
         phases.order_parameter_at(5, 10.0, 3.2, 0.1)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_scan_propagates_programming_errors(monkeypatch, threads):
+def test_scan_propagates_programming_errors(monkeypatch):
     def broken(*args):
         raise TypeError("bug inside a scan point")
 
     monkeypatch.setattr(phases, "_scan_column", broken)
-    with pytest.raises(TypeError):
-        scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2), threads=threads)
+    with pytest.raises(TypeError, match="bug inside a scan point"):
+        scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_scan_failures_keep_no_solver_frames(monkeypatch, threads):
+def test_scan_failures_keep_no_solver_frames(monkeypatch):
     class Sentinel:
         pass
 
@@ -249,7 +256,7 @@ def test_scan_failures_keep_no_solver_frames(monkeypatch, threads):
     monkeypatch.setattr(phases, "field_spectra", failing_solve)
     gc.disable()
     try:
-        grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 1), threads=threads)
+        grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 1))
         assert len(grid.failures) == 2 and len(refs) == 2
         assert all(ref() is None for ref in refs)
     finally:
@@ -261,13 +268,10 @@ def test_scan_rejects_even_chains():
         scan_2d(6, 10.0, (3.1, 3.4), (0.0, 0.5))
 
 
-@pytest.mark.parametrize(
-    "resolution, threads",
-    [((0, 3), 1), ((3, 0), 1), ((-2, 2), 1), ((2, 2), 0), ((2, 2), -4)],
-)
-def test_scan_rejects_bad_sizes(resolution, threads):
+@pytest.mark.parametrize("resolution", [(0, 3), (3, 0), (-2, 2)])
+def test_scan_rejects_bad_sizes(resolution):
     with pytest.raises(ValueError):
-        scan_2d(5, 10.0, (3.1, 3.4), (0.0, 0.5), resolution=resolution, threads=threads)
+        scan_2d(5, 10.0, (3.1, 3.4), (0.0, 0.5), resolution=resolution)
 
 
 # --- gap minimization --------------------------------------------------------------

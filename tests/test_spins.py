@@ -5,6 +5,7 @@ energy loop, a Kronecker-product dense Hamiltonian, and cross-checks between
 the dense and iterative eigensolvers.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ionspins import spins
 from ionspins.couplings import CouplingMatrix, coupling_from_trap
 from ionspins.errors import NoConvergence, ResonanceError
-from ionspins.phases import phase_table
+from ionspins.phases import fm_kink_interval, phase_table
 from ionspins.spins import (
     AmbiguousGround,
     apply_hamiltonian,
@@ -24,6 +25,7 @@ from ionspins.spins import (
     classical_energies,
     classical_energy,
     classical_ground,
+    cluster_averages,
     cluster_polarization,
     cluster_projection,
     dense_hamiltonian,
@@ -580,6 +582,12 @@ def test_projection_completeness_and_bounds(coupling_n7_51):
         subspace_projection(res, [])
     with pytest.raises(ValueError):
         subspace_projection(res, [1, 1])
+    # a negative index would alias one counted already (-128 is 0 at N = 7), one past 2^N not exist
+    for basis in ([0, -(2**7)], [-1], [2**7], [3, 2**7 + 3]):
+        with pytest.raises(ValueError, match="distinct configurations"):
+            subspace_projection(res, basis)
+        with pytest.raises(ValueError, match="distinct configurations"):
+            cluster_projection(res, basis)
 
 
 def test_ground_cluster_matches_degeneracy(coupling_n7_51, coupling_n7_53):
@@ -601,3 +609,50 @@ def test_deep_kink_projection_stays_high():
     j = coupling_from_trap(9, 10.0, 7.5693)
     res = lowest_eigenpairs(j, 0.05 * 9, k=6)
     assert cluster_projection(res, kink_basis(9)) > 0.9
+
+
+def cluster_oracle(res, basis):
+    """(projection, polarization) averaged over the ground cluster, from per-level loops."""
+    e, v, n = res.eigenvalues, res.eigenvectors, res.n_ions
+    members = [i for i in range(len(e)) if e[i] - e[0] <= 1e-9 * max(1.0, abs(e[0]))]
+    x_total = np.zeros((1 << n, 1 << n))
+    for s in range(1 << n):
+        for p in range(n):
+            x_total[s ^ (1 << p), s] = 1.0
+    projection = sum(sum(v[s, i] ** 2 for s in basis) for i in members) / len(members)
+    pol = sum(v[:, i] @ x_total @ v[:, i] / n for i in members) / len(members)
+    return projection, pol
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_column_observables_match_one_field_calls(n):
+    _, fm_side, kink_side = fm_kink_interval(n)
+    for side, cluster in ((fm_side, 2), (kink_side, 4)):
+        j = coupling_from_trap(n, 10.0, 0.5 * (side.lo + side.hi))
+        spectra = field_spectra(j, [0.0, 0.05, 0.3, 1.0], k=6)
+        assert len(ground_cluster(spectra[0])) == cluster  # B = 0: the degenerate orbit
+        (p_fm, p_kink), pol = cluster_averages(spectra, (fm_basis(n), kink_basis(n)))
+        for col, res in enumerate(spectra):
+            assert abs(p_fm[col] - cluster_projection(res, fm_basis(n))) <= 1e-13
+            assert abs(p_kink[col] - cluster_projection(res, kink_basis(n))) <= 1e-13
+            assert abs(pol[col] - cluster_polarization(res)) <= 1e-13
+            fm_oracle, pol_oracle = cluster_oracle(res, fm_basis(n))
+            assert abs(p_fm[col] - fm_oracle) <= 1e-13
+            assert abs(p_kink[col] - cluster_oracle(res, kink_basis(n))[0]) <= 1e-13
+            assert abs(pol[col] - pol_oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("mu, cluster", [(5.1, 2), (5.3, 4)])
+def test_cluster_averages_ignore_rotations_inside_the_cluster(mu, cluster):
+    res = lowest_eigenpairs(coupling_from_trap(7, 10.0, mu), 0.0, k=6)
+    assert len(ground_cluster(res)) == cluster
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((cluster, cluster)))
+    vecs = res.eigenvectors.copy()
+    vecs[:, :cluster] = vecs[:, :cluster] @ q
+    rotated = dataclasses.replace(res, eigenvectors=vecs)
+    part = fm_basis(7)[:1] if cluster == 2 else kink_basis(7)[:2]
+    # single levels see the rotation, the cluster averages do not
+    assert abs(subspace_projection(rotated, part) - subspace_projection(res, part)) > 1e-3
+    for basis in (part, fm_basis(7), kink_basis(7)):
+        assert abs(cluster_projection(rotated, basis) - cluster_projection(res, basis)) <= 1e-13
+    assert abs(cluster_polarization(rotated) - cluster_polarization(res)) <= 1e-13
