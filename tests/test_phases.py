@@ -233,16 +233,18 @@ def test_order_parameter_at_raises_the_failure_of_its_point(monkeypatch):
         phases.order_parameter_at(5, 10.0, 3.2, 0.1)
 
 
-def test_scan_propagates_programming_errors(monkeypatch):
+@pytest.mark.parametrize("n_fields", [1, 2])
+def test_scan_propagates_programming_errors(monkeypatch, n_fields):
     def broken(*args):
         raise TypeError("bug inside a scan point")
 
     monkeypatch.setattr(phases, "_scan_column", broken)
     with pytest.raises(TypeError, match="bug inside a scan point"):
-        scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2))
+        scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, n_fields))
 
 
-def test_scan_failures_keep_no_solver_frames(monkeypatch):
+@pytest.mark.parametrize("n_fields", [1, 2])
+def test_scan_failures_keep_no_solver_frames(monkeypatch, n_fields):
     class Sentinel:
         pass
 
@@ -256,8 +258,9 @@ def test_scan_failures_keep_no_solver_frames(monkeypatch):
     monkeypatch.setattr(phases, "field_spectra", failing_solve)
     gc.disable()
     try:
-        grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 1))
-        assert len(grid.failures) == 2 and len(refs) == 2
+        # one solve per detuning column; its failure fails every field of the column
+        grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, n_fields))
+        assert len(grid.failures) == 2 * n_fields and len(refs) == 2
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
