@@ -206,6 +206,8 @@ def cmd_gap(cfg):
     else:
         n_values = [cfg.n]
     lo, hi = _parse_range(cfg.b_range, "b-range")
+    if not lo > 0.0:
+        raise ValueError(f"--b-range needs lo > 0 for a geometric field grid, got {cfg.b_range!r}")
     b_values = np.geomspace(lo, hi, int(cfg.samples))
     fits = [fit_alpha(n, cfg.beta, b_values) for n in n_values]
     payload = {

@@ -25,7 +25,7 @@ class DegenerateModes(NumericalFailure):
 
 
 class NoConvergence(NumericalFailure):
-    """Eigensolver failed to meet the residual bound within its basis budget."""
+    """Eigensolver failed to meet the residual bound within its iteration cap."""
 
 
 class AmbiguousGround(NumericalFailure):

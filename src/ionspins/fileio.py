@@ -187,10 +187,14 @@ def check_scan2d(path):
         np.all(np.abs(pol[np.isfinite(pol)]) <= 1.0 + 1e-12),
         f"{path}: polarization outside [-1, 1]",
     )
+    e0 = np.array([float(r[4]) for r in rows])
+    e1 = np.array([float(r[5]) for r in rows])
+    both = np.isfinite(e0) & np.isfinite(e1)
+    _require(np.all(e0[both] <= e1[both]), f"{path}: E0 above E1")
     n_mu = len({r[0] for r in rows})
     n_b = len({r[1] for r in rows})
     _require(len(rows) == n_mu * n_b, f"{path}: incomplete grid")
-    return f"{path}: {len(rows)} grid rows within bounds"
+    return f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"
 
 
 def check_gap_files(csv_path, json_path=None):

@@ -542,15 +542,19 @@ class AlphaFit:
 def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
     """Exponent of the gap law gap ~ (B / N Jbar)^alpha at the FM/kink transition.
 
-    Field samples at which the sharp transition no longer exists (the line has
-    ended in the polarized crossover) are rejected and recorded in ``skipped``;
-    at least 5 samples must survive (TransitionLost otherwise).
+    The samples of B/(N Jbar) must be finite, positive and at most 0.1
+    (ValueError otherwise, before any solve).  Field samples at which the
+    sharp transition no longer exists (the line has ended in the polarized
+    crossover) are rejected and recorded in ``skipped``; at least 5 samples
+    must survive (TransitionLost otherwise).
     """
     if b_over_njbar is None:
         b_over_njbar = np.geomspace(0.01, 0.1, 8)
     b_over_njbar = np.asarray(b_over_njbar, dtype=float)
     if len(b_over_njbar) < 5:
         raise ValueError("need at least 5 field samples for the fit")
+    if not np.all(np.isfinite(b_over_njbar) & (b_over_njbar > 0.0)):
+        raise ValueError(f"B/(N Jbar) samples must be finite and > 0, got {b_over_njbar}")
     if np.max(b_over_njbar) > 0.1 * (1 + 1e-9):
         raise ValueError("fit window requires B <= 0.1 N Jbar")
     fm_kink_interval(n_ions, beta)  # a chain without the transition fails here, not per field

@@ -313,7 +313,7 @@ def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
     """k lowest eigenpairs of the spin Hamiltonian.
 
     ``method`` selects the solver: "dense" diagonalizes the full 2^N x 2^N
-    matrix, "lanczos" runs the block Krylov solver of ``lanczos`` once per
+    matrix, "lanczos" runs the LOBPCG solver of ``lanczos`` once per
     global-flip sector, and "auto" picks dense for 2^N <= 4096.  At zero
     field H is diagonal and no solver runs on any path: the pairs are the k
     lowest Ising energies (stable order) with their basis vectors, and the
@@ -338,7 +338,7 @@ def field_spectra(coupling, b_fields, k=4, method="auto"):
     One entry per field, in order: the SpectrumResult of lowest_eigenpairs
     (same solver choice, same checks), or the NoConvergence it would raise,
     returned rather than raised and without its traceback, so a failed
-    Krylov basis is not kept alive.  The Ising energies are enumerated once
+    solver's arrays are not kept alive.  The Ising energies are enumerated once
     for all fields.  The dense path diagonalizes the nonzero fields' matrices
     in stacks of one ``np.linalg.eigh`` call each (at most _STACK_DOUBLES
     entries per stack); the Krylov path solves one field at a time.  One
@@ -407,12 +407,15 @@ def field_spectra(coupling, b_fields, k=4, method="auto"):
 
 
 def _flip_sector_eigenpairs(op, b_abs, k):
-    """k lowest pairs from a Krylov solve in each global-flip sector, embedded in the full space."""
+    """k lowest pairs from a LOBPCG solve in each global-flip sector, embedded in the full space."""
     half = len(op.diag) // 2
     evals, vecs = [], []
     for sign in (1.0, -1.0):
         e, x = lanczos.lowest_eigenpairs(
-            functools.partial(op.sector_matvec, b_abs=b_abs, sign=sign), half, min(k, half)
+            functools.partial(op.sector_matvec, b_abs=b_abs, sign=sign),
+            half,
+            min(k, half),
+            diag=op.diag[:half],
         )
         evals.append(e)
         vecs.append(np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0))

@@ -170,6 +170,12 @@ def test_gap_empty_n_list_exits_2(tmp_path):
     assert not os.path.exists(os.path.join(str(tmp_path), "gap_scaling.csv"))
 
 
+def test_gap_non_positive_field_range_exits_2(tmp_path, capsys):
+    assert run("gap", "--n", "5", "--b-range=-0.05:0.05", "--samples", "5", "--out", str(tmp_path)) == 2
+    assert "lo > 0" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_check_rejects_empty_gap_table(tmp_path, capsys):
     (tmp_path / "gap_scaling.csv").write_text("N,B_over_NJbar,delta_E,mu_star\n")
     assert run("check", "--out", str(tmp_path)) == 3
@@ -343,6 +349,23 @@ def _edit_lines(path, edit):
         lines = fh.read().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(edit(lines)) + "\n")
+
+
+def _lower_e1(line):
+    """One scan2d row with its E1 moved below its E0."""
+    cells = line.split(",")
+    cells[5] = repr(float(cells[4]) - 1.0)
+    return ",".join(cells)
+
+
+def test_check_flags_scan2d_levels_out_of_order(tmp_path, capsys):
+    out = str(tmp_path)
+    argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:0.5", "--samples", "3x2")
+    assert run(*argv, "--format", "csv", "--out", out, "--check") == 0
+    _edit_lines(os.path.join(out, "scan2d.csv"), lambda ls: ls[:-1] + [_lower_e1(ls[-1])])
+    assert run("check", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "CheckFailure" in err and "E0 above E1" in err
 
 
 def _edit_json(path, edit):

@@ -375,6 +375,16 @@ def test_fit_alpha_validation():
         fit_alpha(5, 10.0, [0.02, 0.04, 0.06, 0.08, 0.12])
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.02, float("nan"), float("-inf")])
+def test_fit_alpha_rejects_non_positive_samples_before_solving(bad, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a gap search ran")
+
+    monkeypatch.setattr(phases, "min_gap", no_solve)
+    with pytest.raises(ValueError, match=r"B/\(N Jbar\)"):
+        fit_alpha(5, 10.0, [bad, 0.02, 0.04, 0.06, 0.08])
+
+
 @pytest.fixture
 def one_field_loses_transition(monkeypatch):
     """min_gap finds a sharp transition at every field outside (0.025, 0.035)."""

@@ -441,6 +441,40 @@ def test_flip_sectors_match_dense_oracle():
                 assert abs(cluster_polarization(dense) - cluster_polarization(krylov)) <= 1e-8
 
 
+@pytest.mark.parametrize("mu", [1.1, 3.064, 10.009])
+def test_krylov_converges_at_n11(mu):
+    # each of these points ran into the former block Krylov basis cap
+    j = coupling_from_trap(11, 10.0, mu)
+    op = spins._SpinOperator(j)
+    eye = np.eye(1 << 10)
+    for b in (0.01, 0.3, 1.5):
+        b_abs = b * spins.field_scale(j)
+        sectors = [np.linalg.eigvalsh(op.sector_matvec(eye, b_abs, sign)) for sign in (1.0, -1.0)]
+        oracle = np.sort(np.concatenate(sectors))[:6]
+        krylov = lowest_eigenpairs(j, b, k=6, method="lanczos")
+        assert np.max(np.abs(krylov.eigenvalues - oracle)) <= 1e-8
+
+
+# E0...E5 at N = 13, mu~ = 11.045520732179284, B = 1.5 Jbar, from the former block
+# Krylov solver at a 600-column basis cap (full-space residuals <= 2.9e-12)
+N13_FM_SIDE_LEVELS = [
+    -32.775646146281886,
+    -32.13597179724566,
+    -30.574326023412947,
+    -30.12949149827592,
+    -30.04538981195105,
+    -29.974232719200327,
+]
+
+
+def test_krylov_converges_at_n13_fm_side():
+    j = coupling_from_trap(13, 10.0, 11.045520732179284)
+    krylov = lowest_eigenpairs(j, 1.5, k=6, method="lanczos")
+    assert krylov.method == "lanczos"
+    expected = np.array(N13_FM_SIDE_LEVELS)
+    assert np.max(np.abs(krylov.eigenvalues - expected) / np.abs(expected)) <= 1e-8
+
+
 def test_zero_field_runs_no_solver(monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("a solver ran at zero field")
