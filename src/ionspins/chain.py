@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateModes, ZigzagInstability
 
+_MAX_ITER = 200  # damped Newton steps of equilibrium_positions
+
 
 @dataclass(frozen=True)
 class TrapConfig:
@@ -90,22 +92,22 @@ def axial_hessian(u):
     return h
 
 
-def equilibrium_positions(config, tol=1e-12, max_iter=200):
+def equilibrium_positions(config, tol=1e-12):
     """Solve for the stationary chain via damped Newton iteration.
 
     Starts from a uniformly spread symmetric guess (spacing 2); each step
     solves the analytic Hessian system and is halved until the gradient
     max-norm decreases, which preserves the ion ordering.
 
-    Raises ConvergenceError (with the best residual) if the iteration cap is
-    hit, ValueError for invalid inputs.
+    Raises ConvergenceError (with the best residual) after _MAX_ITER steps,
+    ValueError for invalid inputs: tol must be finite and positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = config.n_ions
     u = 2.0 * (np.arange(1, n + 1) - 0.5 * (n + 1))
     g = potential_gradient(u)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         res = np.max(np.abs(g))
         if res <= tol:
             return IonChain(config=config, positions=u)
@@ -122,7 +124,7 @@ def equilibrium_positions(config, tol=1e-12, max_iter=200):
             raise ConvergenceError(f"damped Newton stalled at residual {res:.3e}")
         u, g = trial, g_trial
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations; residual {np.max(np.abs(g)):.3e}"
+        f"no convergence after {_MAX_ITER} iterations; residual {np.max(np.abs(g)):.3e}"
     )
 
 

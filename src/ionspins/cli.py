@@ -37,7 +37,10 @@ class _Setting(NamedTuple):
 
 
 def _truthy(text):
-    return text.strip().lower() in ("1", "true", "yes")
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return word in ("1", "true", "yes")
 
 
 # Every run setting, declared once; the flag of ``name`` is ``--name`` with

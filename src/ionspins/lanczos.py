@@ -13,8 +13,8 @@ the k wanted pairs, which resolves (near-)degenerate multiplets up to the
 block size; the fixed-seed start block makes runs reproducible bit for bit.
 
 The module keeps the name ``lanczos`` and the solver the name
-``lowest_eigenpairs``: ``spins`` selects it as ``method="lanczos"``, and
-callers, tests and benchmark traces rely on both names.
+``lowest_eigenpairs``: ``spins`` reports its results as method="lanczos",
+and callers, tests and benchmark traces rely on both names.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from .errors import NoConvergence
 DEFAULT_SEED = 0x5EED
 _GUARDS = 2
 _MAX_ITER = 1000
+_TOL = 1e-10  # residual bound ||Av - ev|| <= _TOL * max(1, |e|) per pair
 # Gram eigenvalues below this fraction of the largest mark dependent columns
 _DROP = 1e-10
 
 
-def lowest_eigenpairs(matvec, dim, k, tol=1e-10, *, diag):
+def lowest_eigenpairs(matvec, dim, k, *, diag):
     """Return (eigenvalues, eigenvectors) for the k lowest eigenpairs, ascending.
 
-    Only the k wanted pairs must converge, each to its own relative bound;
+    Only the k wanted pairs must converge, each to the relative bound _TOL;
     the guard vectors beyond them help but are never waited for.  When dim
     is below five block widths the operator is formed as matvec(I) and
     diagonalized densely instead.
@@ -42,7 +43,6 @@ def lowest_eigenpairs(matvec, dim, k, tol=1e-10, *, diag):
         matvec: callable applying the symmetric operator to a (dim, b) block.
         dim: operator dimension.
         k: number of lowest eigenpairs requested.
-        tol: residual bound ||Av - ev|| <= tol * max(1, |e|) per pair.
         diag: the operator's diagonal; the preconditioner divides each row of
             a residual by max(diag - min(diag), 1).
 
@@ -76,7 +76,7 @@ def lowest_eigenpairs(matvec, dim, k, tol=1e-10, *, diag):
 
         r = ax - x * theta
         resid = np.linalg.norm(r, axis=0)
-        active = resid > tol * np.maximum(1.0, np.abs(theta))
+        active = resid > _TOL * np.maximum(1.0, np.abs(theta))
         best = min(best, float(np.max(resid[:k])))
         if not active[:k].any():
             return theta[:k], x[:, :k]

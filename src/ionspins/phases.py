@@ -119,25 +119,25 @@ class PhaseTable:
         }
 
 
-def _sidestep(n_ions, beta, mu, nudge, tie, tie_rtol):
+def _sidestep(n_ions, beta, mu, nudge, tie):
     """(point, order) at the first of mu + nu, mu - nu, mu + 3 nu off the tie; else raise it."""
     for shift in (nudge, -nudge, 3 * nudge):
-        (order,) = ground_orders(n_ions, beta, [mu + shift], tie_rtol)
+        (order,) = ground_orders(n_ions, beta, [mu + shift])
         if not isinstance(order, AmbiguousGround):
             return mu + shift, order
     raise tie
 
 
-def _nudged_orders(n_ions, beta, mus, nudges, tie_rtol):
+def _nudged_orders(n_ions, beta, mus, nudges):
     """Ground order at each mu; an exact crossing is sidestepped (``_sidestep``)."""
-    orders = ground_orders(n_ions, beta, mus, tie_rtol)
+    orders = ground_orders(n_ions, beta, mus)
     for i, tie in enumerate(orders):
         if isinstance(tie, AmbiguousGround):
-            _, orders[i] = _sidestep(n_ions, beta, mus[i], nudges[i], tie, tie_rtol)
+            _, orders[i] = _sidestep(n_ions, beta, mus[i], nudges[i], tie)
     return orders
 
 
-def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol, ties=()):
+def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, ties=()):
     """Refine every order change in (lo, hi); recursion handles interlopers.
 
     A tied midpoint is sidestepped by 1e-3 of the bracket, as a tied grid point
@@ -145,17 +145,17 @@ def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol, ties=()):
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        (o_mid,) = ground_orders(n_ions, beta, [mid], tie_rtol)
+        (o_mid,) = ground_orders(n_ions, beta, [mid])
         if isinstance(o_mid, AmbiguousGround):
             ties += (mid,)
-            mid, o_mid = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o_mid, tie_rtol)
+            mid, o_mid = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o_mid)
         if o_mid == o_lo:
             lo = mid
         elif o_mid == o_hi:
             hi = mid
         else:
-            left = _bisect_orders(n_ions, beta, lo, o_lo, mid, o_mid, tol, tie_rtol, ties)
-            return left + _bisect_orders(n_ions, beta, mid, o_mid, hi, o_hi, tol, tie_rtol, ties)
+            left = _bisect_orders(n_ions, beta, lo, o_lo, mid, o_mid, tol, ties)
+            return left + _bisect_orders(n_ions, beta, mid, o_mid, hi, o_hi, tol, ties)
     return [
         Transition(
             mu=0.5 * (lo + hi),
@@ -167,23 +167,16 @@ def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, tie_rtol, ties=()):
     ]
 
 
-def _interval_phases(n_ions, beta, k, samples, refine_tol, tie_rtol):
+def _interval_phases(n_ions, beta, k, samples, refine_tol):
     step = 1.0 / samples
     grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
-    orders = _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples, tie_rtol)
+    orders = _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)
     transitions = []
     for i in range(samples - 1):
         if orders[i] != orders[i + 1]:
             transitions.extend(
                 _bisect_orders(
-                    n_ions,
-                    beta,
-                    grid[i],
-                    orders[i],
-                    grid[i + 1],
-                    orders[i + 1],
-                    refine_tol,
-                    tie_rtol,
+                    n_ions, beta, grid[i], orders[i], grid[i + 1], orders[i + 1], refine_tol
                 )
             )
     transitions.sort(key=lambda t: t.mu)
@@ -193,12 +186,12 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol, tie_rtol):
     nudges = [(hi - lo) * 1e-3 for lo, hi in spans]
     subintervals = tuple(
         Subinterval(lo=lo, hi=hi, order_bits=o.bits, degeneracy=o.degeneracy)
-        for (lo, hi), o in zip(spans, _nudged_orders(n_ions, beta, mids, nudges, tie_rtol))
+        for (lo, hi), o in zip(spans, _nudged_orders(n_ions, beta, mids, nudges))
     )
     return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=tuple(transitions))
 
 
-def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie_rtol=1e-10):
+def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6):
     """Zero-field phase table: spin orders tiling every inter-mode interval.
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
@@ -219,8 +212,7 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6, tie
         # bisection on doubles cannot narrow a bracket below the spacing at mu = N
         raise ValueError(f"refine_tol {refine_tol!r} is below the float spacing {floor!r} at {n_ions}")
     intervals = tuple(
-        _interval_phases(n_ions, beta, k, samples_per_interval, refine_tol, tie_rtol)
-        for k in range(1, n_ions)
+        _interval_phases(n_ions, beta, k, samples_per_interval, refine_tol) for k in range(1, n_ions)
     )
     return PhaseTable(
         n_ions=n_ions,
@@ -356,7 +348,7 @@ def fm_kink_interval(n_ions, beta=10.0):
     """
     if n_ions % 2 == 0 or n_ions < 3:
         raise ValueError("the FM/kink transition lives in odd chains")
-    iv = _interval_phases(n_ions, beta, n_ions - 2, _FM_KINK_SAMPLES, _FM_KINK_TOL, 1e-10)
+    iv = _interval_phases(n_ions, beta, n_ions - 2, _FM_KINK_SAMPLES, _FM_KINK_TOL)
     fm_bits = "0" * n_ions
     kink_bits = format(kink_basis(n_ions)[0], f"0{n_ions}b")
     for i, t in enumerate(iv.transitions):

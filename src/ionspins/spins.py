@@ -28,6 +28,8 @@ _ENUM_CHUNK = 1 << 18
 _TILE_DOUBLES = 1 << 14  # energies held per product in ground_orders
 _CLUSTER_RTOL = 1e-9  # relative width of the degenerate ground cluster
 _STACK_DOUBLES = 1 << 21  # matrix entries per stacked dense eigh (16 MiB)
+_DENSE_MAX_DIM = 1 << 9  # largest 2^N diagonalized densely; above it LOBPCG runs
+_TIE_RTOL = 1e-10  # relative energy window of an exact classical tie
 
 
 @dataclass(frozen=True)
@@ -161,32 +163,32 @@ def _check_budget(n_ions):
         raise ValueError("exhaustive scan budget is N <= 24")
 
 
-def _order_or_tie(energies, n_ions, tie_rtol):
+def _order_or_tie(energies, n_ions):
     """The canonical order minimizing half-basis energies, or the AmbiguousGround of a tie.
 
     A tie is configurations from distinct orders within
-    tie_rtol * max(1, |E_min|) of the minimum - the signature of an exact
+    _TIE_RTOL * max(1, |E_min|) of the minimum - the signature of an exact
     level crossing.
     """
     emin = float(energies.min())
-    winners = np.nonzero(energies <= emin + tie_rtol * max(1.0, abs(emin)))[0]
+    winners = np.nonzero(energies <= emin + _TIE_RTOL * max(1.0, abs(emin)))[0]
     orders = {canonicalize(int(s), n_ions) for s in winners}
     if len(orders) > 1:
         return AmbiguousGround(orders, emin)
     return orders.pop()
 
 
-def classical_ground(coupling, tie_rtol=1e-10):
+def classical_ground(coupling):
     """Exhaustive classical minimum over the Z2-reduced half basis.
 
     Returns the canonical order, energy and the full minimizing orbit.
     Raises AmbiguousGround when configurations from distinct orders tie within
-    tie_rtol * max(1, |E_min|) - the signature of an exact level crossing.
+    _TIE_RTOL * max(1, |E_min|) - the signature of an exact level crossing.
     """
     n = coupling.n_ions
     _check_budget(n)
     e = classical_energies(coupling, half=True)
-    order = _order_or_tie(e, n, tie_rtol)
+    order = _order_or_tie(e, n)
     if isinstance(order, AmbiguousGround):
         raise order
     return GroundState(order=order, energy=float(np.min(e)), configs=orbit(order.canonical, n))
@@ -206,7 +208,7 @@ def _mode_projections(n_ions, beta, lo):
 _cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
 
 
-def ground_orders(n_ions, beta, mu_tildes, tie_rtol=1e-10):
+def ground_orders(n_ions, beta, mu_tildes):
     """Zero-field ground order of the trapped chain at each rescaled detuning.
 
     The modes are orthonormal, so z . J(mu) . z = sum_k d_k [(z . b^k)^2 - 1]
@@ -232,7 +234,7 @@ def ground_orders(n_ions, beta, mu_tildes, tie_rtol=1e-10):
             p = project(n_ions, beta, lo)
             e[:, lo : lo + len(p)] = dt @ p.T
         e -= dt.sum(axis=1)[:, None]
-        found.extend(_order_or_tie(row, n_ions, tie_rtol) for row in e)
+        found.extend(_order_or_tie(row, n_ions) for row in e)
     return found
 
 
@@ -309,30 +311,31 @@ def dense_hamiltonian(coupling, b_field):
     return _SpinOperator(coupling).dense(b_field * field_scale(coupling))
 
 
-def lowest_eigenpairs(coupling, b_field, k=4, method="auto"):
+def lowest_eigenpairs(coupling, b_field, k=4):
     """k lowest eigenpairs of the spin Hamiltonian.
 
-    ``method`` selects the solver: "dense" diagonalizes the full 2^N x 2^N
-    matrix, "lanczos" runs the LOBPCG solver of ``lanczos`` once per
-    global-flip sector, and "auto" picks dense for 2^N <= 4096.  At zero
-    field H is diagonal and no solver runs on any path: the pairs are the k
-    lowest Ising energies (stable order) with their basis vectors, and the
-    result reports method="diagonal".  The Krylov path solves the two sectors
-    of the global flip in the half basis (dimension 2^(N-1)), min(k, 2^(N-1))
-    levels each, embeds their vectors in the full space and keeps the k
-    lowest of the merged levels.  Residuals ||Hv - Ev|| of the full-space
-    operator are verified against 1e-9 * max(1, |E|) for every returned pair
-    (NoConvergence otherwise, also for a NaN residual).  The field must be
-    finite and non-negative.  This is the one-field call of
+    The dimension picks the solver: up to 2^N = _DENSE_MAX_DIM the full
+    matrix is diagonalized densely (method="dense"), above it the LOBPCG
+    solver of ``lanczos`` runs once per global-flip sector
+    (method="lanczos").  At zero field H is diagonal and no solver runs on
+    any path: the pairs are the k lowest Ising energies (stable order) with
+    their basis vectors, and the result reports method="diagonal".  The
+    iterative path solves the two sectors of the global flip in the half
+    basis (dimension 2^(N-1)), min(k, 2^(N-1)) levels each, embeds their
+    vectors in the full space and keeps the k lowest of the merged levels.
+    Residuals ||Hv - Ev|| of the full-space operator are verified against
+    1e-9 * max(1, |E|) for every returned pair (NoConvergence otherwise, also
+    for a NaN residual).  The field must be finite and non-negative, and N
+    within the exhaustive budget of 24.  This is the one-field call of
     ``field_spectra``, which raises the failure it returns.
     """
-    (result,) = field_spectra(coupling, [b_field], k, method)
+    (result,) = field_spectra(coupling, [b_field], k)
     if isinstance(result, NoConvergence):
         raise result
     return result
 
 
-def field_spectra(coupling, b_fields, k=4, method="auto"):
+def field_spectra(coupling, b_fields, k=4):
     """The k lowest eigenpairs of one coupling at each of several fields.
 
     One entry per field, in order: the SpectrumResult of lowest_eigenpairs
@@ -341,20 +344,18 @@ def field_spectra(coupling, b_fields, k=4, method="auto"):
     solver's arrays are not kept alive.  The Ising energies are enumerated once
     for all fields.  The dense path diagonalizes the nonzero fields' matrices
     in stacks of one ``np.linalg.eigh`` call each (at most _STACK_DOUBLES
-    entries per stack); the Krylov path solves one field at a time.  One
+    entries per stack); the LOBPCG path solves one field at a time.  One
     residual check covers every solved pair of every field.
     """
     n = coupling.n_ions
+    _check_budget(n)
     dim = 1 << n
     if not 1 <= k <= min(8, dim):
         raise ValueError(f"k must lie in [1, {min(8, dim)}], got {k}")
     b_fields = np.asarray(b_fields, dtype=float)
     if not np.all(np.isfinite(b_fields) & (b_fields >= 0.0)):
         raise ValueError(f"transverse field must be finite and non-negative, got {b_fields}")
-    if method == "auto":
-        method = "dense" if dim <= 4096 else "lanczos"
-    if method not in ("dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
+    method = "dense" if dim <= _DENSE_MAX_DIM else "lanczos"
     op = _SpinOperator(coupling)
     b_abs = b_fields * field_scale(coupling)
     evals = np.empty((len(b_abs), k))

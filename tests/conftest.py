@@ -20,6 +20,17 @@ def rng():
 
 
 @pytest.fixture
+def force_solver(monkeypatch):
+    """force_solver("dense") or force_solver("lanczos") picks that eigensolver path for every N."""
+    from ionspins import spins
+
+    def force(method):
+        monkeypatch.setattr(spins, "_DENSE_MAX_DIM", {"dense": 1 << 24, "lanczos": 0}[method])
+
+    return force
+
+
+@pytest.fixture
 def without_fm_kink_transition(monkeypatch):
     """The zero-field interval (N-2, N-1) shows no order change at all."""
     from ionspins import phases

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionspins import chain
 from ionspins.chain import (
     ConvergenceError,
     DegenerateModes,
@@ -127,15 +128,16 @@ def test_equilibrium_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_equilibrium_rejects_bad_inputs():
+def test_equilibrium_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         TrapConfig(1)
     with pytest.raises(ValueError):
         TrapConfig(5, aspect_ratio=-2.0)
     with pytest.raises(ValueError):
         equilibrium_positions(TrapConfig(4), tol=0.0)
+    monkeypatch.setattr(chain, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
-        equilibrium_positions(TrapConfig(9), tol=1e-12, max_iter=2)
+        equilibrium_positions(TrapConfig(9), tol=1e-12)
 
 
 def test_curvature_matrix_two_ions():

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from ionspins import spins
 from ionspins.cli import main
 from ionspins.fileio import read_csv
 
@@ -36,8 +37,16 @@ def test_modes_orthogonality_via_check_flag(tmp_path, capsys):
 
 def test_modes_unstable_chain_exits_3(tmp_path, capsys):
     assert run("modes", "--n", "2", "--beta", "0.9", "--out", str(tmp_path)) == 3
-    assert "ZigzagInstability" in capsys.readouterr().err or True  # message on stderr
+    assert "ZigzagInstability" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(str(tmp_path), "modes.csv"))
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_modes_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    # inf would accept the starting guess as the equilibrium, nan would end in a Newton stall
+    assert run("modes", "--n", "5", "--tol", tol, "--out", str(tmp_path)) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_couplings_two_ions_closed_form(tmp_path):
@@ -211,6 +220,30 @@ def test_config_file_and_flag_precedence(tmp_path):
     )
     with open(out2 / "bond_graph.json") as fh:
         assert json.load(fh)["n_ions"] == 3
+
+
+@pytest.mark.parametrize("word, code", [("on", 2), ("maybe", 2), ("Yes", 0), ("no", 0)])
+def test_config_check_accepts_only_switch_words(tmp_path, word, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n=3\ncheck={word}\n")
+    out = tmp_path / "out"
+    assert run("modes", "--config", str(cfg), "--out", str(out)) == code
+    if code:
+        assert not out.exists()
+    else:
+        config, _, _ = read_csv(str(out / "modes.csv"))
+        assert config["check"] == str(word.lower() == "yes")
+
+
+def test_scan2d_past_the_eigensolve_budget_exits_2(tmp_path, capsys, monkeypatch):
+    def no_operator(coupling):
+        raise AssertionError("a spin operator was built for N = 41")
+
+    monkeypatch.setattr(spins, "_SpinOperator", no_operator)
+    argv = ("scan2d", "--n", "41", "--beta", "100", "--mu-range", "39.2:39.4", "--b-range", "0:1")
+    assert run(*argv, "--samples", "1x1", "--out", str(tmp_path)) == 2
+    assert "N <= 24" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

@@ -72,9 +72,10 @@ def test_validation_and_budget(rng, monkeypatch):
         lowest_eigenpairs(dense_operator(a), 40, 0, diag=np.diag(a))
     # an unreachable tolerance runs to the iteration cap and reports its best residual
     monkeypatch.setattr(lanczos, "_MAX_ITER", 50)
+    monkeypatch.setattr(lanczos, "_TOL", 1e-30)
     apply, seen = recorded(dense_operator(a))
     with pytest.raises(NoConvergence, match="after 50 steps; best residual"):
-        lowest_eigenpairs(apply, 40, 2, tol=1e-30, diag=np.diag(a))
+        lowest_eigenpairs(apply, 40, 2, diag=np.diag(a))
     assert len(seen) == 51
 
 

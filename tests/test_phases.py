@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ionspins import phases
+from ionspins import phases, spins
 from ionspins.cli import main as cli_main
 from ionspins.couplings import coupling_from_trap
 from ionspins.errors import AmbiguousGround, NoConvergence, ResonanceError
@@ -101,20 +101,20 @@ def test_table_rejects_refine_tol_below_float_spacing(n_ions):
     assert all(t.uncertainty <= floor for t in table.transitions)
 
 
-def enumerated_orders(n_ions, beta, mus, tie_rtol):
+def enumerated_orders(n_ions, beta, mus):
     """The scalar path: classical_ground on each full coupling matrix."""
     found = []
     for mu in mus:
         try:
-            found.append(classical_ground(coupling_from_trap(n_ions, beta, mu), tie_rtol).order)
+            found.append(classical_ground(coupling_from_trap(n_ions, beta, mu)).order)
         except AmbiguousGround as tie:
             found.append(tie)
     return found
 
 
-def table_or_error(n, tie_rtol):
+def table_or_error(n):
     try:
-        return phase_table(n, 10.0, 64, tie_rtol=tie_rtol).to_dict()
+        return phase_table(n, 10.0, 64).to_dict()
     except AmbiguousGround as tie:
         return tie.orders
 
@@ -122,9 +122,10 @@ def table_or_error(n, tie_rtol):
 @pytest.mark.parametrize("tie_rtol", [1e-10, 1e-4, 1e-3])
 def test_table_equals_enumerated_table(monkeypatch, tie_rtol):
     """Wide tie windows reach the nudges, the exact transitions and the raised tie."""
-    batched = [table_or_error(n, tie_rtol) for n in (3, 5, 7, 9)]
+    monkeypatch.setattr(spins, "_TIE_RTOL", tie_rtol)
+    batched = [table_or_error(n) for n in (3, 5, 7, 9)]
     monkeypatch.setattr(phases, "ground_orders", enumerated_orders)
-    assert batched == [table_or_error(n, tie_rtol) for n in (3, 5, 7, 9)]
+    assert batched == [table_or_error(n) for n in (3, 5, 7, 9)]
 
 
 def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):
@@ -132,7 +133,7 @@ def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):
     left, right = phases.ground_orders(3, 10.0, [1.1, 1.9])
     cross = 1.5  # the first midpoint between the 16-sample grid points 1.46875 and 1.53125
 
-    def crossing_at(n_ions, beta, mus, tie_rtol):
+    def crossing_at(n_ions, beta, mus):
         tie = AmbiguousGround([left, right], 0.0)
         return [left if mu < cross else right if mu > cross else tie for mu in mus]
 

@@ -201,10 +201,10 @@ def test_ground_budget_guard():
         classical_ground(CouplingMatrix.from_matrix(np.zeros((25, 25))))
 
 
-def scalar_ground(n, mu, tie_rtol=1e-10):
+def scalar_ground(n, mu):
     """classical_ground on the full coupling matrix: the order, or the tied order set."""
     try:
-        return classical_ground(coupling_from_trap(n, 10.0, mu), tie_rtol).order
+        return classical_ground(coupling_from_trap(n, 10.0, mu)).order
     except AmbiguousGround as tie:
         return tie.orders
 
@@ -214,7 +214,7 @@ def batched_ground(found):
 
 
 @pytest.mark.parametrize("n", range(3, 12))
-def test_mode_space_grounds_match_coupling_enumeration(n):
+def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     grid = [k + (i + 0.5) / 64 for k in range(1, n) for i in range(64)]
     transitions = [t.mu for t in phase_table(n, 10.0, 64).transitions]
     mus = grid + transitions
@@ -224,9 +224,10 @@ def test_mode_space_grounds_match_coupling_enumeration(n):
     one_by_one = [ground_orders(n, 10.0, [mu])[0] for mu in mus]
     assert [batched_ground(f) for f in one_by_one] == [batched_ground(f) for f in found]
     # trap tables show no exact crossing; a wide tie window makes every transition one
-    wide = ground_orders(n, 10.0, transitions, tie_rtol=1e-3)
+    monkeypatch.setattr(spins, "_TIE_RTOL", 1e-3)
+    wide = ground_orders(n, 10.0, transitions)
     assert all(isinstance(f, AmbiguousGround) for f in wide)
-    assert [f.orders for f in wide] == [scalar_ground(n, mu, 1e-3) for mu in transitions]
+    assert [f.orders for f in wide] == [scalar_ground(n, mu) for mu in transitions]
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
@@ -339,17 +340,19 @@ def test_k_and_field_validation(coupling_n7_51):
         lowest_eigenpairs(coupling_n7_51, -0.5, k=2)
 
 
-def test_dense_and_iterative_paths_agree():
+def test_dense_and_iterative_paths_agree(force_solver):
     rng = np.random.default_rng(11)
     for n, mu, b in ((8, 5.6, 0.4), (9, 3.3, 0.15), (10, 8.2, 0.8)):
         j = coupling_from_trap(n, 10.0, mu)
-        dense = lowest_eigenpairs(j, b, k=4, method="dense")
-        krylov = lowest_eigenpairs(j, b, k=4, method="lanczos")
+        force_solver("dense")
+        dense = lowest_eigenpairs(j, b, k=4)
+        force_solver("lanczos")
+        krylov = lowest_eigenpairs(j, b, k=4)
         assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) <= 1e-8
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
-def test_eigensolve_enumerates_energies_once(coupling_n7_51, monkeypatch, method):
+def test_eigensolve_enumerates_energies_once(coupling_n7_51, monkeypatch, force_solver, method):
     calls = []
 
     def counted(coupling, half=False):
@@ -357,13 +360,15 @@ def test_eigensolve_enumerates_energies_once(coupling_n7_51, monkeypatch, method
         return classical_energies(coupling, half)
 
     monkeypatch.setattr(spins, "classical_energies", counted)
-    lowest_eigenpairs(coupling_n7_51, 0.3, k=6, method=method)
+    force_solver(method)
+    lowest_eigenpairs(coupling_n7_51, 0.3, k=6)
     assert calls == [False]
 
 
-def test_iterative_path_reproducible(coupling_n7_51):
-    a = lowest_eigenpairs(coupling_n7_51, 0.6, k=3, method="lanczos")
-    b = lowest_eigenpairs(coupling_n7_51, 0.6, k=3, method="lanczos")
+def test_iterative_path_reproducible(coupling_n7_51, force_solver):
+    force_solver("lanczos")
+    a = lowest_eigenpairs(coupling_n7_51, 0.6, k=3)
+    b = lowest_eigenpairs(coupling_n7_51, 0.6, k=3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -426,15 +431,17 @@ def test_classical_energies_flip_symmetric_bit_for_bit():
             assert np.array_equal(diag, diag[s ^ ((1 << n) - 1)]), (n, mu)
 
 
-def test_flip_sectors_match_dense_oracle():
+def test_flip_sectors_match_dense_oracle(force_solver):
     rng = np.random.default_rng(0x5EC7)
     for n in range(2, 12):
         k = min(6, 1 << n)
         for mu in detunings(rng, n, 2):
             j = coupling_from_trap(n, 10.0, mu)
             for b in (0.0, 0.01, 0.3, 1.5):
-                dense = lowest_eigenpairs(j, b, k=k, method="dense")
-                krylov = lowest_eigenpairs(j, b, k=k, method="lanczos")
+                force_solver("dense")
+                dense = lowest_eigenpairs(j, b, k=k)
+                force_solver("lanczos")
+                krylov = lowest_eigenpairs(j, b, k=k)
                 assert np.max(np.abs(dense.eigenvalues - krylov.eigenvalues)) <= 1e-8
                 p_dense = cluster_projection(dense, fm_basis(n))
                 assert abs(p_dense - cluster_projection(krylov, fm_basis(n))) <= 1e-8
@@ -442,7 +449,7 @@ def test_flip_sectors_match_dense_oracle():
 
 
 @pytest.mark.parametrize("mu", [1.1, 3.064, 10.009])
-def test_krylov_converges_at_n11(mu):
+def test_krylov_converges_at_n11(mu, force_solver):
     # each of these points ran into the former block Krylov basis cap
     j = coupling_from_trap(11, 10.0, mu)
     op = spins._SpinOperator(j)
@@ -451,7 +458,8 @@ def test_krylov_converges_at_n11(mu):
         b_abs = b * spins.field_scale(j)
         sectors = [np.linalg.eigvalsh(op.sector_matvec(eye, b_abs, sign)) for sign in (1.0, -1.0)]
         oracle = np.sort(np.concatenate(sectors))[:6]
-        krylov = lowest_eigenpairs(j, b, k=6, method="lanczos")
+        force_solver("lanczos")
+        krylov = lowest_eigenpairs(j, b, k=6)
         assert np.max(np.abs(krylov.eigenvalues - oracle)) <= 1e-8
 
 
@@ -467,15 +475,16 @@ N13_FM_SIDE_LEVELS = [
 ]
 
 
-def test_krylov_converges_at_n13_fm_side():
+def test_krylov_converges_at_n13_fm_side(force_solver):
     j = coupling_from_trap(13, 10.0, 11.045520732179284)
-    krylov = lowest_eigenpairs(j, 1.5, k=6, method="lanczos")
+    force_solver("lanczos")
+    krylov = lowest_eigenpairs(j, 1.5, k=6)
     assert krylov.method == "lanczos"
     expected = np.array(N13_FM_SIDE_LEVELS)
     assert np.max(np.abs(krylov.eigenvalues - expected) / np.abs(expected)) <= 1e-8
 
 
-def test_zero_field_runs_no_solver(monkeypatch):
+def test_zero_field_runs_no_solver(monkeypatch, force_solver):
     def no_solver(*args, **kwargs):
         raise AssertionError("a solver ran at zero field")
 
@@ -483,15 +492,17 @@ def test_zero_field_runs_no_solver(monkeypatch):
     couplings = [coupling_from_trap(n, 10.0, detunings(rng, n, 1)[0]) for n in range(3, 14)]
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", no_solver)
     monkeypatch.setattr(spins._SpinOperator, "dense", no_solver)
-    for j in couplings:
-        for method in ("auto", "dense", "lanczos"):
-            res = lowest_eigenpairs(j, 0.0, k=min(6, 1 << j.n_ions), method=method)
+    for method in ("auto", "dense", "lanczos"):
+        if method != "auto":
+            force_solver(method)
+        for j in couplings:
+            res = lowest_eigenpairs(j, 0.0, k=min(6, 1 << j.n_ions))
             assert res.method == "diagonal"
             assert res.eigenvalues[0] == classical_ground(j).energy
             assert np.all(res.residuals == 0.0)
 
 
-def test_residual_check_guards_flip_sector_solves(coupling_n7_51, monkeypatch):
+def test_residual_check_guards_flip_sector_solves(coupling_n7_51, monkeypatch, force_solver):
     solve = spins.lanczos.lowest_eigenpairs
 
     def perturbed(matvec, dim, k, **kwargs):
@@ -499,11 +510,12 @@ def test_residual_check_guards_flip_sector_solves(coupling_n7_51, monkeypatch):
         return evals, vecs + 1e-6 * np.random.default_rng(1).standard_normal(vecs.shape)
 
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", perturbed)
+    force_solver("lanczos")
     with pytest.raises(NoConvergence, match="residual"):
-        lowest_eigenpairs(coupling_n7_51, 0.3, k=4, method="lanczos")
+        lowest_eigenpairs(coupling_n7_51, 0.3, k=4)
 
 
-def test_residual_check_fails_on_nan_residual(coupling_n7_51, monkeypatch):
+def test_residual_check_fails_on_nan_residual(coupling_n7_51, monkeypatch, force_solver):
     solve = spins.lanczos.lowest_eigenpairs
 
     def nan_vectors(matvec, dim, k, **kwargs):
@@ -511,8 +523,21 @@ def test_residual_check_fails_on_nan_residual(coupling_n7_51, monkeypatch):
         return evals, np.full_like(vecs, np.nan)
 
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", nan_vectors)
+    force_solver("lanczos")
     with pytest.raises(NoConvergence, match="residual nan"):
-        lowest_eigenpairs(coupling_n7_51, 0.3, k=4, method="lanczos")
+        lowest_eigenpairs(coupling_n7_51, 0.3, k=4)
+
+
+def test_eigensolve_budget_checked_before_any_allocation(monkeypatch):
+    def no_operator(coupling):
+        raise AssertionError("a spin operator was built for N = 41")
+
+    monkeypatch.setattr(spins, "_SpinOperator", no_operator)
+    j = coupling_from_trap(41, 100.0, 39.3)
+    with pytest.raises(ValueError, match="N <= 24"):
+        lowest_eigenpairs(j, 0.5, k=4)
+    with pytest.raises(ValueError, match="N <= 24"):
+        field_spectra(j, [0.0, 1.0], k=6)
 
 
 @pytest.mark.parametrize("b_field", [float("nan"), float("inf")])
@@ -534,26 +559,30 @@ def assert_same_spectrum(a, b):
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
-def test_field_spectra_equal_one_field_solves(n):
+def test_field_spectra_equal_one_field_solves(n, force_solver):
     j = coupling_from_trap(n, 10.0, n - 1.6)
     fields = [0.3, 0.0, 0.01, 1.5, 0.0]
     k = min(6, 1 << n)
-    spectra = field_spectra(j, fields, k=k, method="dense")
+    force_solver("dense")
+    spectra = field_spectra(j, fields, k=k)
     assert [s.method for s in spectra] == ["dense", "diagonal", "dense", "dense", "diagonal"]
     for b, got in zip(fields, spectra):
         assert got.b_field == b
-        assert_same_spectrum(got, lowest_eigenpairs(j, b, k=k, method="dense"))
+        assert_same_spectrum(got, lowest_eigenpairs(j, b, k=k))
 
 
-def test_field_spectra_equal_one_field_krylov_solves(coupling_n7_51):
+def test_field_spectra_equal_one_field_krylov_solves(coupling_n7_51, force_solver):
     fields = [0.2, 0.9]
-    spectra = field_spectra(coupling_n7_51, fields, k=4, method="lanczos")
+    force_solver("lanczos")
+    spectra = field_spectra(coupling_n7_51, fields, k=4)
     for b, got in zip(fields, spectra):
         assert got.method == "lanczos"
-        assert_same_spectrum(got, lowest_eigenpairs(coupling_n7_51, b, k=4, method="lanczos"))
+        assert_same_spectrum(got, lowest_eigenpairs(coupling_n7_51, b, k=4))
 
 
-def test_field_spectra_return_a_krylov_failure_for_its_field_only(coupling_n7_51, monkeypatch):
+def test_field_spectra_return_a_krylov_failure_for_its_field_only(
+    coupling_n7_51, monkeypatch, force_solver
+):
     class Sentinel:
         pass
 
@@ -569,20 +598,21 @@ def test_field_spectra_return_a_krylov_failure_for_its_field_only(coupling_n7_51
         return solve(matvec, dim, k, **kwargs)
 
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", fails_second_field)
+    force_solver("lanczos")
     gc.disable()
     try:
-        spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4, method="lanczos")
+        spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4)
         assert isinstance(spectra[1], NoConvergence) and "basis cap" in str(spectra[1])
         assert spectra[1].__traceback__ is None and refs[0]() is None
     finally:
         gc.enable()
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", solve)
     for i in (0, 2):
-        expected = lowest_eigenpairs(coupling_n7_51, (0.2, 0.5, 0.9)[i], k=4, method="lanczos")
+        expected = lowest_eigenpairs(coupling_n7_51, (0.2, 0.5, 0.9)[i], k=4)
         assert_same_spectrum(spectra[i], expected)
 
 
-def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch):
+def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch, force_solver):
     dense = spins._SpinOperator.dense
 
     def off_at_second_field(self, b_abs):
@@ -591,7 +621,8 @@ def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch):
         return h
 
     monkeypatch.setattr(spins._SpinOperator, "dense", off_at_second_field)
-    spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4, method="dense")
+    force_solver("dense")
+    spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4)
     assert isinstance(spectra[1], NoConvergence) and "residual" in str(spectra[1])
     assert spectra[0].method == spectra[2].method == "dense"
 
