@@ -30,7 +30,7 @@ def main():
             "degeneracy": ground.order.degeneracy,
             "ground_energy": ground.energy,
             "edges": [
-                {"m": e.m, "n": e.n, "j": e.coupling, "sign": e.sign}
+                {"m": e.m, "n": e.n, "j": e.j, "sign": e.sign}
                 for e in bond_graph(coupling)
             ],
         }

@@ -31,7 +31,7 @@ def main():
         ]
     )
     if code == 0:
-        print(f"{args.out}/scan2d.csv: map around the transition at mu~={t.mu:.5f}")
+        print(f"{args.out}/scan2d.csv: map around the transition at mu~={t.mu_tilde:.5f}")
     return code
 
 

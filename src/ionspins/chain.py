@@ -12,6 +12,7 @@ and the transverse curvature matrix has eigenvalues omega_k^2 (in wz^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,10 @@ class TrapConfig:
         if self.n_ions < 2:
             raise ValueError(f"need at least 2 ions, got {self.n_ions}")
         # values <= 1 are always zigzag-unstable but stay constructible so the
-        # stability check itself can report them
-        if self.aspect_ratio <= 0.0:
-            raise ValueError("aspect_ratio must be positive")
+        # stability check itself can report them; beta^2 enters the curvature
+        beta = float(self.aspect_ratio)
+        if not (beta > 0.0 and math.isfinite(beta * beta)):
+            raise ValueError(f"aspect_ratio must be positive with a finite square, got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,13 @@ def mode_spectrum(a):
 
     Frequencies are sorted ascending; each eigenvector is sign-fixed so its
     largest-magnitude entry is positive (ties broken by lowest index).
-    Raises ZigzagInstability for a non-positive eigenvalue and DegenerateModes
-    when two eigenvalues agree within 1e-9.
+    Raises ValueError for a matrix that is not finite, square and exactly
+    symmetric, ZigzagInstability for a non-positive eigenvalue and
+    DegenerateModes when two eigenvalues agree within 1e-9.
     """
     a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("curvature matrix must be finite")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
         raise ValueError("curvature matrix must be square and exactly symmetric")
     evals, vecs = np.linalg.eigh(a)
@@ -170,7 +175,7 @@ def mode_spectrum(a):
     pivot = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.where(vecs[pivot, cols] < 0.0, -1.0, 1.0)
     resid = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
-    if np.any(resid > 1e-10 * evals[-1]):
+    if not np.all(resid <= 1e-10 * evals[-1]):  # a NaN residual fails
         raise ConvergenceError(f"eigenpair residual {np.max(resid):.3e} above bound")
     return ModeSpectrum(frequencies=np.sqrt(evals), mode_matrix=vecs)
 

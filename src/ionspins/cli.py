@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -147,7 +148,7 @@ def cmd_couplings(cfg):
     return _write(cfg, {
         "couplings.csv": (
             ["m", "n", "j"],
-            [(e.m, e.n, e.coupling) for e in sorted(edges, key=lambda e: (e.m, e.n))],
+            [(e.m, e.n, e.j) for e in sorted(edges, key=lambda e: (e.m, e.n))],
         ),
         "bond_graph.json": {
             "n_ions": cfg.n,
@@ -156,10 +157,7 @@ def cmd_couplings(cfg):
             "mu": coupling.detuning.resolved,
             "jbar": coupling.jbar,
             "nodes": list(range(1, cfg.n + 1)),
-            "edges": [
-                {"m": e.m, "n": e.n, "weight": e.weight, "sign": e.sign, "j": e.coupling}
-                for e in edges
-            ],
+            "edges": [asdict(e) for e in edges],
         },
     })
 

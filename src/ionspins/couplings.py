@@ -15,6 +15,7 @@ interpolate linearly between the adjacent mode frequencies.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ class Bond:
     n: int
     weight: float
     sign: str
-    coupling: float
+    j: float
 
 
 @dataclass(frozen=True)
@@ -50,21 +51,20 @@ class CouplingMatrix:
     j: np.ndarray
     jbar: float
     detuning: DetuningSpec | None = None
-    beta: float | None = None
 
     @property
     def n_ions(self):
         return self.j.shape[0]
 
     @classmethod
-    def from_matrix(cls, j, detuning=None, beta=None):
+    def from_matrix(cls, j, detuning=None):
         """Wrap a raw square matrix: symmetrize, zero the diagonal, compute Jbar."""
         j = np.array(j, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError("coupling matrix must be square")
         j = 0.5 * (j + j.T)
         np.fill_diagonal(j, 0.0)
-        return cls(j=j, jbar=rms_coupling(j), detuning=detuning, beta=beta)
+        return cls(j=j, jbar=rms_coupling(j), detuning=detuning)
 
 
 def rms_coupling(j):
@@ -110,11 +110,11 @@ def mode_denominators(spectrum, mu):
     return denom
 
 
-def coupling_matrix(spectrum, detuning, beta=None):
+def coupling_matrix(spectrum, detuning):
     """Evaluate J_mn from a mode spectrum at a resolved detuning."""
     b = spectrum.mode_matrix
     j = (b / mode_denominators(spectrum, detuning.resolved)) @ b.T
-    return CouplingMatrix.from_matrix(j, detuning=detuning, beta=beta)
+    return CouplingMatrix.from_matrix(j, detuning=detuning)
 
 
 def bond_graph(coupling):
@@ -122,21 +122,10 @@ def bond_graph(coupling):
 
     Negative couplings favor alignment and are tagged FM; positive ones AFM.
     """
-    j = coupling.j
-    n = coupling.n_ions
     bonds = []
-    for m in range(n):
-        for p in range(m + 1, n):
-            val = float(j[m, p])
-            bonds.append(
-                Bond(
-                    m=m + 1,
-                    n=p + 1,
-                    weight=abs(val),
-                    sign="FM" if val < 0.0 else "AFM",
-                    coupling=val,
-                )
-            )
+    for m, p in itertools.combinations(range(coupling.n_ions), 2):
+        val = float(coupling.j[m, p])
+        bonds.append(Bond(m + 1, p + 1, abs(val), "FM" if val < 0.0 else "AFM", val))
     bonds.sort(key=lambda e: (-e.weight, e.m, e.n))
     return bonds
 
@@ -152,4 +141,4 @@ def coupling_from_trap(n_ions, beta, mu_tilde, tol=1e-12):
     """Full pipeline: trap geometry -> modes -> coupling matrix at mu_tilde."""
     spec = chain_spectrum(n_ions, beta, tol=tol)
     det = resolve_detuning(spec, mu_tilde)
-    return coupling_matrix(spec, det, beta=float(beta))
+    return coupling_matrix(spec, det)

@@ -31,24 +31,25 @@ _TOL = 1e-10  # residual bound ||Av - ev|| <= _TOL * max(1, |e|) per pair
 _DROP = 1e-10
 
 
-def lowest_eigenpairs(matvec, dim, k, *, diag):
+def lowest_eigenpairs(matvec, k, *, diag):
     """Return (eigenvalues, eigenvectors) for the k lowest eigenpairs, ascending.
 
     Only the k wanted pairs must converge, each to the relative bound _TOL;
-    the guard vectors beyond them help but are never waited for.  When dim
-    is below five block widths the operator is formed as matvec(I) and
-    diagonalized densely instead.
+    the guard vectors beyond them help but are never waited for.  When the
+    dimension len(diag) is below five block widths the operator is formed as
+    matvec(I) and diagonalized densely instead.
 
     Args:
         matvec: callable applying the symmetric operator to a (dim, b) block.
-        dim: operator dimension.
         k: number of lowest eigenpairs requested.
-        diag: the operator's diagonal; the preconditioner divides each row of
-            a residual by max(diag - min(diag), 1).
+        diag: the operator's diagonal, whose length is the dimension; the
+            preconditioner divides each row of a residual by
+            max(diag - min(diag), 1).
 
     Raises NoConvergence, with the best residual, after _MAX_ITER steps or
     once the residuals add no direction to the basis.
     """
+    dim = len(diag)
     if k < 1 or k > dim:
         raise ValueError(f"k must lie in [1, {dim}]")
     block = k + _GUARDS

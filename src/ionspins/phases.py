@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .spins import (
     field_spectra,
     fm_basis,
     ground_orders,
+    index_to_bits,
     kink_basis,
     lowest_eigenpairs,
 )
@@ -47,26 +48,26 @@ _WIDTH_MAX_HALVINGS = 70
 class Transition:
     """An order change inside one inter-mode interval."""
 
-    mu: float
+    mu_tilde: float
     uncertainty: float
-    left_bits: str
-    right_bits: str
-    exact: bool = False
+    left_order: str
+    right_order: str
+    exact_crossing: bool = False
 
 
 @dataclass(frozen=True)
 class Subinterval:
     lo: float
     hi: float
-    order_bits: str
+    order: str
     degeneracy: int
 
 
 @dataclass(frozen=True)
 class IntervalPhases:
     lower_mode: int
-    subintervals: tuple
-    transitions: tuple
+    subintervals: list
+    transitions: list
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class PhaseTable:
     beta: float
     samples_per_interval: int
     refine_tol: float
-    intervals: tuple
+    intervals: list
 
     @property
     def transitions(self):
@@ -86,37 +87,8 @@ class PhaseTable:
         return len(self.transitions)
 
     def to_dict(self):
-        return {
-            "n_ions": self.n_ions,
-            "beta": self.beta,
-            "samples_per_interval": self.samples_per_interval,
-            "refine_tol": self.refine_tol,
-            "intervals": [
-                {
-                    "lower_mode": iv.lower_mode,
-                    "subintervals": [
-                        {
-                            "lo": s.lo,
-                            "hi": s.hi,
-                            "order": s.order_bits,
-                            "degeneracy": s.degeneracy,
-                        }
-                        for s in iv.subintervals
-                    ],
-                    "transitions": [
-                        {
-                            "mu_tilde": t.mu,
-                            "uncertainty": t.uncertainty,
-                            "left_order": t.left_bits,
-                            "right_order": t.right_bits,
-                            "exact_crossing": t.exact,
-                        }
-                        for t in iv.transitions
-                    ],
-                }
-                for iv in self.intervals
-            ],
-        }
+        """The ``phase_table.json`` form: the field names are its keys."""
+        return asdict(self)
 
 
 def _sidestep(n_ions, beta, mu, nudge, tie):
@@ -158,11 +130,11 @@ def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, ties=()):
             return left + _bisect_orders(n_ions, beta, mid, o_mid, hi, o_hi, tol, ties)
     return [
         Transition(
-            mu=0.5 * (lo + hi),
+            mu_tilde=0.5 * (lo + hi),
             uncertainty=0.5 * (hi - lo),
-            left_bits=o_lo.bits,
-            right_bits=o_hi.bits,
-            exact=any(lo < t < hi for t in ties),
+            left_order=o_lo.bits,
+            right_order=o_hi.bits,
+            exact_crossing=any(lo < t < hi for t in ties),
         )
     ]
 
@@ -179,16 +151,16 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol):
                     n_ions, beta, grid[i], orders[i], grid[i + 1], orders[i + 1], refine_tol
                 )
             )
-    transitions.sort(key=lambda t: t.mu)
-    cuts = [float(k)] + [t.mu for t in transitions] + [float(k + 1)]
+    transitions.sort(key=lambda t: t.mu_tilde)
+    cuts = [float(k)] + [t.mu_tilde for t in transitions] + [float(k + 1)]
     spans = list(zip(cuts[:-1], cuts[1:]))
     mids = [0.5 * (lo + hi) for lo, hi in spans]
     nudges = [(hi - lo) * 1e-3 for lo, hi in spans]
-    subintervals = tuple(
-        Subinterval(lo=lo, hi=hi, order_bits=o.bits, degeneracy=o.degeneracy)
+    subintervals = [
+        Subinterval(lo=lo, hi=hi, order=o.bits, degeneracy=o.degeneracy)
         for (lo, hi), o in zip(spans, _nudged_orders(n_ions, beta, mids, nudges))
-    )
-    return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=tuple(transitions))
+    ]
+    return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=transitions)
 
 
 def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6):
@@ -196,24 +168,24 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6):
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
     is bisected down to refine_tol; an exact crossing hit along the way is
-    sidestepped and its transition marked ``exact=True``, and one that every
-    sidestep still ties is raised (``AmbiguousGround``).  Every probe goes
-    through ``spins.ground_orders`` (mode space, a tile of detunings per
-    product).
+    sidestepped and its transition marked ``exact_crossing=True``, and one
+    that every sidestep still ties is raised (``AmbiguousGround``).  Every
+    probe goes through ``spins.ground_orders`` (mode space, a tile of
+    detunings per product).
     """
     if n_ions < 3:
         raise ValueError("phase tables need at least 3 ions")
     if samples_per_interval < 16:
         raise ValueError("need at least 16 samples per interval")
-    if not refine_tol > 0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
+    if not (np.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     floor = float(np.spacing(float(n_ions)))
     if refine_tol < floor:
         # bisection on doubles cannot narrow a bracket below the spacing at mu = N
         raise ValueError(f"refine_tol {refine_tol!r} is below the float spacing {floor!r} at {n_ions}")
-    intervals = tuple(
+    intervals = [
         _interval_phases(n_ions, beta, k, samples_per_interval, refine_tol) for k in range(1, n_ions)
-    )
+    ]
     return PhaseTable(
         n_ions=n_ions,
         beta=float(beta),
@@ -250,7 +222,7 @@ def even_odd_symmetry_report(table):
                 lower_mode=iv.lower_mode,
                 parity=parity,
                 n_transitions=len(iv.transitions),
-                orders=tuple(s.order_bits for s in iv.subintervals),
+                orders=tuple(s.order for s in iv.subintervals),
                 all_reflection_symmetric=symmetric,
                 flagged=flagged,
             )
@@ -349,10 +321,10 @@ def fm_kink_interval(n_ions, beta=10.0):
     if n_ions % 2 == 0 or n_ions < 3:
         raise ValueError("the FM/kink transition lives in odd chains")
     iv = _interval_phases(n_ions, beta, n_ions - 2, _FM_KINK_SAMPLES, _FM_KINK_TOL)
-    fm_bits = "0" * n_ions
-    kink_bits = format(kink_basis(n_ions)[0], f"0{n_ions}b")
+    fm_bits = index_to_bits(fm_basis(n_ions)[0], n_ions)
+    kink_bits = index_to_bits(kink_basis(n_ions)[0], n_ions)
     for i, t in enumerate(iv.transitions):
-        if t.left_bits == fm_bits and t.right_bits == kink_bits:
+        if t.left_order == fm_bits and t.right_order == kink_bits:
             return t, iv.subintervals[i], iv.subintervals[i + 1]  # transition i ends subinterval i
     raise TransitionLost(
         f"no FM->kink transition found in ({n_ions - 2}, {n_ions - 1}) at beta={beta}"
@@ -392,7 +364,7 @@ def _fixed_field(n_ions, beta, b_over_njbar):
     """
     t, left, right = fm_kink_interval(n_ions, beta)
     lo, hi = 0.5 * (left.lo + left.hi), 0.5 * (right.lo + right.hi)
-    b_abs = b_over_njbar * n_ions * coupling_from_trap(n_ions, beta, t.mu).jbar
+    b_abs = b_over_njbar * n_ions * coupling_from_trap(n_ions, beta, t.mu_tilde).jbar
     op_lo, op_hi = _fixed_field_op(n_ions, beta, lo, b_abs), _fixed_field_op(n_ions, beta, hi, b_abs)
     if not (op_lo > 0.5 and op_hi < -0.5):
         raise TransitionLost(

@@ -42,7 +42,7 @@ class SpinOrder:
 
     @property
     def bits(self):
-        return format(self.canonical, f"0{self.n_ions}b")
+        return index_to_bits(self.canonical, self.n_ions)
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,15 @@ def classical_energy(coupling, s):
     return float(z @ coupling.j @ z)
 
 
-def classical_energies(coupling, half=False):
-    """Ising energies of every basis configuration.
+def classical_energies(coupling):
+    """Ising energies of the half basis: the 2^(N-1) configurations with ion 1 up.
 
-    With half=True only indices with ion 1 up are enumerated (the other half
-    is the global-flip mirror with identical energies).
+    The other half is its global-flip mirror: configuration 2^N - 1 - s has
+    the energy of s.
     """
     n = coupling.n_ions
     jm = coupling.j
-    dim = 1 << (n - 1 if half else n)
+    dim = 1 << (n - 1)
     out = np.empty(dim)
     for lo in range(0, dim, _ENUM_CHUNK):
         idx = np.arange(lo, min(lo + _ENUM_CHUNK, dim), dtype=np.int64)
@@ -187,7 +187,7 @@ def classical_ground(coupling):
     """
     n = coupling.n_ions
     _check_budget(n)
-    e = classical_energies(coupling, half=True)
+    e = classical_energies(coupling)
     order = _order_or_tie(e, n)
     if isinstance(order, AmbiguousGround):
         raise order
@@ -252,12 +252,15 @@ class _SpinOperator:
     """H for one coupling: Ising energies on the diagonal, -b_abs per spin flip.
 
     The absolute field b_abs is an argument of every method, so one operator,
-    and one enumeration of the Ising energies, serves every field.
+    and one enumeration of the Ising energies, serves every field.  The
+    diagonal is the half basis followed by its mirror, so E(s) = E(flip s)
+    holds bit for bit.
     """
 
     def __init__(self, coupling):
         self.n_ions = coupling.n_ions
-        self.diag = classical_energies(coupling)
+        e = classical_energies(coupling)
+        self.diag = np.concatenate([e, e[::-1]])
 
     def matvec(self, x, b_abs):
         """H @ x along the first axis of x: a state vector or a (2^N, ...) block.
@@ -277,7 +280,7 @@ class _SpinOperator:
         (x, sign * x[::-1]) / sqrt(2) is its full-space image.  Flipping ion 1
         leaves the half, and the global flip that brings it back reverses the
         index order inside it: hence the sign * x[::-1] term.  The diagonal
-        reuses diag[:half], exact because E(s) = E(flip s) bit for bit.
+        is diag[:half], the half-basis energies.
         """
         out = (x.T * self.diag[: len(x)]).T
         for p in range(self.n_ions - 1):
@@ -414,7 +417,6 @@ def _flip_sector_eigenpairs(op, b_abs, k):
     for sign in (1.0, -1.0):
         e, x = lanczos.lowest_eigenpairs(
             functools.partial(op.sector_matvec, b_abs=b_abs, sign=sign),
-            half,
             min(k, half),
             diag=op.diag[:half],
         )

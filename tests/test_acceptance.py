@@ -66,7 +66,7 @@ def test_criterion_01_closed_form_mechanics():
 def test_criterion_02_seven_ion_order_change():
     t0 = time.perf_counter()
     iv = _interval_phases(7, 10.0, 5, 256, 1e-8)
-    window = [t for t in iv.transitions if 5.0 < t.mu < 5.6]
+    window = [t for t in iv.transitions if 5.0 < t.mu_tilde < 5.6]
     g51 = classical_ground(coupling_from_trap(7, 10.0, 5.1))
     g53 = classical_ground(coupling_from_trap(7, 10.0, 5.3))
     j51 = coupling_from_trap(7, 10.0, 5.1).j[0, 6]
@@ -74,8 +74,8 @@ def test_criterion_02_seven_ion_order_change():
     elapsed = time.perf_counter() - t0
     ok = (
         len(window) == 1
-        and window[0].left_bits == "0000000"
-        and window[0].right_bits == "0000111"
+        and window[0].left_order == "0000000"
+        and window[0].right_order == "0000111"
         and g51.order.bits == "0000000"
         and g51.order.degeneracy == 2
         and g53.order.bits == "0000111"
@@ -84,7 +84,7 @@ def test_criterion_02_seven_ion_order_change():
         and j53 > 0.0
     )
     detail = (
-        f"one transition at mu~={window[0].mu:.6f}" if len(window) == 1 else f"{len(window)} transitions"
+        f"one transition at mu~={window[0].mu_tilde:.6f}" if len(window) == 1 else f"{len(window)} transitions"
     )
     report(2, ok, elapsed, 1.0, detail + f"; long bond couplings {j51:+.3f}, {j53:+.3f}")
 
@@ -226,13 +226,13 @@ def test_criterion_09_polarization_behavior():
     critical_ok = True
     for n in (5, 7):
         t, left, right = fm_kink_interval(n, 10.0)
-        p_crit = pol(n, t.mu, 0.1)
+        p_crit = pol(n, t.mu_tilde, 0.1)
         p_left = pol(n, 0.5 * (left.lo + left.hi), 0.1)
         p_right = pol(n, 0.5 * (right.lo + right.hi), 0.1)
         critical_ok = critical_ok and p_crit > max(p_left, p_right)
         details.append(f"N={n}: crit {p_crit:.3f} vs centers {p_left:.3f}/{p_right:.3f}")
     t5, _, _ = fm_kink_interval(5, 10.0)
-    p_sat = pol(5, t5.mu, 50.0)
+    p_sat = pol(5, t5.mu_tilde, 50.0)
     saturation_ok = abs(1.0 - p_sat) <= 1e-3
     elapsed = time.perf_counter() - t0
     report(

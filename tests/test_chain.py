@@ -21,6 +21,7 @@ from ionspins.chain import (
     transverse_modes,
     zigzag_stability,
 )
+from ionspins.couplings import coupling_from_trap
 
 # frozen output of the coordinate-descent oracle below (7 ions, run to 1e-15)
 CD_POSITIONS_N7 = np.array(
@@ -138,6 +139,32 @@ def test_equilibrium_rejects_bad_inputs(monkeypatch):
     monkeypatch.setattr(chain, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
         equilibrium_positions(TrapConfig(9), tol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [float("inf"), float("nan"), 1e308])
+def test_non_finite_or_overflowing_aspect_ratio_rejected(beta):
+    with pytest.raises(ValueError, match="aspect_ratio"):
+        TrapConfig(5, aspect_ratio=beta)
+    with pytest.raises(ValueError, match="aspect_ratio"):
+        coupling_from_trap(5, beta, 3.4)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_mode_spectrum_rejects_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mode_spectrum(np.diag([bad, 4.0, 9.0]))
+
+
+def test_mode_spectrum_residual_check_fails_on_nan(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def nan_vectors(a):
+        evals, vecs = eigh(a)
+        return evals, np.full_like(vecs, np.nan)
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        mode_spectrum(np.diag([1.0, 4.0, 9.0]))
 
 
 def test_curvature_matrix_two_ions():

@@ -49,6 +49,25 @@ def test_modes_non_finite_tol_exits_2(tmp_path, capsys, tol):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("beta", ["inf", "1e308", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("modes", "--n", "3"),
+        ("couplings", "--n", "5", "--mu-tilde", "3.4"),
+        ("phase-table", "--n", "5", "--samples", "16"),
+        ("scan2d", "--n", "5", "--mu-range", "3.1:3.3", "--b-range", "0:1", "--samples", "3x2"),
+        ("gap", "--n", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_or_overflowing_beta_exits_2(tmp_path, capsys, argv, beta):
+    # inf gave NaN frequencies or a KeyError, 1e308 an OverflowError on beta^2
+    assert run(*argv, "--beta", beta, "--out", str(tmp_path)) == 2
+    assert "aspect_ratio must be positive with a finite square" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_couplings_two_ions_closed_form(tmp_path):
     out = str(tmp_path)
     assert run("couplings", "--n", "2", "--mu-tilde", "1.5", "--out", out) == 0
@@ -321,7 +340,7 @@ def test_scan2d_rejects_threads(tmp_path):
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
-@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "inf"])
 def test_phase_table_non_positive_tol_exits_2(tmp_path, tol):
     assert run("phase-table", "--n", "5", "--samples", "16", f"--tol={tol}", "--out", str(tmp_path)) == 2
     assert not os.path.exists(os.path.join(str(tmp_path), "phase_table.json"))

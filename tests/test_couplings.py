@@ -63,7 +63,7 @@ def test_two_ion_coupling_closed_form():
     spec = chain_spectrum(2, beta)
     for rescaled in (1.25, 1.5, 1.75):
         det = resolve_detuning(spec, rescaled)
-        c = coupling_matrix(spec, det, beta=beta)
+        c = coupling_matrix(spec, det)
         mu2 = det.resolved**2
         expected = 0.5 * (1.0 / (mu2 - beta**2) - 1.0 / (mu2 - beta**2 + 1.0))
         assert c.j[0, 1] == pytest.approx(expected, abs=1e-14)
@@ -90,7 +90,7 @@ def test_coupling_matches_compensated_summation_oracle():
     """Entrywise mode sum recomputed term by term with math.fsum."""
     spec = chain_spectrum(5, 10.0)
     det = resolve_detuning(spec, 3.4)
-    c = coupling_matrix(spec, det, beta=10.0)
+    c = coupling_matrix(spec, det)
     w = spec.frequencies
     b = spec.mode_matrix
     mu = det.resolved
@@ -145,8 +145,8 @@ def test_bond_graph_structure(coupling_n7_53):
     assert all(a >= b for a, b in zip(weights, weights[1:]))
     for e in edges:
         assert e.m < e.n
-        assert e.sign == ("FM" if e.coupling < 0 else "AFM")
-        assert e.weight == abs(e.coupling)
+        assert e.sign == ("FM" if e.j < 0 else "AFM")
+        assert e.weight == abs(e.j)
 
 
 def test_bond_graph_two_ions():

@@ -35,7 +35,7 @@ def recorded(matvec):
 def test_matches_dense_spectrum(dim, k, rng):
     a = random_symmetric(rng, dim)
     reference = np.linalg.eigvalsh(a)[:k]
-    evals, vecs = lowest_eigenpairs(dense_operator(a), dim, k, diag=np.diag(a))
+    evals, vecs = lowest_eigenpairs(dense_operator(a), k, diag=np.diag(a))
     assert np.max(np.abs(evals - reference)) <= 1e-9
     for i in range(k):
         resid = np.linalg.norm(a @ vecs[:, i] - evals[i] * vecs[:, i])
@@ -48,34 +48,34 @@ def test_resolves_exact_degeneracy(rng):
     spectrum = np.concatenate([[-5.0, -5.0, -3.0, -3.0], np.linspace(0.0, 8.0, dim - 4)])
     a = (q * spectrum) @ q.T
     a = 0.5 * (a + a.T)
-    evals, _ = lowest_eigenpairs(dense_operator(a), dim, 4, diag=np.diag(a))
+    evals, _ = lowest_eigenpairs(dense_operator(a), 4, diag=np.diag(a))
     assert np.max(np.abs(evals - np.array([-5.0, -5.0, -3.0, -3.0]))) <= 1e-9
 
 
 def test_deterministic(rng):
     a = random_symmetric(rng, 90)
-    first = lowest_eigenpairs(dense_operator(a), 90, 3, diag=np.diag(a))
-    second = lowest_eigenpairs(dense_operator(a), 90, 3, diag=np.diag(a))
+    first = lowest_eigenpairs(dense_operator(a), 3, diag=np.diag(a))
+    second = lowest_eigenpairs(dense_operator(a), 3, diag=np.diag(a))
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
 
 def test_small_space_is_exact(rng):
     a = random_symmetric(rng, 6)
-    evals, _ = lowest_eigenpairs(dense_operator(a), 6, 6, diag=np.diag(a))
+    evals, _ = lowest_eigenpairs(dense_operator(a), 6, diag=np.diag(a))
     assert np.max(np.abs(evals - np.linalg.eigvalsh(a))) <= 1e-10
 
 
 def test_validation_and_budget(rng, monkeypatch):
     a = random_symmetric(rng, 40)
     with pytest.raises(ValueError):
-        lowest_eigenpairs(dense_operator(a), 40, 0, diag=np.diag(a))
+        lowest_eigenpairs(dense_operator(a), 0, diag=np.diag(a))
     # an unreachable tolerance runs to the iteration cap and reports its best residual
     monkeypatch.setattr(lanczos, "_MAX_ITER", 50)
     monkeypatch.setattr(lanczos, "_TOL", 1e-30)
     apply, seen = recorded(dense_operator(a))
     with pytest.raises(NoConvergence, match="after 50 steps; best residual"):
-        lowest_eigenpairs(apply, 40, 2, diag=np.diag(a))
+        lowest_eigenpairs(apply, 2, diag=np.diag(a))
     assert len(seen) == 51
 
 
@@ -103,7 +103,7 @@ def test_basis_stays_orthonormal(case, rng):
         a = random_symmetric(rng, 300) if case == "random" else few_levels_operator(rng)
         matvec, diag = dense_operator(a), np.diag(a)
     apply, seen = recorded(matvec)
-    evals, vecs = lowest_eigenpairs(apply, len(a), 6, diag=diag)
+    evals, vecs = lowest_eigenpairs(apply, 6, diag=diag)
     # every block the operator sees, and the Ritz vectors drawn from them, are orthonormal
     for block in seen:
         assert np.linalg.norm(block.T @ block - np.eye(block.shape[1])) <= 1e-13

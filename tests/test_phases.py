@@ -37,24 +37,24 @@ def test_three_ion_table_has_single_transition():
     table = phase_table(3, 10.0)
     assert table.transition_count == 1
     t = table.transitions[0]
-    assert t.left_bits != t.right_bits
+    assert t.left_order != t.right_order
     assert t.uncertainty <= 1e-6
 
 
 def test_seven_ion_fm_kink_transition_location():
     t, left, right = fm_kink_interval(7, 10.0)
-    assert 5.1 < t.mu < 5.3
-    assert t.left_bits == "0000000"
-    assert t.right_bits == "0000111"
-    assert left.order_bits == "0000000" and left.degeneracy == 2
-    assert right.order_bits == "0000111" and right.degeneracy == 4
+    assert 5.1 < t.mu_tilde < 5.3
+    assert t.left_order == "0000000"
+    assert t.right_order == "0000111"
+    assert left.order == "0000000" and left.degeneracy == 2
+    assert right.order == "0000111" and right.degeneracy == 4
 
 
 def test_transition_sides_reverify_post_hoc():
     table = phase_table(5, 10.0, refine_tol=1e-7)
     for t in table.transitions:
-        assert ground_bits(5, 10.0, t.mu - 10 * table.refine_tol) == t.left_bits
-        assert ground_bits(5, 10.0, t.mu + 10 * table.refine_tol) == t.right_bits
+        assert ground_bits(5, 10.0, t.mu_tilde - 10 * table.refine_tol) == t.left_order
+        assert ground_bits(5, 10.0, t.mu_tilde + 10 * table.refine_tol) == t.right_order
 
 
 def test_table_tiles_every_interval():
@@ -65,7 +65,7 @@ def test_table_tiles_every_interval():
         assert subs[-1].hi == iv.lower_mode + 1
         for a, b in zip(subs[:-1], subs[1:]):
             assert a.hi == b.lo
-            assert a.order_bits != b.order_bits
+            assert a.order != b.order
         assert len(iv.transitions) == len(subs) - 1
 
 
@@ -78,7 +78,7 @@ def test_table_validation():
         phase_table(25, 10.0)
 
 
-@pytest.mark.parametrize("refine_tol", [0.0, -1.0])
+@pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("inf")])
 def test_table_rejects_non_positive_refine_tol(refine_tol):
     # bisection would only stop at the tie window and mark every transition exact
     with pytest.raises(ValueError, match="refine_tol"):
@@ -140,10 +140,10 @@ def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):
     monkeypatch.setattr(phases, "ground_orders", crossing_at)
     table = phase_table(3, 10.0, 16)
     (t,) = table.transitions
-    assert (t.left_bits, t.right_bits) == (left.bits, right.bits)
-    assert t.exact
+    assert (t.left_order, t.right_order) == (left.bits, right.bits)
+    assert t.exact_crossing
     assert t.uncertainty <= table.refine_tol
-    assert abs(t.mu - cross) <= table.refine_tol
+    assert abs(t.mu_tilde - cross) <= table.refine_tol
 
 
 @pytest.mark.parametrize("n", [13, 15])
@@ -152,7 +152,7 @@ def test_degeneracy_law_holds_on_every_subinterval(n):
     for iv in phase_table(n, 10.0, 64).intervals:
         for sub in iv.subintervals:
             assert sub.degeneracy in (2, 4)
-            s = int(sub.order_bits, 2)
+            s = int(sub.order, 2)
             symmetric = reverse_bits(s, n) in (s, flip_all(s, n))
             assert symmetric == (sub.degeneracy == 2), (n, sub)
 
@@ -387,12 +387,17 @@ def test_fit_alpha_rejects_non_positive_samples_before_solving(bad, monkeypatch)
 
 
 @pytest.fixture
-def one_field_loses_transition(monkeypatch):
-    """min_gap finds a sharp transition at every field outside (0.025, 0.035)."""
+def one_field_loses_transition(monkeypatch, request):
+    """min_gap finds a sharp transition at every field outside (0.025, 0.035).
+
+    Inside it raises the exception passed as the fixture's parameter, by
+    default TransitionLost.
+    """
+    lost = getattr(request, "param", TransitionLost)
 
     def fake_min_gap(n_ions, beta, b):
         if 0.025 < b < 0.035:
-            raise TransitionLost("transition ended at this field")
+            raise lost("transition ended at this field")
         return phases.GapPoint(n_ions, beta, b, b, 3.5, b**2)
 
     monkeypatch.setattr(phases, "min_gap", fake_min_gap)
@@ -403,6 +408,16 @@ def test_fit_alpha_with_too_few_sharp_fields_is_transition_lost(tmp_path, capsys
         fit_alpha(5, 10.0, [0.01, 0.02, 0.03, 0.04, 0.05])
     assert cli_main(["gap", "--n", "5", "--b-range", "0.01:0.05", "--samples", "5", "--out", str(tmp_path)]) == 3
     assert "TransitionLost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "one_field_loses_transition", [TransitionLost, NoInteriorMinimum], indirect=True
+)
+def test_fit_alpha_records_skipped_fields(one_field_loses_transition):
+    fit = fit_alpha(5, 10.0, [0.01, 0.02, 0.03, 0.04, 0.05, 0.06])
+    assert [p.b_over_njbar for p in fit.points] == [0.01, 0.02, 0.04, 0.05, 0.06]
+    assert fit.skipped == (0.03,)
+    assert fit.alpha == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_alpha_five_ions():
