@@ -2,10 +2,28 @@
 list of chain sizes, with the even/odd-interval symmetry summary."""
 
 import argparse
-import json
 import os
+from dataclasses import asdict
 
+from ionspins import fileio
+from ionspins.cli import exit_code
 from ionspins.phases import even_odd_symmetry_report, phase_table
+
+
+def census(args):
+    os.makedirs(args.out, exist_ok=True)
+    for n in (int(x) for x in args.n_list.split(",")):
+        table = phase_table(n, args.beta, samples_per_interval=args.samples)
+        reports = even_odd_symmetry_report(table)
+        payload = {
+            **table.to_dict(),
+            "transition_count": table.transition_count,
+            "interval_reports": [asdict(r) for r in reports],
+        }
+        path = os.path.join(args.out, f"phases_n{n}.json")
+        fileio.write_json(path, payload, vars(args))
+        flagged = [r.lower_mode for r in reports if r.flagged]
+        print(f"{path}: {table.transition_count} transitions; flagged intervals: {flagged or 'none'}")
 
 
 def main():
@@ -14,31 +32,8 @@ def main():
     parser.add_argument("--beta", type=float, default=10.0)
     parser.add_argument("--samples", type=int, default=1024)
     parser.add_argument("--out", default="out_phase_census")
-    args = parser.parse_args()
-
-    os.makedirs(args.out, exist_ok=True)
-    for n in (int(x) for x in args.n_list.split(",")):
-        table = phase_table(n, args.beta, samples_per_interval=args.samples)
-        reports = even_odd_symmetry_report(table)
-        doc = table.to_dict()
-        doc["transition_count"] = table.transition_count
-        doc["interval_reports"] = [
-            {
-                "interval": [r.lower_mode, r.lower_mode + 1],
-                "parity": r.parity,
-                "transitions": r.n_transitions,
-                "orders": list(r.orders),
-                "all_reflection_symmetric": r.all_reflection_symmetric,
-                "flagged": r.flagged,
-            }
-            for r in reports
-        ]
-        path = os.path.join(args.out, f"phases_n{n}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        flagged = [r.lower_mode for r in reports if r.flagged]
-        print(f"{path}: {table.transition_count} transitions; flagged intervals: {flagged or 'none'}")
+    return exit_code(parser.prog, census, parser.parse_args())
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

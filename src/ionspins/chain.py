@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateModes, ZigzagInstability
 
 _MAX_ITER = 200  # damped Newton steps of equilibrium_positions
+_TOL = 1e-12  # gradient max-norm at which equilibrium_positions stops
 
 
 @dataclass(frozen=True)
@@ -94,24 +95,22 @@ def axial_hessian(u):
     return h
 
 
-def equilibrium_positions(config, tol=1e-12):
+def equilibrium_positions(config):
     """Solve for the stationary chain via damped Newton iteration.
 
     Starts from a uniformly spread symmetric guess (spacing 2); each step
     solves the analytic Hessian system and is halved until the gradient
-    max-norm decreases, which preserves the ion ordering.
+    max-norm decreases, which preserves the ion ordering.  Stops once that
+    max-norm is at most _TOL.
 
-    Raises ConvergenceError (with the best residual) after _MAX_ITER steps,
-    ValueError for invalid inputs: tol must be finite and positive.
+    Raises ConvergenceError (with the best residual) after _MAX_ITER steps.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = config.n_ions
     u = 2.0 * (np.arange(1, n + 1) - 0.5 * (n + 1))
     g = potential_gradient(u)
     for _ in range(_MAX_ITER):
         res = np.max(np.abs(g))
-        if res <= tol:
+        if res <= _TOL:
             return IonChain(config=config, positions=u)
         step = np.linalg.solve(axial_hessian(u), -g)
         scale = 1.0

@@ -9,8 +9,9 @@ command's defaults; every output file carries the settings that ran, so any
 artifact can be reproduced byte for byte.  ``--check`` re-verifies the files
 the command wrote; ``check`` re-verifies every artifact in --out.
 
-Exit codes: 0 success, 2 invalid request (any ValueError or OSError), 3 valid
-request without a trustworthy result (any ``errors.NumericalFailure``).
+Exit codes (``exit_code``, which the scripts in scripts/ share too): 0
+success, 2 invalid request (any ValueError or OSError), 3 valid request
+without a trustworthy result (any ``errors.NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class _Setting(NamedTuple):
     type: Callable
     default: object
     help: str
-    choices: tuple | None = None
 
 
 def _truthy(text):
@@ -54,9 +54,8 @@ _SETTINGS = {
     "mu_range": _Setting(str, "", "detuning range lo:hi"),
     "b_range": _Setting(str, "", "field lo:hi, B/Jbar (scan2d), B/(N Jbar) (gap)"),
     "samples": _Setting(str, "", "grid samples (N or NxM)"),
-    "tol": _Setting(float, None, "solver/refinement tolerance"),
+    "tol": _Setting(float, 1e-6, "bisection width of the transitions (default 1e-6)"),
     "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
-    "format": _Setting(str, "both", "csv, or csv and json", ("csv", "both")),
     "check": _Setting(_truthy, False, "re-verify the written files"),
 }
 
@@ -74,10 +73,7 @@ def _read_config_file(path, command, reads):
             key = key.strip().replace("-", "_")
             if key not in reads:
                 raise ValueError(f"config key {key!r} is not read by {command}")
-            setting = _SETTINGS[key]
-            values[key] = setting.type(val.strip())
-            if setting.choices and values[key] not in setting.choices:
-                raise ValueError(f"config key {key!r} must be one of {setting.choices}")
+            values[key] = _SETTINGS[key].type(val.strip())
     return values
 
 
@@ -129,7 +125,7 @@ def _write(cfg, files):
 
 
 def cmd_modes(cfg):
-    chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta), tol=cfg.tol)
+    chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta))
     spec = transverse_modes(chain)
     return _write(cfg, {
         "positions.csv": (["n", "u"], [(i + 1, chain.positions[i]) for i in range(cfg.n)]),
@@ -143,7 +139,7 @@ def cmd_modes(cfg):
 def cmd_couplings(cfg):
     if cfg.mu_tilde is None:
         raise ValueError("couplings requires --mu-tilde")
-    coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde, tol=cfg.tol)
+    coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde)
     edges = bond_graph(coupling)
     return _write(cfg, {
         "couplings.csv": (
@@ -176,14 +172,12 @@ def cmd_scan2d(cfg):
     b_range = _parse_range(cfg.b_range, "b-range")
     resolution = _parse_resolution(cfg.samples)
     grid = scan_2d(cfg.n, cfg.beta, mu_range, b_range, resolution=resolution)
-    files = {
+    written = _write(cfg, {
         "scan2d.csv": (
             ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
             grid.rows(),
-        )
-    }
-    if cfg.format == "both":
-        files["scan2d.json"] = {
+        ),
+        "scan2d.json": {
             "n_ions": grid.n_ions,
             "beta": grid.beta,
             "mu_values": [float(x) for x in grid.mu_values],
@@ -191,8 +185,8 @@ def cmd_scan2d(cfg):
             "order_parameter": [[fileio.fmt(v) for v in row] for row in grid.order_parameter],
             "polarization": [[fileio.fmt(v) for v in row] for row in grid.polarization],
             "failures": grid.failures,
-        }
-    written = _write(cfg, files)
+        },
+    })
     n_points = grid.order_parameter.size
     if len(grid.failures) > 0.01 * n_points:
         raise NoConvergence(f"{len(grid.failures)} of {n_points} grid points failed")
@@ -213,7 +207,8 @@ def cmd_gap(cfg):
     fits = [fit_alpha(n, cfg.beta, b_values) for n in n_values]
     payload = {
         "alphas": [
-            {"n_ions": f.n_ions, "alpha": f.alpha, "residual": f.residual} for f in fits
+            {"n_ions": f.n_ions, "alpha": f.alpha, "residual": f.residual, "skipped": f.skipped}
+            for f in fits
         ]
     }
     if len(fits) >= 2:
@@ -229,7 +224,7 @@ def cmd_gap(cfg):
 
 
 def cmd_check(cfg):
-    """Writes nothing; ``main`` then re-verifies every artifact in cfg.out."""
+    """Writes nothing; ``run_command`` then re-verifies every artifact in cfg.out."""
 
 
 class _Command(NamedTuple):
@@ -242,18 +237,14 @@ class _Command(NamedTuple):
 # its flags, the config keys it accepts and its artifact header are exactly
 # the settings it reads.
 _COMMANDS = {
-    "modes": _Command(cmd_modes, ("n", "beta", "tol", "out", "check"), {"tol": 1e-12}),
-    "couplings": _Command(
-        cmd_couplings, ("n", "beta", "mu_tilde", "tol", "out", "check"), {"tol": 1e-12}
-    ),
+    "modes": _Command(cmd_modes, ("n", "beta", "out", "check")),
+    "couplings": _Command(cmd_couplings, ("n", "beta", "mu_tilde", "out", "check")),
     "phase-table": _Command(
-        cmd_phase_table,
-        ("n", "beta", "samples", "tol", "out", "check"),
-        {"samples": "64", "tol": 1e-6},
+        cmd_phase_table, ("n", "beta", "samples", "tol", "out", "check"), {"samples": "64"}
     ),
     "scan2d": _Command(
         cmd_scan2d,
-        ("n", "beta", "mu_range", "b_range", "samples", "format", "out", "check"),
+        ("n", "beta", "mu_range", "b_range", "samples", "out", "check"),
         {"samples": "128x64"},
     ),
     "gap": _Command(
@@ -280,28 +271,37 @@ def _build_parser():
             if isinstance(setting.default, bool):
                 p.add_argument(flag, action="store_const", const=True, help=setting.help)
             else:
-                p.add_argument(
-                    flag, type=setting.type, choices=setting.choices, help=setting.help
-                )
+                p.add_argument(flag, type=setting.type, help=setting.help)
     return parser
 
 
-def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code(prog, run, *args):
+    """Call ``run(*args)`` and return 0, or print its error on one line and return its code.
+
+    3 for a ``NumericalFailure``, 2 for a ``ValueError`` or ``OSError``; others propagate.
+    """
     try:
-        cfg = _resolve(args)
-        written = _COMMANDS[cfg.command].run(cfg)
-        if cfg.command == "check" or cfg.check:
-            for message in fileio.check_directory(cfg.out, written):
-                print(message)
+        run(*args)
     except NumericalFailure as exc:
-        print(f"ionspins: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{prog}: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        print(f"ionspins: configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{prog}: configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def run_command(argv=None):
+    """Run one ``ionspins`` command line; errors propagate (``main`` maps them to exit codes)."""
+    cfg = _resolve(_build_parser().parse_args(argv))
+    written = _COMMANDS[cfg.command].run(cfg)
+    if cfg.command == "check" or cfg.check:
+        for message in fileio.check_directory(cfg.out, written):
+            print(message)
+
+
+def main(argv=None):
+    return exit_code("ionspins", run_command, argv)
 
 
 if __name__ == "__main__":

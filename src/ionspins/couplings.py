@@ -131,14 +131,14 @@ def bond_graph(coupling):
 
 
 @functools.cache
-def chain_spectrum(n_ions, beta=10.0, tol=1e-12):
+def chain_spectrum(n_ions, beta=10.0):
     """Mode spectrum for (n_ions, beta), memoized across sweep calls."""
-    chain = equilibrium_positions(TrapConfig(n_ions=n_ions, aspect_ratio=beta), tol=tol)
+    chain = equilibrium_positions(TrapConfig(n_ions=n_ions, aspect_ratio=beta))
     return transverse_modes(chain)
 
 
-def coupling_from_trap(n_ions, beta, mu_tilde, tol=1e-12):
+def coupling_from_trap(n_ions, beta, mu_tilde):
     """Full pipeline: trap geometry -> modes -> coupling matrix at mu_tilde."""
-    spec = chain_spectrum(n_ions, beta, tol=tol)
+    spec = chain_spectrum(n_ions, beta)
     det = resolve_detuning(spec, mu_tilde)
     return coupling_matrix(spec, det)

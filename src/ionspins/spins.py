@@ -197,7 +197,7 @@ def classical_ground(coupling):
 def _mode_projections(n_ions, beta, lo):
     """(z . b^k)^2 for the half-basis configurations lo .. lo + _ENUM_CHUNK - 1."""
     idx = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << (n_ions - 1)), dtype=np.int64)
-    p = _signs(idx, n_ions) @ chain_spectrum(n_ions, beta, tol=1e-12).mode_matrix
+    p = _signs(idx, n_ions) @ chain_spectrum(n_ions, beta).mode_matrix
     p *= p
     return p
 
@@ -219,7 +219,7 @@ def ground_orders(n_ions, beta, mu_tildes):
     raised).
     """
     _check_budget(n_ions)
-    spec = chain_spectrum(n_ions, beta, tol=1e-12)  # the cache entry coupling_from_trap uses
+    spec = chain_spectrum(n_ions, beta)
     mus = [resolve_detuning(spec, mu).resolved for mu in mu_tildes]
     d = 1.0 / mode_denominators(spec, mus)
     half = 1 << (n_ions - 1)

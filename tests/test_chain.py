@@ -134,11 +134,12 @@ def test_equilibrium_rejects_bad_inputs(monkeypatch):
         TrapConfig(1)
     with pytest.raises(ValueError):
         TrapConfig(5, aspect_ratio=-2.0)
-    with pytest.raises(ValueError):
-        equilibrium_positions(TrapConfig(4), tol=0.0)
+    monkeypatch.setattr(chain, "_TOL", 1e-300)  # below a few ulps of the positions
+    with pytest.raises(ConvergenceError, match="stalled"):
+        equilibrium_positions(TrapConfig(5))
     monkeypatch.setattr(chain, "_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError):
-        equilibrium_positions(TrapConfig(9), tol=1e-12)
+    with pytest.raises(ConvergenceError, match="after 2 iterations"):
+        equilibrium_positions(TrapConfig(9))
 
 
 @pytest.mark.parametrize("beta", [float("inf"), float("nan"), 1e308])

@@ -41,14 +41,6 @@ def test_modes_unstable_chain_exits_3(tmp_path, capsys):
     assert not os.path.exists(os.path.join(str(tmp_path), "modes.csv"))
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_modes_non_finite_tol_exits_2(tmp_path, capsys, tol):
-    # inf would accept the starting guess as the equilibrium, nan would end in a Newton stall
-    assert run("modes", "--n", "5", "--tol", tol, "--out", str(tmp_path)) == 2
-    assert "finite and positive" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
-
-
 @pytest.mark.parametrize("beta", ["inf", "1e308", "nan"])
 @pytest.mark.parametrize(
     "argv",
@@ -136,29 +128,6 @@ def test_scan2d_files_and_check(tmp_path):
     assert len(rows) == 15
     assert os.path.exists(os.path.join(out, "scan2d.json"))
     assert run("check", "--out", out) == 0
-
-
-def test_scan2d_csv_only_format(tmp_path):
-    out = str(tmp_path)
-    assert (
-        run(
-            "scan2d",
-            "--n",
-            "3",
-            "--mu-range",
-            "1.2:1.8",
-            "--b-range",
-            "0:0.3",
-            "--samples",
-            "3x2",
-            "--format",
-            "csv",
-            "--out",
-            out,
-        )
-        == 0
-    )
-    assert not os.path.exists(os.path.join(out, "scan2d.json"))
 
 
 def test_scan2d_requires_ranges(tmp_path):
@@ -272,32 +241,41 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 def test_header_carries_resolved_config(tmp_path):
-    out = str(tmp_path)
-    assert run("modes", "--n", "4", "--beta", "12.5", "--out", out) == 0
-    config, _, _ = read_csv(os.path.join(out, "positions.csv"))
-    assert config["n"] == "4"
-    assert config["beta"] == "12.5"
-    assert config["command"] == "modes"
-    assert config["tol"] == "1e-12"
-    assert "format" not in config
+    scan2d = ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--samples", "3x2")
+    for argv, artifact, expected in (
+        (("modes", "--n", "4", "--beta", "12.5"), "positions.csv", {"n": "4", "beta": "12.5"}),
+        (scan2d, "scan2d.csv", {"n": "3", "samples": "3x2"}),
+    ):
+        out = str(tmp_path / argv[0])
+        assert run(*argv, "--out", out) == 0
+        config, _, _ = read_csv(os.path.join(out, artifact))
+        assert config["command"] == argv[0]
+        assert {key: config[key] for key in expected} == expected
+        assert "tol" not in config and "format" not in config and "threads" not in config
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("modes", "--n", "3", "--mu-tilde", "1.5"),
+        ("modes", "--n", "5", "--tol", "1e-300"),
         ("couplings", "--n", "3", "--mu-tilde", "1.5", "--samples", "16"),
+        ("couplings", "--n", "5", "--mu-tilde", "3.4", "--tol", "1e-17"),
         ("phase-table", "--n", "3", "--format", "csv"),
         ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--tol", "1e-9"),
+        ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--format", "csv"),
         ("gap", "--n", "3", "--format", "csv"),
         ("check", "--n", "3"),
         ("check", "--check"),
     ],
     ids=[
         "modes --mu-tilde",
+        "modes --tol",
         "couplings --samples",
+        "couplings --tol",
         "phase-table --format",
         "scan2d --tol",
+        "scan2d --format",
         "gap --format",
         "check --n",
         "check --check",
@@ -312,21 +290,13 @@ def test_unread_flag_exits_2(tmp_path, argv):
 
 def test_config_file_rejects_unread_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=3\nformat=csv\n")
     out = tmp_path / "out"
-    assert run("modes", "--config", str(cfg), "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert "'format'" in err and "modes" in err
+    for key in ("format=csv", "tol=1e-12"):
+        cfg.write_text(f"n=3\n{key}\n")
+        assert run("modes", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"'{key.partition('=')[0]}'" in err and "modes" in err
     assert not out.exists()
-
-
-def test_scan2d_header_carries_format(tmp_path):
-    out = str(tmp_path)
-    argv = ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--samples", "3x2")
-    assert run(*argv, "--format", "csv", "--out", out) == 0
-    config, _, _ = read_csv(os.path.join(out, "scan2d.csv"))
-    assert config["format"] == "csv"
-    assert "tol" not in config and "threads" not in config
 
 
 def test_scan2d_rejects_threads(tmp_path):
@@ -413,7 +383,7 @@ def _lower_e1(line):
 def test_check_flags_scan2d_levels_out_of_order(tmp_path, capsys):
     out = str(tmp_path)
     argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:0.5", "--samples", "3x2")
-    assert run(*argv, "--format", "csv", "--out", out, "--check") == 0
+    assert run(*argv, "--out", out, "--check") == 0
     _edit_lines(os.path.join(out, "scan2d.csv"), lambda ls: ls[:-1] + [_lower_e1(ls[-1])])
     assert run("check", "--out", out) == 3
     err = capsys.readouterr().err

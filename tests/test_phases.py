@@ -1,6 +1,7 @@
 """Phase table, 2-D scans, gap minimization, and scaling-fit tests."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from ionspins import phases, spins
 from ionspins.cli import main as cli_main
 from ionspins.couplings import coupling_from_trap
 from ionspins.errors import AmbiguousGround, NoConvergence, ResonanceError
+from ionspins.fileio import read_csv
 from ionspins.phases import (
     NoInteriorMinimum,
     TransitionLost,
@@ -418,6 +420,15 @@ def test_fit_alpha_records_skipped_fields(one_field_loses_transition):
     assert [p.b_over_njbar for p in fit.points] == [0.01, 0.02, 0.04, 0.05, 0.06]
     assert fit.skipped == (0.03,)
     assert fit.alpha == pytest.approx(2.0, abs=1e-12)
+
+
+def test_gap_records_skipped_fields(tmp_path, one_field_loses_transition):
+    argv = ["gap", "--n", "5", "--b-range", "0.01:0.06", "--samples", "6", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    _, _, rows = read_csv(tmp_path / "gap_scaling.csv")
+    assert len(rows) == 5
+    (entry,) = json.loads((tmp_path / "alpha_fit.json").read_text())["alphas"]
+    assert entry["skipped"] == [pytest.approx(0.0293, abs=1e-4)]
 
 
 def test_fit_alpha_five_ions():

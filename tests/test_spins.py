@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionspins import spins
-from ionspins.couplings import CouplingMatrix, coupling_from_trap
+from ionspins.couplings import CouplingMatrix, chain_spectrum, coupling_from_trap
 from ionspins.errors import NoConvergence, ResonanceError
 from ionspins.phases import fm_kink_interval, phase_table
 from ionspins.spins import (
@@ -228,6 +228,14 @@ def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     wide = ground_orders(n, 10.0, transitions)
     assert all(isinstance(f, AmbiguousGround) for f in wide)
     assert [f.orders for f in wide] == [scalar_ground(n, mu) for mu in transitions]
+
+
+def test_chain_modes_solved_once_across_layers():
+    # the couplings and the mode-space ground search read one cached spectrum per chain
+    chain_spectrum.cache_clear()
+    coupling_from_trap(7, 10.0, 5.1)
+    ground_orders(7, 10.0, [5.1, 5.3])
+    assert chain_spectrum.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
