@@ -2,12 +2,13 @@
 
 Subcommands: modes, couplings, phase-table, scan2d, gap, check.  Each accepts
 --config plus the flags (``--name``) and config keys (``name=value``) of only
-the settings it reads, listed per command in ``_COMMANDS`` (``out`` for all,
-``check`` for all but check); any other flag or key is an invalid request.
-Precedence is command line > config file (--config, key=value lines) > the
-command's defaults; every output file carries the settings that ran, so any
-artifact can be reproduced byte for byte.  ``--check`` re-verifies the files
-the command wrote; ``check`` re-verifies every artifact in --out.
+the settings it reads, listed per command in ``_COMMANDS`` (``out`` for all);
+any other flag or key is an invalid request.  Precedence is command line >
+config file (--config, key=value lines) > the command's defaults; every
+output file carries the settings that ran, so any artifact can be reproduced
+byte for byte.  Each command re-verifies the files it wrote before it
+returns (``fileio.check_directory``); ``check`` re-verifies every artifact
+in --out.
 
 Exit codes (``exit_code``, which the scripts in scripts/ share too): 0
 success, 2 invalid request (any ValueError or OSError), 3 valid request
@@ -37,17 +38,10 @@ class _Setting(NamedTuple):
     help: str
 
 
-def _truthy(text):
-    word = text.strip().lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
-    return word in ("1", "true", "yes")
-
-
 # Every run setting, declared once; the flag of ``name`` is ``--name`` with
-# '-' for '_'.  A bool default makes a switch on the command line.
+# '-' for '_'.
 _SETTINGS = {
-    "n": _Setting(int, 7, "ion count (default 7)"),
+    "n": _Setting(int, 7, "ion count (default 7; gap has none)"),
     "n_list": _Setting(str, "", "comma-separated ion counts"),
     "beta": _Setting(float, 10.0, "trap aspect ratio wx/wz (default 10)"),
     "mu_tilde": _Setting(float, None, "rescaled detuning"),
@@ -56,7 +50,6 @@ _SETTINGS = {
     "samples": _Setting(str, "", "grid samples (N or NxM)"),
     "tol": _Setting(float, 1e-6, "bisection width of the transitions (default 1e-6)"),
     "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
-    "check": _Setting(_truthy, False, "re-verify the written files"),
 }
 
 
@@ -110,9 +103,10 @@ def _parse_resolution(text):
 
 
 def _write(cfg, files):
-    """Write each ``name: data`` into cfg.out under the run's settings; return the names.
+    """Write each ``name: data`` into cfg.out under the run's settings, then re-verify them.
 
-    ``data`` is ``(columns, rows)`` for a ``.csv`` name and a JSON payload otherwise.
+    ``data`` is ``(columns, rows)`` for a ``.csv`` name and a JSON payload
+    otherwise.  A file that fails its check stays on disk for inspection.
     """
     os.makedirs(cfg.out, exist_ok=True)
     for name, data in files.items():
@@ -121,13 +115,13 @@ def _write(cfg, files):
             fileio.write_csv(path, *data, vars(cfg))
         else:
             fileio.write_json(path, data, vars(cfg))
-    return list(files)
+    fileio.check_directory(cfg.out, list(files))
 
 
 def cmd_modes(cfg):
     chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta))
     spec = transverse_modes(chain)
-    return _write(cfg, {
+    _write(cfg, {
         "positions.csv": (["n", "u"], [(i + 1, chain.positions[i]) for i in range(cfg.n)]),
         "modes.csv": (
             ["k", "omega"] + [f"b_{i + 1}" for i in range(cfg.n)],
@@ -141,7 +135,7 @@ def cmd_couplings(cfg):
         raise ValueError("couplings requires --mu-tilde")
     coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde)
     edges = bond_graph(coupling)
-    return _write(cfg, {
+    _write(cfg, {
         "couplings.csv": (
             ["m", "n", "j"],
             [(e.m, e.n, e.j) for e in sorted(edges, key=lambda e: (e.m, e.n))],
@@ -160,7 +154,7 @@ def cmd_couplings(cfg):
 
 def cmd_phase_table(cfg):
     table = phase_table(cfg.n, cfg.beta, samples_per_interval=int(cfg.samples), refine_tol=cfg.tol)
-    return _write(cfg, {
+    _write(cfg, {
         "phase_table.json": {"table": table.to_dict(), "transition_count": table.transition_count}
     })
 
@@ -172,7 +166,7 @@ def cmd_scan2d(cfg):
     b_range = _parse_range(cfg.b_range, "b-range")
     resolution = _parse_resolution(cfg.samples)
     grid = scan_2d(cfg.n, cfg.beta, mu_range, b_range, resolution=resolution)
-    written = _write(cfg, {
+    _write(cfg, {
         "scan2d.csv": (
             ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
             grid.rows(),
@@ -190,10 +184,11 @@ def cmd_scan2d(cfg):
     n_points = grid.order_parameter.size
     if len(grid.failures) > 0.01 * n_points:
         raise NoConvergence(f"{len(grid.failures)} of {n_points} grid points failed")
-    return written
 
 
 def cmd_gap(cfg):
+    if (cfg.n is not None) == bool(cfg.n_list):
+        raise ValueError("gap needs exactly one of --n and --n-list")
     if cfg.n_list:
         n_values = [int(x) for x in cfg.n_list.split(",") if x.strip()]
         if not n_values:
@@ -214,7 +209,7 @@ def cmd_gap(cfg):
     if len(fits) >= 2:
         slope, intercept, rms = linear_fit([f.n_ions for f in fits], [f.alpha for f in fits])
         payload["fit"] = {"slope": slope, "intercept": intercept, "residual": rms}
-    return _write(cfg, {
+    _write(cfg, {
         "gap_scaling.csv": (
             ["N", "B_over_NJbar", "delta_E", "mu_star"],
             [(f.n_ions, p.b_over_njbar, p.gap, p.mu_star) for f in fits for p in f.points],
@@ -224,7 +219,9 @@ def cmd_gap(cfg):
 
 
 def cmd_check(cfg):
-    """Writes nothing; ``run_command`` then re-verifies every artifact in cfg.out."""
+    """Re-verify every artifact in cfg.out and print one line per file."""
+    for message in fileio.check_directory(cfg.out):
+        print(message)
 
 
 class _Command(NamedTuple):
@@ -237,20 +234,16 @@ class _Command(NamedTuple):
 # its flags, the config keys it accepts and its artifact header are exactly
 # the settings it reads.
 _COMMANDS = {
-    "modes": _Command(cmd_modes, ("n", "beta", "out", "check")),
-    "couplings": _Command(cmd_couplings, ("n", "beta", "mu_tilde", "out", "check")),
-    "phase-table": _Command(
-        cmd_phase_table, ("n", "beta", "samples", "tol", "out", "check"), {"samples": "64"}
-    ),
+    "modes": _Command(cmd_modes, ("n", "beta", "out")),
+    "couplings": _Command(cmd_couplings, ("n", "beta", "mu_tilde", "out")),
+    "phase-table": _Command(cmd_phase_table, ("n", "beta", "samples", "tol", "out"), {"samples": "64"}),
     "scan2d": _Command(
-        cmd_scan2d,
-        ("n", "beta", "mu_range", "b_range", "samples", "out", "check"),
-        {"samples": "128x64"},
+        cmd_scan2d, ("n", "beta", "mu_range", "b_range", "samples", "out"), {"samples": "128x64"}
     ),
     "gap": _Command(
         cmd_gap,
-        ("n", "n_list", "beta", "b_range", "samples", "out", "check"),
-        {"samples": "8", "b_range": "0.01:0.1"},
+        ("n", "n_list", "beta", "b_range", "samples", "out"),
+        {"n": None, "samples": "8", "b_range": "0.01:0.1"},
     ),
     "check": _Command(cmd_check, ("out",)),
 }
@@ -267,11 +260,7 @@ def _build_parser():
         p.add_argument("--config", help="key=value config file (flags take precedence)")
         for key in command.reads:
             setting = _SETTINGS[key]
-            flag = "--" + key.replace("_", "-")
-            if isinstance(setting.default, bool):
-                p.add_argument(flag, action="store_const", const=True, help=setting.help)
-            else:
-                p.add_argument(flag, type=setting.type, help=setting.help)
+            p.add_argument("--" + key.replace("_", "-"), type=setting.type, help=setting.help)
     return parser
 
 
@@ -294,10 +283,7 @@ def exit_code(prog, run, *args):
 def run_command(argv=None):
     """Run one ``ionspins`` command line; errors propagate (``main`` maps them to exit codes)."""
     cfg = _resolve(_build_parser().parse_args(argv))
-    written = _COMMANDS[cfg.command].run(cfg)
-    if cfg.command == "check" or cfg.check:
-        for message in fileio.check_directory(cfg.out, written):
-            print(message)
+    _COMMANDS[cfg.command].run(cfg)
 
 
 def main(argv=None):

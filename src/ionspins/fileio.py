@@ -1,9 +1,11 @@
-"""Deterministic CSV/JSON emission and the invariant re-checks for `check`.
+"""Deterministic CSV/JSON emission and the invariant re-checks of every artifact.
 
 CSV dialect: comma separated, '.' decimal point, 17 significant digits,
 one header row, and '#'-prefixed metadata lines carrying the fully resolved
 run configuration.  Nothing time-dependent is ever written, so repeated runs
-with the same configuration produce byte-identical files.
+with the same configuration produce byte-identical files.  Every CLI command
+re-verifies the files it writes through ``check_directory``, and ``check``
+re-verifies a whole output directory, from the files alone.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def check_modes(path):
     return f"{path}: {n} modes orthonormal and ascending"
 
 
-def check_couplings(csv_path, json_path=None):
+def check_couplings(csv_path, json_path):
     config, cols, rows = read_csv(csv_path)
     _require(cols == ["m", "n", "j"], f"{csv_path}: unexpected columns {cols}")
     pairs = [(int(r[0]), int(r[1]), float(r[2])) for r in rows]
@@ -122,7 +124,7 @@ def check_couplings(csv_path, json_path=None):
     )
     jbar = float(np.sqrt(np.sum(j * j) / (n * (n - 1))))
     messages = [f"{csv_path}: {len(pairs)} bonds reflection-symmetric"]
-    if json_path is not None and os.path.exists(json_path):
+    if os.path.exists(json_path):
         with open(json_path) as fh:
             doc = json.load(fh)
         _require(
@@ -144,12 +146,17 @@ def check_couplings(csv_path, json_path=None):
 def check_phase_table(path):
     with open(path) as fh:
         doc = json.load(fh)
-    table = doc.get("table", doc)
+    table = doc["table"]
     refine = float(table["refine_tol"])
     for iv in table["intervals"]:
         k = iv["lower_mode"]
-        subs = iv["subintervals"]
+        subs, transitions = iv["subintervals"], iv["transitions"]
         _require(subs, f"{path}: interval ({k},{k + 1}) has no subintervals")
+        _require(
+            len(subs) == len(transitions) + 1,
+            f"{path}: interval ({k},{k + 1}) has {len(subs)} subintervals for "
+            f"{len(transitions)} transitions",
+        )
         _require(subs[0]["lo"] == k, f"{path}: interval ({k},{k + 1}) does not start at {k}")
         _require(
             subs[-1]["hi"] == k + 1, f"{path}: interval ({k},{k + 1}) does not end at {k + 1}"
@@ -163,10 +170,14 @@ def check_phase_table(path):
                 a["order"] != b["order"],
                 f"{path}: adjacent subintervals share the order {a['order']}",
             )
-        for t in iv["transitions"]:
+        for t, left, right in zip(transitions, subs[:-1], subs[1:]):
             _require(
                 t["uncertainty"] <= refine,
                 f"{path}: transition at {t['mu_tilde']} not bracketed to {refine}",
+            )
+            _require(
+                (t["left_order"], t["right_order"]) == (left["order"], right["order"]),
+                f"{path}: transition at {t['mu_tilde']} does not join the orders of its subintervals",
             )
     return f"{path}: tiling contiguous, adjacent orders distinct"
 
@@ -197,7 +208,7 @@ def check_scan2d(path):
     return f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"
 
 
-def check_gap_files(csv_path, json_path=None):
+def check_gap_files(csv_path, json_path):
     _, cols, rows = read_csv(csv_path)
     _require(
         cols == ["N", "B_over_NJbar", "delta_E", "mu_star"],
@@ -207,7 +218,7 @@ def check_gap_files(csv_path, json_path=None):
     gaps = np.array([float(r[2]) for r in rows])
     _require(np.all(gaps > 0), f"{csv_path}: non-positive gap recorded")
     messages = [f"{csv_path}: {len(rows)} gap samples positive"]
-    if json_path is not None and os.path.exists(json_path):
+    if os.path.exists(json_path):
         with open(json_path) as fh:
             doc = json.load(fh)
         for entry in doc["alphas"]:

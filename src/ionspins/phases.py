@@ -110,10 +110,12 @@ def _nudged_orders(n_ions, beta, mus, nudges):
 
 
 def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, ties=()):
-    """Refine every order change in (lo, hi); recursion handles interlopers.
+    """Bracket every order change in (lo, hi); recursion handles interlopers.
 
-    A tied midpoint is sidestepped by 1e-3 of the bracket, as a tied grid point
-    is; a transition whose final bracket holds a tied midpoint is exact.
+    Returns the final brackets, at most tol wide, in ascending order as
+    (lo, order at lo, hi, order at hi, exact).  A tied midpoint is sidestepped
+    by 1e-3 of the bracket, as a tied grid point is; a bracket that holds a
+    tied midpoint is an exact crossing.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -128,37 +130,65 @@ def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, ties=()):
         else:
             left = _bisect_orders(n_ions, beta, lo, o_lo, mid, o_mid, tol, ties)
             return left + _bisect_orders(n_ions, beta, mid, o_mid, hi, o_hi, tol, ties)
-    return [
-        Transition(
-            mu_tilde=0.5 * (lo + hi),
-            uncertainty=0.5 * (hi - lo),
-            left_order=o_lo.bits,
-            right_order=o_hi.bits,
-            exact_crossing=any(lo < t < hi for t in ties),
-        )
-    ]
+    return [(lo, o_lo, hi, o_hi, any(lo < t < hi for t in ties))]
 
 
 def _interval_phases(n_ions, beta, k, samples, refine_tol):
+    """Subintervals and transitions of (k, k+1), probed on a grid of ``samples`` points.
+
+    Every probe's order is kept.  Each pair of neighbouring probes whose
+    orders differ is bisected once, and each final bracket is a transition;
+    a subinterval takes the order of the probes it holds.  The grid starts
+    half a step inside the interval, so a change next to an edge can escape
+    it: a subinterval's midpoint whose order differs, and that no bracket
+    covers, becomes a probe, and its new pairs are bisected in turn until
+    every midpoint agrees.  Such a midpoint lies inside a run of probes of
+    one order, so each round adds a bracket and moves none; the brackets are
+    disjoint, each holds an order change, and an interval holds finitely
+    many, so the rounds end.
+    """
     step = 1.0 / samples
     grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
-    orders = _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)
-    transitions = []
-    for i in range(samples - 1):
-        if orders[i] != orders[i + 1]:
-            transitions.extend(
-                _bisect_orders(
-                    n_ions, beta, grid[i], orders[i], grid[i + 1], orders[i + 1], refine_tol
-                )
-            )
-    transitions.sort(key=lambda t: t.mu_tilde)
-    cuts = [float(k)] + [t.mu_tilde for t in transitions] + [float(k + 1)]
-    spans = list(zip(cuts[:-1], cuts[1:]))
-    mids = [0.5 * (lo + hi) for lo, hi in spans]
-    nudges = [(hi - lo) * 1e-3 for lo, hi in spans]
+    probes = dict(zip(grid, _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)))
+    exact = {}  # (lo, hi) of each final bracket -> whether it holds a tie
+    while True:
+        xs = sorted(probes)
+        for lo, hi in zip(xs[:-1], xs[1:]):
+            if probes[lo] != probes[hi] and (lo, hi) not in exact:
+                for b_lo, o_lo, b_hi, o_hi, tie in _bisect_orders(
+                    n_ions, beta, lo, probes[lo], hi, probes[hi], refine_tol
+                ):
+                    probes[b_lo], probes[b_hi], exact[b_lo, b_hi] = o_lo, o_hi, tie
+        xs = sorted(probes)
+        brackets = [(lo, hi) for lo, hi in zip(xs[:-1], xs[1:]) if probes[lo] != probes[hi]]
+        cuts = [float(k)] + [0.5 * (lo + hi) for lo, hi in brackets] + [float(k + 1)]
+        spans = list(zip(cuts[:-1], cuts[1:]))
+        span_orders = [probes[xs[0]]] + [probes[hi] for _, hi in brackets]
+        # the stretch of each span that no bracket covers
+        uncovered = zip([-np.inf] + [hi for _, hi in brackets], [lo for lo, _ in brackets] + [np.inf])
+        mids = [0.5 * (lo + hi) for lo, hi in spans]
+        mid_orders = _nudged_orders(n_ions, beta, mids, [(hi - lo) * 1e-3 for lo, hi in spans])
+        missed = {
+            mid: o
+            for mid, o, expected, (lo, hi) in zip(mids, mid_orders, span_orders, uncovered)
+            if o != expected and lo < mid < hi and mid not in probes
+        }
+        if not missed:
+            break
+        probes.update(missed)
+    transitions = [
+        Transition(
+            mu_tilde=0.5 * (lo + hi),
+            uncertainty=0.5 * (hi - lo),
+            left_order=probes[lo].bits,
+            right_order=probes[hi].bits,
+            exact_crossing=exact[lo, hi],
+        )
+        for lo, hi in brackets
+    ]
     subintervals = [
         Subinterval(lo=lo, hi=hi, order=o.bits, degeneracy=o.degeneracy)
-        for (lo, hi), o in zip(spans, _nudged_orders(n_ions, beta, mids, nudges))
+        for (lo, hi), o in zip(spans, span_orders)
     ]
     return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=transitions)
 
@@ -167,9 +197,12 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6):
     """Zero-field phase table: spin orders tiling every inter-mode interval.
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
-    is bisected down to refine_tol; an exact crossing hit along the way is
-    sidestepped and its transition marked ``exact_crossing=True``, and one
-    that every sidestep still ties is raised (``AmbiguousGround``).  Every
+    is bisected down to refine_tol; a subinterval's midpoint that shows a
+    change the grid missed is bisected too (``_interval_phases``), so each
+    transition joins the orders of its two subintervals.  An exact crossing
+    hit along the way is sidestepped and its transition marked
+    ``exact_crossing=True``, and one that every sidestep still ties is raised
+    (``AmbiguousGround``).  Every
     probe goes through ``spins.ground_orders`` (mode space, a tile of
     detunings per product).
     """

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from ionspins import spins
+from ionspins import cli, phases, spins
 from ionspins.cli import main
 from ionspins.fileio import read_csv
 
@@ -28,9 +28,10 @@ def test_modes_two_ions(tmp_path):
 
 def test_modes_orthogonality_via_check_flag(tmp_path, capsys):
     out = str(tmp_path)
-    assert run("modes", "--n", "7", "--out", out, "--check") == 0
-    printed = capsys.readouterr().out
-    assert "orthonormal" in printed
+    assert run("modes", "--n", "7", "--out", out) == 0
+    assert capsys.readouterr().out == ""
+    assert run("check", "--out", out) == 0
+    assert "orthonormal" in capsys.readouterr().out
     _, cols, rows = read_csv(os.path.join(out, "modes.csv"))
     assert len(rows) == 7
 
@@ -162,6 +163,13 @@ def test_gap_outputs(tmp_path):
     assert run("check", "--out", out) == 0
 
 
+@pytest.mark.parametrize("counts", [("--n", "5", "--n-list", "3"), ()], ids=["both", "neither"])
+def test_gap_needs_exactly_one_of_n_and_n_list(tmp_path, capsys, counts):
+    assert run("gap", *counts, "--samples", "5", "--out", str(tmp_path)) == 2
+    assert "exactly one of --n and --n-list" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_gap_empty_n_list_exits_2(tmp_path):
     assert run("gap", "--n-list", ",", "--out", str(tmp_path)) == 2
     assert not os.path.exists(os.path.join(str(tmp_path), "gap_scaling.csv"))
@@ -210,17 +218,14 @@ def test_config_file_and_flag_precedence(tmp_path):
         assert json.load(fh)["n_ions"] == 3
 
 
-@pytest.mark.parametrize("word, code", [("on", 2), ("maybe", 2), ("Yes", 0), ("no", 0)])
+@pytest.mark.parametrize("word, code", [("on", 2), ("maybe", 2), ("Yes", 2), ("no", 2)])
 def test_config_check_accepts_only_switch_words(tmp_path, word, code):
+    # check is no setting: every command verifies what it writes, so no word is read
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n=3\ncheck={word}\n")
     out = tmp_path / "out"
     assert run("modes", "--config", str(cfg), "--out", str(out)) == code
-    if code:
-        assert not out.exists()
-    else:
-        config, _, _ = read_csv(str(out / "modes.csv"))
-        assert config["check"] == str(word.lower() == "yes")
+    assert not out.exists()
 
 
 def test_scan2d_past_the_eigensolve_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -252,6 +257,7 @@ def test_header_carries_resolved_config(tmp_path):
         assert config["command"] == argv[0]
         assert {key: config[key] for key in expected} == expected
         assert "tol" not in config and "format" not in config and "threads" not in config
+        assert "check" not in config
 
 
 @pytest.mark.parametrize(
@@ -259,24 +265,28 @@ def test_header_carries_resolved_config(tmp_path):
     [
         ("modes", "--n", "3", "--mu-tilde", "1.5"),
         ("modes", "--n", "5", "--tol", "1e-300"),
+        ("modes", "--n", "3", "--check"),
         ("couplings", "--n", "3", "--mu-tilde", "1.5", "--samples", "16"),
         ("couplings", "--n", "5", "--mu-tilde", "3.4", "--tol", "1e-17"),
         ("phase-table", "--n", "3", "--format", "csv"),
         ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--tol", "1e-9"),
         ("scan2d", "--n", "3", "--mu-range", "1.2:1.8", "--b-range", "0:0.3", "--format", "csv"),
         ("gap", "--n", "3", "--format", "csv"),
+        ("gap", "--n", "3", "--check"),
         ("check", "--n", "3"),
         ("check", "--check"),
     ],
     ids=[
         "modes --mu-tilde",
         "modes --tol",
+        "modes --check",
         "couplings --samples",
         "couplings --tol",
         "phase-table --format",
         "scan2d --tol",
         "scan2d --format",
         "gap --format",
+        "gap --check",
         "check --n",
         "check --check",
     ],
@@ -291,7 +301,7 @@ def test_unread_flag_exits_2(tmp_path, argv):
 def test_config_file_rejects_unread_keys(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out"
-    for key in ("format=csv", "tol=1e-12"):
+    for key in ("format=csv", "tol=1e-12", "check=1"):
         cfg.write_text(f"n=3\n{key}\n")
         assert run("modes", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -383,11 +393,26 @@ def _lower_e1(line):
 def test_check_flags_scan2d_levels_out_of_order(tmp_path, capsys):
     out = str(tmp_path)
     argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:0.5", "--samples", "3x2")
-    assert run(*argv, "--out", out, "--check") == 0
+    assert run(*argv, "--out", out) == 0
     _edit_lines(os.path.join(out, "scan2d.csv"), lambda ls: ls[:-1] + [_lower_e1(ls[-1])])
     assert run("check", "--out", out) == 3
     err = capsys.readouterr().err
     assert "CheckFailure" in err and "E0 above E1" in err
+
+
+def test_data_command_verifies_the_files_it_wrote(tmp_path, capsys, monkeypatch):
+    def levels_out_of_order(*args, **kwargs):
+        grid = phases.scan_2d(*args, **kwargs)
+        grid.e0[-1, -1] = grid.e1[-1, -1] + 1.0
+        return grid
+
+    monkeypatch.setattr(cli, "scan_2d", levels_out_of_order)
+    out = str(tmp_path)
+    argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:0.5", "--samples", "3x2")
+    assert run(*argv, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "CheckFailure" in err and "E0 above E1" in err
+    assert os.path.exists(os.path.join(out, "scan2d.csv"))  # kept for inspection
 
 
 def _edit_json(path, edit):
@@ -421,7 +446,9 @@ _COUPLING_CORRUPTIONS = {
 @pytest.mark.parametrize("corrupt", list(_COUPLING_CORRUPTIONS), ids=list(_COUPLING_CORRUPTIONS))
 def test_check_flags_corrupted_couplings(tmp_path, capsys, corrupt):
     out = str(tmp_path)
-    assert run("couplings", "--n", "5", "--mu-tilde", "3.4", "--out", out, "--check") == 0
+    assert run("couplings", "--n", "5", "--mu-tilde", "3.4", "--out", out) == 0
+    assert capsys.readouterr().out == ""
+    assert run("check", "--out", out) == 0
     assert "reflection-symmetric" in capsys.readouterr().out
     _COUPLING_CORRUPTIONS[corrupt](out)
     assert run("check", "--out", out) == 3
@@ -432,10 +459,24 @@ def test_check_flag_verifies_only_the_files_written(tmp_path, capsys):
     out = str(tmp_path)
     assert run("couplings", "--n", "5", "--mu-tilde", "3.4", "--out", out) == 0
     _asymmetric(out)
-    assert run("modes", "--n", "5", "--out", out, "--check") == 0
-    printed = capsys.readouterr().out
-    assert "modes.csv" in printed and "couplings.csv" not in printed
+    assert run("modes", "--n", "5", "--out", out) == 0
+    assert capsys.readouterr().out == ""
     assert run("check", "--out", out) == 3
+    assert "couplings.csv" in capsys.readouterr().err
+
+
+def test_check_flags_transition_disagreeing_with_its_subinterval(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("phase-table", "--n", "3", "--samples", "16", "--out", out) == 0
+
+    def relabel(doc):
+        (t,) = [t for iv in doc["table"]["intervals"] for t in iv["transitions"]]
+        t["left_order"] = t["right_order"]
+
+    _edit_json(os.path.join(out, "phase_table.json"), relabel)
+    assert run("check", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "CheckFailure" in err and "does not join the orders of its subintervals" in err
 
 
 @pytest.mark.parametrize(

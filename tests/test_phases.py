@@ -71,6 +71,22 @@ def test_table_tiles_every_interval():
         assert len(iv.transitions) == len(subs) - 1
 
 
+def test_order_change_next_to_an_interval_edge_is_bisected():
+    """At 16 samples the grid of (1, 2) starts at 1.03125, past the change near 1.0229."""
+    table = phase_table(7, 10.0, 16)
+    for iv in table.intervals:
+        subs = iv.subintervals
+        assert len(subs) == len(iv.transitions) + 1
+        for t, left, right in zip(iv.transitions, subs[:-1], subs[1:]):
+            assert (t.left_order, t.right_order) == (left.order, right.order)
+        for sub in subs:
+            assert ground_bits(7, 10.0, 0.5 * (sub.lo + sub.hi)) == sub.order
+    assert any(
+        (t.left_order, t.right_order) == ("0000001", "0111110") and 1.0205 < t.mu_tilde < 1.0234
+        for t in table.transitions
+    )
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         phase_table(2, 10.0)
