@@ -149,21 +149,21 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol):
     """
     step = 1.0 / samples
     grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
-    probes = dict(zip(grid, _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)))
-    exact = {}  # (lo, hi) of each final bracket -> whether it holds a tie
+    orders = _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)
+    probes = dict(zip(grid, orders))
+    pairs = zip(grid, orders, grid[1:], orders[1:])  # neighbouring probes not yet compared
+    exact = {}  # (lo, hi) of each bracket -> whether it holds a tie
     while True:
-        xs = sorted(probes)
-        for lo, hi in zip(xs[:-1], xs[1:]):
-            if probes[lo] != probes[hi] and (lo, hi) not in exact:
-                for b_lo, o_lo, b_hi, o_hi, tie in _bisect_orders(
-                    n_ions, beta, lo, probes[lo], hi, probes[hi], refine_tol
+        for lo, o_lo, hi, o_hi in pairs:
+            if o_lo != o_hi:
+                for b_lo, ob_lo, b_hi, ob_hi, tie in _bisect_orders(
+                    n_ions, beta, lo, o_lo, hi, o_hi, refine_tol
                 ):
-                    probes[b_lo], probes[b_hi], exact[b_lo, b_hi] = o_lo, o_hi, tie
-        xs = sorted(probes)
-        brackets = [(lo, hi) for lo, hi in zip(xs[:-1], xs[1:]) if probes[lo] != probes[hi]]
+                    probes[b_lo], probes[b_hi], exact[b_lo, b_hi] = ob_lo, ob_hi, tie
+        brackets = sorted(exact)
         cuts = [float(k)] + [0.5 * (lo + hi) for lo, hi in brackets] + [float(k + 1)]
         spans = list(zip(cuts[:-1], cuts[1:]))
-        span_orders = [probes[xs[0]]] + [probes[hi] for _, hi in brackets]
+        span_orders = [probes[min(probes)]] + [probes[hi] for _, hi in brackets]
         # the stretch of each span that no bracket covers
         uncovered = zip([-np.inf] + [hi for _, hi in brackets], [lo for lo, _ in brackets] + [np.inf])
         mids = [0.5 * (lo + hi) for lo, hi in spans]
@@ -176,6 +176,12 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol):
         if not missed:
             break
         probes.update(missed)
+        xs = sorted(probes)
+        pairs = [
+            (lo, probes[lo], hi, probes[hi])
+            for lo, hi in zip(xs[:-1], xs[1:])
+            if lo in missed or hi in missed
+        ]
     transitions = [
         Transition(
             mu_tilde=0.5 * (lo + hi),
