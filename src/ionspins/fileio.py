@@ -10,6 +10,7 @@ re-verifies a whole output directory, from the files alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -183,13 +184,22 @@ def check_phase_table(path):
 
 
 def check_scan2d(path):
-    config, cols, rows = read_csv(path)
-    _require(
-        cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
-        f"{path}: unexpected columns {cols}",
-    )
-    op = np.array([float(r[2]) for r in rows])
-    pol = np.array([float(r[3]) for r in rows])
+    with open(path) as fh:
+        lines = (line for line in fh if line.rstrip("\n") and not line.startswith("#"))
+        header = next(lines, None)
+        cols = None if header is None else header.rstrip("\n").split(",")
+        _require(
+            cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
+            f"{path}: unexpected columns {cols}",
+        )
+        # the body goes straight into one float array, never held as text;
+        # an empty body is checked apart because np.loadtxt warns on it
+        first = next(lines, None)
+        if first is None:
+            values = np.empty((0, len(cols)))
+        else:
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+    mu, b, op, pol, e0, e1 = values.T[:6]
     finite = np.isfinite(op)
     _require(
         np.all(np.abs(op[finite]) <= 1.0 + 1e-12), f"{path}: order parameter outside [-1, 1]"
@@ -198,14 +208,12 @@ def check_scan2d(path):
         np.all(np.abs(pol[np.isfinite(pol)]) <= 1.0 + 1e-12),
         f"{path}: polarization outside [-1, 1]",
     )
-    e0 = np.array([float(r[4]) for r in rows])
-    e1 = np.array([float(r[5]) for r in rows])
     both = np.isfinite(e0) & np.isfinite(e1)
     _require(np.all(e0[both] <= e1[both]), f"{path}: E0 above E1")
-    n_mu = len({r[0] for r in rows})
-    n_b = len({r[1] for r in rows})
-    _require(len(rows) == n_mu * n_b, f"{path}: incomplete grid")
-    return f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"
+    n_mu = len(set(mu.tolist()))
+    n_b = len(set(b.tolist()))
+    _require(len(values) == n_mu * n_b, f"{path}: incomplete grid")
+    return f"{path}: {len(values)} grid rows within bounds, E0 <= E1"
 
 
 def check_gap_files(csv_path, json_path):

@@ -3,14 +3,22 @@
 Locally optimal block preconditioned conjugate gradients (Knyazev, SIAM J.
 Sci. Comput. 23, 2001): each step runs Rayleigh-Ritz on the block X, the
 previous search directions P and the preconditioned residuals W of its
-unconverged columns.  The basis [X, P, W] stays orthonormal, as Duersch,
+unconverged vectors.  The basis [X, P, W] stays orthonormal, as Duersch,
 Shao, Yang & Gu (SIAM J. Sci. Comput. 40, 2018) recommend: W is
-orthogonalized against X and P in two passes that drop the columns it cannot
-resolve, and P is chosen in the Ritz coefficient space orthogonal to the new
-X, so no step solves an ill-conditioned generalized eigenproblem.  The
-operator is applied to whole blocks.  The block holds _GUARDS vectors beyond
-the k wanted pairs, which resolves (near-)degenerate multiplets up to the
-block size; the fixed-seed start block makes runs reproducible bit for bit.
+orthogonalized against X and P by two passes of projection and CholeskyQR,
+i.e. CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014), with
+SVQB as the fallback that drops the directions W cannot resolve; P is chosen
+in the Ritz coefficient space orthogonal to the new X, so no step solves an
+ill-conditioned generalized eigenproblem.
+
+The basis and its image live in two preallocated (3 * block, dim) arrays,
+one vector per row, so every product over the dimension runs along
+contiguous rows; the operator is applied to whole (b, dim) row blocks.  The
+Gram matrix of the new [X, P] is carried forward from the previous step's
+Gram matrix in coefficient space, so each step forms only the rows of W.
+The block holds _GUARDS vectors beyond the k wanted pairs, which resolves
+(near-)degenerate multiplets up to the block size; the fixed-seed start
+block makes runs reproducible bit for bit.
 
 The module keeps the name ``lanczos`` and the solver the name
 ``lowest_eigenpairs``: ``spins`` reports its results as method="lanczos",
@@ -27,23 +35,25 @@ DEFAULT_SEED = 0x5EED
 _GUARDS = 2
 _MAX_ITER = 1000
 _TOL = 1e-10  # residual bound ||Av - ev|| <= _TOL * max(1, |e|) per pair
-# Gram eigenvalues below this fraction of the largest mark dependent columns
+# Gram eigenvalues below this fraction of the largest mark dependent vectors
 _DROP = 1e-10
 
 
 def lowest_eigenpairs(matvec, k, *, diag):
     """Return (eigenvalues, eigenvectors) for the k lowest eigenpairs, ascending.
 
-    Only the k wanted pairs must converge, each to the relative bound _TOL;
-    the guard vectors beyond them help but are never waited for.  When the
-    dimension len(diag) is below five block widths the operator is formed as
-    matvec(I) and diagonalized densely instead.
+    The eigenvectors are the columns of a (dim, k) array.  Only the k wanted
+    pairs must converge, each to the relative bound _TOL; the guard vectors
+    beyond them help but are never waited for.  When the dimension len(diag)
+    is below five block widths the operator is formed as matvec(I) and
+    diagonalized densely instead.
 
     Args:
-        matvec: callable applying the symmetric operator to a (dim, b) block.
+        matvec: callable applying the symmetric operator to a (b, dim) block
+            of b row vectors; it returns the (b, dim) block of their images.
         k: number of lowest eigenpairs requested.
         diag: the operator's diagonal, whose length is the dimension; the
-            preconditioner divides each row of a residual by
+            preconditioner divides each entry of a residual by
             max(diag - min(diag), 1).
 
     Raises NoConvergence, with the best residual, after _MAX_ITER steps or
@@ -58,49 +68,87 @@ def lowest_eigenpairs(matvec, k, *, diag):
         return evals[:k], vecs[:, :k]
     scale = 1.0 / np.maximum(diag - np.min(diag), 1.0)
     rng = np.random.default_rng(DEFAULT_SEED)
-    s = _orthonormalize(rng.standard_normal((dim, block)), np.empty((dim, 0)))
-    a_s = matvec(s)
+    # rows [0, m) of s hold the orthonormal basis [X, P, W], of a_s its image
+    s, a_s = np.empty((3 * block, dim)), np.empty((3 * block, dim))
+    m = block
+    s[:m] = _orthonormalize(rng.standard_normal((dim, block)).T, s[:0])
+    a_s[:m] = matvec(s[:m])
+    gram = s[:m] @ a_s[:m].T
     best = np.inf
     for step in range(_MAX_ITER):
-        # Rayleigh-Ritz on the orthonormal basis s = [X, P, W], whose image is a_s
-        gram = s.T @ a_s
+        # Rayleigh-Ritz: row i of c holds the basis coefficients of Ritz vector i
         theta, c = np.linalg.eigh(0.5 * (gram + gram.T))
-        theta, c = theta[:block], c[:, :block]
+        theta, c = theta[:block], c[:, :block].T
         if step:
             # next directions: the P and W parts of the active Ritz vectors,
             # made orthogonal to the new X in coefficient space
-            y = c[:, active]
-            y[:block] = 0.0
-            c = np.hstack([c, _orthonormalize(y, c)])
-        xp, a_xp = s @ c, a_s @ c
-        x, ax = xp[:, :block], a_xp[:, :block]
+            y = c[active]
+            y[:, :block] = 0.0
+            c = np.vstack([c, _orthonormalize(y, c)])
+        s[: len(c)], a_s[: len(c)] = c @ s[:m], c @ a_s[:m]
+        gram = c @ gram @ c.T
+        m = len(c)
+        x, ax = s[:block], a_s[:block]
 
-        r = ax - x * theta
-        resid = np.linalg.norm(r, axis=0)
+        r = ax - theta[:, None] * x
+        resid = np.linalg.norm(r, axis=1)
         active = resid > _TOL * np.maximum(1.0, np.abs(theta))
         best = min(best, float(np.max(resid[:k])))
         if not active[:k].any():
-            return theta[:k], x[:, :k]
-        w = _orthonormalize(r[:, active] * scale[:, None], xp)
-        if w.shape[1] == 0:
+            return theta[:k], x[:k].T
+        w = _orthonormalize(r[active] * scale, s[:m])
+        if len(w) == 0:
             break
-        s, a_s = np.hstack([xp, w]), np.hstack([a_xp, matvec(w)])
+        s[m : m + len(w)] = w
+        a_s[m : m + len(w)] = matvec(s[m : m + len(w)])
+        # only the W columns of the Gram matrix are new
+        cross = s[: m + len(w)] @ a_s[m : m + len(w)].T
+        gram = np.block([[gram, cross[:m]], [cross[:m].T, cross[m:]]])
+        m += len(w)
 
     raise NoConvergence(f"LOBPCG stopped after {step + 1} steps; best residual {best:.3e}")
 
 
 def _orthonormalize(u, basis):
-    """An orthonormal basis of u's columns orthogonal to the orthonormal ``basis``.
+    """An orthonormal basis of u's rows orthogonal to the orthonormal rows of ``basis``.
 
-    Two passes of projection and SVQB (Stathopoulos & Wu, SIAM J. Sci.
-    Comput. 23, 2002); a pass drops the directions whose Gram eigenvalue falls
-    below _DROP times the largest, so the result may have fewer columns.
+    Two passes, each a projection against ``basis`` followed by CholeskyQR on
+    the Gram matrix of the row-normalized u: together CholeskyQR2.  A pass
+    whose Gram matrix has no Cholesky factor, or one in which SVQB (Stathopoulos
+    & Wu, SIAM J. Sci. Comput. 23, 2002) might drop a direction, runs SVQB
+    instead; it drops the directions whose Gram eigenvalue falls below _DROP
+    times the largest, so the result may have fewer rows.
     """
     for _ in range(2):
-        u = u - basis @ (basis.T @ u)
-        norms = np.linalg.norm(u, axis=0)
-        u = u / np.where(norms > 0.0, norms, 1.0)
-        lam, v = np.linalg.eigh(u.T @ u)
-        keep = lam > _DROP * lam.max(initial=0.0)
-        u = u @ (v[:, keep] / np.sqrt(lam[keep]))
+        u = u - (u @ basis.T) @ basis
+        gram = u @ u.T
+        norms = np.sqrt(np.diag(gram))
+        norms = np.where(norms > 0.0, norms, 1.0)
+        gram /= np.outer(norms, norms)
+        t = _cholesky_inverse(gram)
+        if t is None:
+            t = _svqb(gram)
+        u = (t / norms) @ u
     return u
+
+
+def _cholesky_inverse(gram):
+    """inv(L) for gram = L L^T, or None unless Cholesky is certain to keep every direction.
+
+    The smallest Gram eigenvalue is at least 1 / ||inv(L)||_F^2 and the
+    largest at most the trace, so below this test SVQB would drop nothing.
+    """
+    try:
+        t = np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return None
+    if np.sum(t * t) * _DROP * np.trace(gram) < 1.0:
+        return t
+    return None
+
+
+def _svqb(gram):
+    """The SVQB transform: rows map u to an orthonormal basis of its resolved directions."""
+    lam, v = np.linalg.eigh(gram)
+    keep = lam > _DROP * lam.max(initial=0.0)
+    return (v[:, keep] / np.sqrt(lam[keep])).T

@@ -16,6 +16,7 @@ bare coupling units.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,9 +244,9 @@ def field_scale(coupling):
     return coupling.jbar if coupling.jbar > 0.0 else 1.0
 
 
-def _flip(x, p):
-    """x[s ^ (1 << p)] along the first axis: spin bit p flipped, with no index table."""
-    return x.reshape(-1, 2, x[0].size << p)[:, ::-1].reshape(x.shape)
+def _flip(x, p, axis=0):
+    """x with index s along ``axis`` moved to s ^ (1 << p): spin bit p flipped, with no index table."""
+    return x.reshape(-1, 2, math.prod(x.shape[axis:][1:]) << p)[:, ::-1].reshape(x.shape)
 
 
 class _SpinOperator:
@@ -276,16 +277,19 @@ class _SpinOperator:
     def sector_matvec(self, x, b_abs, sign):
         """H on the global-flip sector of the given sign (+1 or -1), in the half basis.
 
-        The half basis holds the configurations with ion 1 up; a sector state
-        (x, sign * x[::-1]) / sqrt(2) is its full-space image.  Flipping ion 1
-        leaves the half, and the global flip that brings it back reverses the
-        index order inside it: hence the sign * x[::-1] term.  The diagonal
-        is diag[:half], the half-basis energies.
+        x is a (b, half) block of row vectors, and the result holds their
+        images as rows.  The half basis holds the configurations with ion 1
+        up; a sector state (v, sign * v[::-1]) / sqrt(2) is its full-space
+        image.  Flipping ion 1 leaves the half, and the global flip that
+        brings it back reverses the index order inside it: hence the
+        sign * x[:, ::-1] term.  The diagonal is diag[:half], the half-basis
+        energies.
         """
-        out = (x.T * self.diag[: len(x)]).T
+        out = x * self.diag[: x.shape[-1]]
+        x = b_abs * x  # scaled once; each flip below only moves entries
         for p in range(self.n_ions - 1):
-            out -= b_abs * _flip(x, p)
-        out -= sign * b_abs * x[::-1]
+            out -= _flip(x, p, axis=-1)
+        out -= sign * x[:, ::-1]
         return out
 
     def dense(self, b_abs):

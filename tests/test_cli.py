@@ -479,6 +479,9 @@ def test_check_flags_transition_disagreeing_with_its_subinterval(tmp_path, capsy
     assert "CheckFailure" in err and "does not join the orders of its subintervals" in err
 
 
+SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -487,8 +490,10 @@ def test_check_flags_transition_disagreeing_with_its_subinterval(tmp_path, capsy
         ("phase_table.json", "not json\n"),  # JSONDecodeError
         ("phase_table.json", "[]\n"),  # AttributeError
         ("phase_table.json", '{"table": 5}\n'),  # TypeError
+        ("scan2d.csv", SCAN2D_HEADER + "3.1,0,0.5\n"),  # too few values per row
+        ("scan2d.csv", SCAN2D_HEADER + "3.1,0,x,0,-1,0\n"),  # not a number
     ],
-    ids=["missing-key", "short-row", "not-json", "json-list", "wrong-type"],
+    ids=["missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row", "scan2d-not-a-number"],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):
     (tmp_path / name).write_text(text)
