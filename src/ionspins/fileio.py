@@ -10,9 +10,9 @@ re-verifies a whole output directory, from the files alone.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -185,21 +185,19 @@ def check_phase_table(path):
 
 def check_scan2d(path):
     with open(path) as fh:
-        lines = (line for line in fh if line.rstrip("\n") and not line.startswith("#"))
-        header = next(lines, None)
+        # the header is the first line that is neither blank nor a comment;
+        # np.loadtxt parses the rest straight into floats, never held as text
+        header = next((line for line in fh if line.rstrip("\n") and not line.startswith("#")), None)
         cols = None if header is None else header.rstrip("\n").split(",")
         _require(
             cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
             f"{path}: unexpected columns {cols}",
         )
-        # the body goes straight into one float array, never held as text;
-        # an empty body is checked apart because np.loadtxt warns on it
-        first = next(lines, None)
-        if first is None:
-            values = np.empty((0, len(cols)))
-        else:
-            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
-    mu, b, op, pol, e0, e1 = values.T[:6]
+        with warnings.catch_warnings():
+            # an empty body is a (0, 6) array, an empty grid
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", usecols=range(6), ndmin=2)
+    mu, b, op, pol, e0, e1 = values.T
     finite = np.isfinite(op)
     _require(
         np.all(np.abs(op[finite]) <= 1.0 + 1e-12), f"{path}: order parameter outside [-1, 1]"

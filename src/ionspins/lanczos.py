@@ -5,11 +5,10 @@ Sci. Comput. 23, 2001): each step runs Rayleigh-Ritz on the block X, the
 previous search directions P and the preconditioned residuals W of its
 unconverged vectors.  The basis [X, P, W] stays orthonormal, as Duersch,
 Shao, Yang & Gu (SIAM J. Sci. Comput. 40, 2018) recommend: W is
-orthogonalized against X and P by two passes of projection and CholeskyQR,
-i.e. CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, 2014), with
-SVQB as the fallback that drops the directions W cannot resolve; P is chosen
-in the Ritz coefficient space orthogonal to the new X, so no step solves an
-ill-conditioned generalized eigenproblem.
+orthogonalized against X and P by two passes of projection and SVQB, which
+drops the directions W cannot resolve; P is chosen in the Ritz coefficient
+space orthogonal to the new X, so no step solves an ill-conditioned
+generalized eigenproblem.
 
 The basis and its image live in two preallocated (3 * block, dim) arrays,
 one vector per row, so every product over the dimension runs along
@@ -112,43 +111,18 @@ def lowest_eigenpairs(matvec, k, *, diag):
 def _orthonormalize(u, basis):
     """An orthonormal basis of u's rows orthogonal to the orthonormal rows of ``basis``.
 
-    Two passes, each a projection against ``basis`` followed by CholeskyQR on
-    the Gram matrix of the row-normalized u: together CholeskyQR2.  A pass
-    whose Gram matrix has no Cholesky factor, or one in which SVQB (Stathopoulos
-    & Wu, SIAM J. Sci. Comput. 23, 2002) might drop a direction, runs SVQB
-    instead; it drops the directions whose Gram eigenvalue falls below _DROP
-    times the largest, so the result may have fewer rows.
+    Two passes, each a projection against ``basis`` followed by SVQB
+    (Stathopoulos & Wu, SIAM J. Sci. Comput. 23, 2002) on the Gram matrix of
+    the row-normalized u; the second pass restores the orthogonality the first
+    loses to rounding.  A pass drops the directions whose Gram eigenvalue falls
+    below _DROP times the largest, so the result may have fewer rows.
     """
     for _ in range(2):
         u = u - (u @ basis.T) @ basis
         gram = u @ u.T
         norms = np.sqrt(np.diag(gram))
         norms = np.where(norms > 0.0, norms, 1.0)
-        gram /= np.outer(norms, norms)
-        t = _cholesky_inverse(gram)
-        if t is None:
-            t = _svqb(gram)
-        u = (t / norms) @ u
+        lam, v = np.linalg.eigh(gram / np.outer(norms, norms))
+        keep = lam > _DROP * lam.max(initial=0.0)
+        u = ((v[:, keep] / np.sqrt(lam[keep])).T / norms) @ u
     return u
-
-
-def _cholesky_inverse(gram):
-    """inv(L) for gram = L L^T, or None unless Cholesky is certain to keep every direction.
-
-    The smallest Gram eigenvalue is at least 1 / ||inv(L)||_F^2 and the
-    largest at most the trace, so below this test SVQB would drop nothing.
-    """
-    try:
-        t = np.linalg.inv(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
-        return None
-    if np.sum(t * t) * _DROP * np.trace(gram) < 1.0:
-        return t
-    return None
-
-
-def _svqb(gram):
-    """The SVQB transform: rows map u to an orthonormal basis of its resolved directions."""
-    lam, v = np.linalg.eigh(gram)
-    keep = lam > _DROP * lam.max(initial=0.0)
-    return (v[:, keep] / np.sqrt(lam[keep])).T

@@ -122,39 +122,3 @@ def test_orthonormalize_drops_dependent_columns(rng):
     assert q.shape == (2, 50)
     full = np.concatenate([basis, q])
     assert np.linalg.norm(full @ full.T - np.eye(12)) <= 1e-13
-
-
-@pytest.mark.parametrize(
-    "case, rows, svqb_passes",
-    [("independent", 3, 0), ("nearly-dependent", 2, 1), ("no-cholesky", 2, 1)],
-)
-def test_cholesky_qr2_and_svqb_fallback(case, rows, svqb_passes, rng, monkeypatch):
-    # CholeskyQR runs unless it could keep a direction SVQB would drop; a
-    # vanished residual leaves a zero pivot, so Cholesky fails and SVQB runs
-    basis = np.linalg.qr(rng.standard_normal((50, 10)))[0].T
-    u = rng.standard_normal((3, 50))
-    if case == "nearly-dependent":
-        u[2] = u[0] + 1e-7 * rng.standard_normal(50)
-    elif case == "no-cholesky":
-        u[2] = 0.0
-    apply, seen = recorded(lanczos._svqb)
-    monkeypatch.setattr(lanczos, "_svqb", apply)
-    q = _orthonormalize(u, basis)
-    assert q.shape == (rows, 50)
-    assert len(seen) == svqb_passes
-    assert np.linalg.norm(q @ q.T - np.eye(rows)) <= 1e-13
-    assert np.linalg.norm(q @ basis.T) <= 1e-13
-
-
-def test_fm_side_n13_step_budget():
-    # krylov's FM-side point took 285 block applications over both flip
-    # sectors when this bound was set: a cheaper step must not cost more steps
-    j = coupling_from_trap(13, 10.0, 11.045520732179284)
-    op = _SpinOperator(j)
-    applied = 0
-    for sign in (1.0, -1.0):
-        sector = functools.partial(op.sector_matvec, b_abs=1.5 * field_scale(j), sign=sign)
-        apply, seen = recorded(sector)
-        lowest_eigenpairs(apply, 6, diag=op.diag[: 1 << 12])
-        applied += len(seen)
-    assert applied <= 300

@@ -483,13 +483,27 @@ N13_FM_SIDE_LEVELS = [
 ]
 
 
-def test_krylov_converges_at_n13_fm_side(force_solver):
+def test_krylov_converges_at_n13_fm_side(force_solver, monkeypatch):
+    solve = spins.lanczos.lowest_eigenpairs
+    applied = []
+
+    def counted(matvec, k, **kwargs):
+        def apply(v):
+            applied.append(len(v))
+            return matvec(v)
+
+        return solve(apply, k, **kwargs)
+
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", counted)
     j = coupling_from_trap(13, 10.0, 11.045520732179284)
     force_solver("lanczos")
     krylov = lowest_eigenpairs(j, 1.5, k=6)
     assert krylov.method == "lanczos"
     expected = np.array(N13_FM_SIDE_LEVELS)
     assert np.max(np.abs(krylov.eigenvalues - expected) / np.abs(expected)) <= 1e-8
+    # both flip sectors took 285 block applications when this bound was set:
+    # a cheaper step must not cost more steps
+    assert len(applied) <= 300
 
 
 def test_zero_field_runs_no_solver(monkeypatch, force_solver):
