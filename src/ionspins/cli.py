@@ -5,10 +5,10 @@ Subcommands: modes, couplings, phase-table, scan2d, gap, check.  Each accepts
 the settings it reads, listed per command in ``_COMMANDS`` (``out`` for all);
 any other flag or key is an invalid request.  Precedence is command line >
 config file (--config, key=value lines) > the command's defaults; every
-output file carries the settings that ran, so any artifact can be reproduced
-byte for byte.  Each command re-verifies the files it wrote before it
-returns (``fileio.check_directory``); ``check`` re-verifies every artifact
-in --out.
+output file carries the settings that ran, all but ``out``, so any artifact
+can be reproduced byte for byte.  Each command re-verifies the files it wrote
+before it returns (``fileio.check_directory``); ``check`` re-verifies every
+artifact in --out.
 
 Exit codes (``exit_code``, which the scripts in scripts/ share too): 0
 success, 2 invalid request (any ValueError or OSError), 3 valid request
@@ -48,7 +48,6 @@ _SETTINGS = {
     "mu_range": _Setting(str, "", "detuning range lo:hi"),
     "b_range": _Setting(str, "", "field lo:hi, B/Jbar (scan2d), B/(N Jbar) (gap)"),
     "samples": _Setting(str, "", "grid samples (N or NxM)"),
-    "tol": _Setting(float, 1e-6, "bisection width of the transitions (default 1e-6)"),
     "out": _Setting(str, "ionspins_out", "output directory (default ionspins_out)"),
 }
 
@@ -153,7 +152,7 @@ def cmd_couplings(cfg):
 
 
 def cmd_phase_table(cfg):
-    table = phase_table(cfg.n, cfg.beta, samples_per_interval=int(cfg.samples), refine_tol=cfg.tol)
+    table = phase_table(cfg.n, cfg.beta, samples_per_interval=int(cfg.samples))
     _write(cfg, {
         "phase_table.json": {"table": table.to_dict(), "transition_count": table.transition_count}
     })
@@ -231,12 +230,12 @@ class _Command(NamedTuple):
 
 
 # Each command's handler, the settings it reads and the defaults it overrides;
-# its flags, the config keys it accepts and its artifact header are exactly
-# the settings it reads.
+# its flags and the config keys it accepts are exactly the settings it reads,
+# and its artifact header is all of them but ``out``.
 _COMMANDS = {
     "modes": _Command(cmd_modes, ("n", "beta", "out")),
     "couplings": _Command(cmd_couplings, ("n", "beta", "mu_tilde", "out")),
-    "phase-table": _Command(cmd_phase_table, ("n", "beta", "samples", "tol", "out"), {"samples": "64"}),
+    "phase-table": _Command(cmd_phase_table, ("n", "beta", "samples", "out"), {"samples": "64"}),
     "scan2d": _Command(
         cmd_scan2d, ("n", "beta", "mu_range", "b_range", "samples", "out"), {"samples": "128x64"}
     ),

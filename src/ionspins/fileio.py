@@ -1,11 +1,12 @@
 """Deterministic CSV/JSON emission and the invariant re-checks of every artifact.
 
 CSV dialect: comma separated, '.' decimal point, 17 significant digits,
-one header row, and '#'-prefixed metadata lines carrying the fully resolved
-run configuration.  Nothing time-dependent is ever written, so repeated runs
-with the same configuration produce byte-identical files.  Every CLI command
-re-verifies the files it writes through ``check_directory``, and ``check``
-re-verifies a whole output directory, from the files alone.
+one header row, and '#'-prefixed metadata lines carrying the resolved run
+configuration but the output directory.  Nothing time-dependent is ever written,
+so repeated runs with the same configuration produce byte-identical files in any
+directory.  Every CLI command re-verifies the files it writes through
+``check_directory``, and ``check`` re-verifies a whole output directory, from
+the files alone.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ def fmt(x):
     return str(x)
 
 
-def config_lines(config):
-    """'# key=value' provenance lines, sorted by key."""
-    return [f"# {k}={'' if v is None else v}" for k, v in sorted(config.items())]
+def _header(config):
+    """The run settings a file records, sorted by key; not ``out``, which says where it went."""
+    return {k: v for k, v in sorted(config.items()) if k != "out"}
 
 
 def write_csv(path, columns, rows, config):
-    lines = config_lines(config)
+    lines = [f"# {k}={'' if v is None else v}" for k, v in _header(config).items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(fmt(x) for x in row))
@@ -41,7 +42,7 @@ def write_csv(path, columns, rows, config):
 
 
 def write_json(path, payload, config):
-    doc = {"config": {k: v for k, v in sorted(config.items())}}
+    doc = {"config": _header(config)}
     doc.update(payload)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

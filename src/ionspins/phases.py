@@ -38,6 +38,7 @@ from .spins import (
 # sweep settings that no caller varies
 _FM_KINK_SAMPLES = 64  # probes of the interval (N-2, N-1)
 _FM_KINK_TOL = 1e-8  # bisection width of its order changes
+_TABLE_TOL = 1e-6  # bisection width of the phase table's order changes
 _GAP_COARSE = 25  # coarse probes of a gap bracket
 _GAP_REL_TOL = 1e-11  # golden-section stop, relative to the detuning
 _WIDTH_EDGE = 0.5  # |order parameter| at the edges of the transition width
@@ -133,7 +134,7 @@ def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, ties=()):
     return [(lo, o_lo, hi, o_hi, any(lo < t < hi for t in ties))]
 
 
-def _interval_phases(n_ions, beta, k, samples, refine_tol):
+def _interval_phases(n_ions, beta, k, samples, tol):
     """Subintervals and transitions of (k, k+1), probed on a grid of ``samples`` points.
 
     Every probe's order is kept.  Each pair of neighbouring probes whose
@@ -157,7 +158,7 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol):
         for lo, o_lo, hi, o_hi in pairs:
             if o_lo != o_hi:
                 for b_lo, ob_lo, b_hi, ob_hi, tie in _bisect_orders(
-                    n_ions, beta, lo, o_lo, hi, o_hi, refine_tol
+                    n_ions, beta, lo, o_lo, hi, o_hi, tol
                 ):
                     probes[b_lo], probes[b_hi], exact[b_lo, b_hi] = ob_lo, ob_hi, tie
         brackets = sorted(exact)
@@ -199,11 +200,11 @@ def _interval_phases(n_ions, beta, k, samples, refine_tol):
     return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=transitions)
 
 
-def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6):
+def phase_table(n_ions, beta=10.0, samples_per_interval=64):
     """Zero-field phase table: spin orders tiling every inter-mode interval.
 
     Each interval (k, k+1) is sampled on a uniform grid and every order change
-    is bisected down to refine_tol; a subinterval's midpoint that shows a
+    is bisected down to _TABLE_TOL; a subinterval's midpoint that shows a
     change the grid missed is bisected too (``_interval_phases``), so each
     transition joins the orders of its two subintervals.  An exact crossing
     hit along the way is sidestepped and its transition marked
@@ -216,20 +217,14 @@ def phase_table(n_ions, beta=10.0, samples_per_interval=64, refine_tol=1e-6):
         raise ValueError("phase tables need at least 3 ions")
     if samples_per_interval < 16:
         raise ValueError("need at least 16 samples per interval")
-    if not (np.isfinite(refine_tol) and refine_tol > 0):
-        raise ValueError(f"refine_tol must be finite and positive, got {refine_tol!r}")
-    floor = float(np.spacing(float(n_ions)))
-    if refine_tol < floor:
-        # bisection on doubles cannot narrow a bracket below the spacing at mu = N
-        raise ValueError(f"refine_tol {refine_tol!r} is below the float spacing {floor!r} at {n_ions}")
     intervals = [
-        _interval_phases(n_ions, beta, k, samples_per_interval, refine_tol) for k in range(1, n_ions)
+        _interval_phases(n_ions, beta, k, samples_per_interval, _TABLE_TOL) for k in range(1, n_ions)
     ]
     return PhaseTable(
         n_ions=n_ions,
         beta=float(beta),
         samples_per_interval=samples_per_interval,
-        refine_tol=refine_tol,
+        refine_tol=_TABLE_TOL,
         intervals=intervals,
     )
 

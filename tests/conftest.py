@@ -21,7 +21,12 @@ def rng():
 
 @pytest.fixture
 def force_solver(monkeypatch):
-    """force_solver("dense") or force_solver("lanczos") picks that eigensolver path for every N."""
+    """force_solver("dense") or force_solver("lanczos") picks that eigensolver path for every N.
+
+    "lanczos" solves each global-flip sector with ``lanczos.lowest_eigenpairs``,
+    which diagonalizes a sector densely below five block widths (k + 2 vectors
+    each): at k = 6 that is every N <= 6, so there it means sector-dense, not LOBPCG.
+    """
     from ionspins import spins
 
     def force(method):

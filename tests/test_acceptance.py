@@ -91,8 +91,8 @@ def test_criterion_02_seven_ion_order_change():
 
 def test_criterion_03_transition_census():
     t0 = time.perf_counter()
-    t3 = phase_table(3, 10.0, samples_per_interval=1024, refine_tol=1e-6)
-    t9 = phase_table(9, 10.0, samples_per_interval=1024, refine_tol=1e-6)
+    t3 = phase_table(3, 10.0, samples_per_interval=1024)
+    t9 = phase_table(9, 10.0, samples_per_interval=1024)
     elapsed = time.perf_counter() - t0
     ok3 = t3.transition_count == 1
     count9 = t9.transition_count

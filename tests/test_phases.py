@@ -52,8 +52,9 @@ def test_seven_ion_fm_kink_transition_location():
     assert right.order == "0000111" and right.degeneracy == 4
 
 
-def test_transition_sides_reverify_post_hoc():
-    table = phase_table(5, 10.0, refine_tol=1e-7)
+def test_transition_sides_reverify_post_hoc(monkeypatch):
+    monkeypatch.setattr(phases, "_TABLE_TOL", 1e-7)
+    table = phase_table(5, 10.0)
     for t in table.transitions:
         assert ground_bits(5, 10.0, t.mu_tilde - 10 * table.refine_tol) == t.left_order
         assert ground_bits(5, 10.0, t.mu_tilde + 10 * table.refine_tol) == t.right_order
@@ -94,29 +95,6 @@ def test_table_validation():
         phase_table(5, 10.0, samples_per_interval=8)
     with pytest.raises(ValueError, match="budget"):
         phase_table(25, 10.0)
-
-
-@pytest.mark.parametrize("refine_tol", [0.0, -1.0, float("inf")])
-def test_table_rejects_non_positive_refine_tol(refine_tol):
-    # bisection would only stop at the tie window and mark every transition exact
-    with pytest.raises(ValueError, match="refine_tol"):
-        phase_table(5, 10.0, samples_per_interval=16, refine_tol=refine_tol)
-
-
-@pytest.mark.parametrize("n_ions", [3, 5, 8])
-def test_table_rejects_refine_tol_below_float_spacing(n_ions):
-    # bisection on doubles cannot narrow a bracket near mu = N below np.spacing(N)
-    floor = np.spacing(float(n_ions))
-    for refine_tol in (1e-17, np.nextafter(floor, 0.0)):
-        with pytest.raises(ValueError, match="refine_tol"):
-            phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=refine_tol)
-    # at the floor a bracket narrows into the tie window unless the crossing is sharp enough
-    try:
-        table = phase_table(n_ions, 10.0, samples_per_interval=16, refine_tol=floor)
-    except AmbiguousGround:
-        return
-    assert table.refine_tol == floor
-    assert all(t.uncertainty <= floor for t in table.transitions)
 
 
 def enumerated_orders(n_ions, beta, mus):

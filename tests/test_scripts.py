@@ -27,7 +27,7 @@ def test_phase_census(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["phases_n3.json", "phases_n5.json"]
     for n in (3, 5):
         doc = json.loads((tmp_path / f"phases_n{n}.json").read_text())
-        assert doc["config"] == {"beta": 10.0, "n_list": "3,5", "out": str(tmp_path), "samples": 16}
+        assert doc["config"] == {"beta": 10.0, "n_list": "3,5", "samples": 16}
         assert doc["n_ions"] == n and doc["samples_per_interval"] == 16
         assert len(doc["intervals"]) == len(doc["interval_reports"]) == n - 1
         assert doc["transition_count"] == sum(len(iv["transitions"]) for iv in doc["intervals"])
