@@ -3,8 +3,8 @@
 Locally optimal block preconditioned conjugate gradients (Knyazev, SIAM J.
 Sci. Comput. 23, 2001): each step runs Rayleigh-Ritz on the block X, the
 previous search directions P and the preconditioned residuals W of its
-unconverged vectors.  The basis [X, P, W] stays orthonormal, as Duersch,
-Shao, Yang & Gu (SIAM J. Sci. Comput. 40, 2018) recommend: W is
+unconverged wanted vectors.  The basis [X, P, W] stays orthonormal, as
+Duersch, Shao, Yang & Gu (SIAM J. Sci. Comput. 40, 2018) recommend: W is
 orthogonalized against X and P by two passes of projection and SVQB, which
 drops the directions W cannot resolve; P is chosen in the Ritz coefficient
 space orthogonal to the new X, so no step solves an ill-conditioned
@@ -16,8 +16,11 @@ contiguous rows; the operator is applied to whole (b, dim) row blocks.  The
 Gram matrix of the new [X, P] is carried forward from the previous step's
 Gram matrix in coefficient space, so each step forms only the rows of W.
 The block holds _GUARDS vectors beyond the k wanted pairs, which resolves
-(near-)degenerate multiplets up to the block size; the fixed-seed start
-block makes runs reproducible bit for bit.
+(near-)degenerate multiplets up to the block size.  The guards ride in X
+only, as in soft locking (Knyazev, Argentati, Lashuk & Ovtchinnikov, SIAM
+J. Sci. Comput. 29, 2007): they are improved by every Rayleigh-Ritz step
+but draw no W or P rows.  The fixed-seed start block makes runs
+reproducible bit for bit.
 
 The module keeps the name ``lanczos`` and the solver the name
 ``lowest_eigenpairs``: ``spins`` reports its results as method="lanczos",
@@ -43,17 +46,20 @@ def lowest_eigenpairs(matvec, k, *, diag):
 
     The eigenvectors are the columns of a (dim, k) array.  Only the k wanted
     pairs must converge, each to the relative bound _TOL; the guard vectors
-    beyond them help but are never waited for.  When the dimension len(diag)
-    is below five block widths the operator is formed as matvec(I) and
-    diagonalized densely instead.
+    beyond them stay in the block X but add no search directions, and are
+    never waited for.  When the dimension len(diag) is below five block
+    widths the operator is formed as matvec(I) and diagonalized densely
+    instead.
 
     Args:
         matvec: callable applying the symmetric operator to a (b, dim) block
             of b row vectors; it returns the (b, dim) block of their images.
         k: number of lowest eigenpairs requested.
         diag: the operator's diagonal, whose length is the dimension; the
-            preconditioner divides each entry of a residual by
-            max(diag - min(diag), 1).
+            preconditioner divides each entry of the residual of Ritz pair i
+            by max(diag - sigma_i, 1) with sigma_i = min(theta_i, min(diag)),
+            so the shift follows the Ritz value only once it lies below the
+            whole diagonal, and the preconditioner stays positive.
 
     Raises NoConvergence, with the best residual, after _MAX_ITER steps or
     once the residuals add no direction to the basis.
@@ -65,7 +71,7 @@ def lowest_eigenpairs(matvec, k, *, diag):
     if dim < 5 * block:
         evals, vecs = np.linalg.eigh(matvec(np.eye(dim)))
         return evals[:k], vecs[:, :k]
-    scale = 1.0 / np.maximum(diag - np.min(diag), 1.0)
+    d_min = np.min(diag)
     rng = np.random.default_rng(DEFAULT_SEED)
     # rows [0, m) of s hold the orthonormal basis [X, P, W], of a_s its image
     s, a_s = np.empty((3 * block, dim)), np.empty((3 * block, dim))
@@ -91,13 +97,19 @@ def lowest_eigenpairs(matvec, k, *, diag):
 
         r = ax - theta[:, None] * x
         resid = np.linalg.norm(r, axis=1)
+        # the guards ride in X only: they draw no W and no P rows
         active = resid > _TOL * np.maximum(1.0, np.abs(theta))
+        active[k:] = False
         best = min(best, float(np.max(resid[:k])))
-        if not active[:k].any():
+        if not active.any():
             return theta[:k], x[:k].T
-        w = _orthonormalize(r[active] * scale, s[:m])
+        shift = np.minimum(theta[active], d_min)
+        w = _orthonormalize(r[active] / np.maximum(diag - shift[:, None], 1.0), s[:m])
         if len(w) == 0:
-            break
+            raise NoConvergence(
+                f"LOBPCG stopped after {step + 1} steps: residuals add no new direction; "
+                f"best residual {best:.3e}"
+            )
         s[m : m + len(w)] = w
         a_s[m : m + len(w)] = matvec(s[m : m + len(w)])
         # only the W columns of the Gram matrix are new

@@ -80,6 +80,18 @@ def test_validation_and_budget(rng, monkeypatch):
     assert len(seen) == 51
 
 
+def test_no_new_direction_stops_with_its_own_message(rng, monkeypatch):
+    a = random_symmetric(rng, 40)
+    orthonormalize = lanczos._orthonormalize
+
+    def exhausted(u, basis):
+        return orthonormalize(u, basis) if len(basis) == 0 else u[:0]
+
+    monkeypatch.setattr(lanczos, "_orthonormalize", exhausted)
+    with pytest.raises(NoConvergence, match="after 1 steps: residuals add no new direction"):
+        lowest_eigenpairs(dense_operator(a), 2, diag=np.diag(a))
+
+
 def few_levels_operator(rng):
     """dim 300 with 10 distinct levels, 30-fold each."""
     q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
@@ -112,6 +124,22 @@ def test_basis_stays_orthonormal(case, rng):
     assert np.max(np.abs(evals - np.linalg.eigvalsh(a)[:6])) <= 1e-9 * max(1.0, np.max(np.abs(evals)))
     resid = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
     assert np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(evals)))
+
+
+@pytest.mark.parametrize("case", ["few-levels", "sector-n11"])
+def test_guards_draw_no_rows(case, rng):
+    if case == "sector-n11":
+        matvec, diag = sector_operator_n11()
+    else:
+        a = few_levels_operator(rng)
+        matvec, diag = dense_operator(a), np.diag(a)
+    apply, seen = recorded(matvec)
+    lowest_eigenpairs(apply, 6, diag=diag)
+    # the start block holds the k wanted pairs and the guards; every later block
+    # holds W rows of unconverged wanted pairs only
+    assert len(seen[0]) == 6 + lanczos._GUARDS
+    assert len(seen) > 1
+    assert max(len(block) for block in seen[1:]) <= 6
 
 
 def test_orthonormalize_drops_dependent_columns(rng):
