@@ -104,8 +104,9 @@ def _parse_resolution(text):
 def _write(cfg, files):
     """Write each ``name: data`` into cfg.out under the run's settings, then re-verify them.
 
-    ``data`` is ``(columns, rows)`` for a ``.csv`` name and a JSON payload
-    otherwise.  A file that fails its check stays on disk for inspection.
+    ``data`` is ``(columns, table)`` for a ``.csv`` name, ``table`` holding
+    one row of numbers per line, and a JSON payload otherwise.  A file that
+    fails its check stays on disk for inspection.
     """
     os.makedirs(cfg.out, exist_ok=True)
     for name, data in files.items():
@@ -120,11 +121,12 @@ def _write(cfg, files):
 def cmd_modes(cfg):
     chain = equilibrium_positions(TrapConfig(n_ions=cfg.n, aspect_ratio=cfg.beta))
     spec = transverse_modes(chain)
+    labels = np.arange(1, cfg.n + 1)
     _write(cfg, {
-        "positions.csv": (["n", "u"], [(i + 1, chain.positions[i]) for i in range(cfg.n)]),
+        "positions.csv": (["n", "u"], np.column_stack((labels, chain.positions))),
         "modes.csv": (
             ["k", "omega"] + [f"b_{i + 1}" for i in range(cfg.n)],
-            [(k + 1, spec.frequencies[k], *spec.mode_matrix[:, k]) for k in range(cfg.n)],
+            np.column_stack((labels, spec.frequencies, spec.mode_matrix.T)),
         ),
     })
 
@@ -133,12 +135,9 @@ def cmd_couplings(cfg):
     if cfg.mu_tilde is None:
         raise ValueError("couplings requires --mu-tilde")
     coupling = coupling_from_trap(cfg.n, cfg.beta, cfg.mu_tilde)
-    edges = bond_graph(coupling)
+    m, p = np.triu_indices(cfg.n, 1)
     _write(cfg, {
-        "couplings.csv": (
-            ["m", "n", "j"],
-            [(e.m, e.n, e.j) for e in sorted(edges, key=lambda e: (e.m, e.n))],
-        ),
+        "couplings.csv": (["m", "n", "j"], np.column_stack((m + 1, p + 1, coupling.j[m, p]))),
         "bond_graph.json": {
             "n_ions": cfg.n,
             "beta": cfg.beta,
@@ -146,7 +145,7 @@ def cmd_couplings(cfg):
             "mu": coupling.detuning.resolved,
             "jbar": coupling.jbar,
             "nodes": list(range(1, cfg.n + 1)),
-            "edges": [asdict(e) for e in edges],
+            "edges": [asdict(e) for e in bond_graph(coupling)],
         },
     })
 
@@ -165,10 +164,12 @@ def cmd_scan2d(cfg):
     b_range = _parse_range(cfg.b_range, "b-range")
     resolution = _parse_resolution(cfg.samples)
     grid = scan_2d(cfg.n, cfg.beta, mu_range, b_range, resolution=resolution)
+    mu, b = np.meshgrid(grid.mu_values, grid.b_values, indexing="ij")
+    values = (mu, b, grid.order_parameter, grid.polarization, grid.e0, grid.e1)
     _write(cfg, {
         "scan2d.csv": (
             ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
-            grid.rows(),
+            np.column_stack([v.ravel() for v in values]),
         ),
         "scan2d.json": {
             "n_ions": grid.n_ions,

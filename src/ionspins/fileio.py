@@ -1,12 +1,14 @@
 """Deterministic CSV/JSON emission and the invariant re-checks of every artifact.
 
-CSV dialect: comma separated, '.' decimal point, 17 significant digits,
-one header row, and '#'-prefixed metadata lines carrying the resolved run
-configuration but the output directory.  Nothing time-dependent is ever written,
-so repeated runs with the same configuration produce byte-identical files in any
-directory.  Every CLI command re-verifies the files it writes through
-``check_directory``, and ``check`` re-verifies a whole output directory, from
-the files alone.
+CSV dialect: '#'-prefixed metadata lines carrying the resolved run
+configuration but the output directory, one header row of column names, then
+a numeric table: one number per column on every row, comma separated, '.'
+decimal point, 17 significant digits.  ``write_csv`` and ``read_csv`` are the
+only code that formats or parses these rows; the reader refuses a row of any
+other width.  Nothing time-dependent is ever written, so repeated runs with
+the same configuration produce byte-identical files in any directory.  Every
+CLI command re-verifies the files it writes through ``check_directory``, and
+``check`` re-verifies a whole output directory, from the files alone.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .errors import CheckFailure
 
 def fmt(x):
     """17-significant-digit decimal form (round-trips IEEE doubles)."""
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+    return format(float(x), ".17g")
 
 
 def _header(config):
@@ -32,13 +32,13 @@ def _header(config):
     return {k: v for k, v in sorted(config.items()) if k != "out"}
 
 
-def write_csv(path, columns, rows, config):
+def write_csv(path, columns, table, config):
+    """Write the header lines, the column line and ``table``, one row of numbers per line."""
     lines = [f"# {k}={'' if v is None else v}" for k, v in _header(config).items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, np.asarray(table, float), fmt="%.17g", delimiter=",")
 
 
 def write_json(path, payload, config):
@@ -50,25 +50,32 @@ def write_json(path, payload, config):
 
 
 def read_csv(path):
-    """Returns (config dict, column names, list of string rows)."""
+    """Returns (config dict, column names, float array of the rows, one column each).
+
+    Raises ValueError if the file has no column line or a row does not hold
+    exactly one number per column.
+    """
     config = {}
-    columns = None
-    rows = []
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
+                key, eq, val = line[1:].partition("=")
+                if eq:
                     config[key.strip()] = val.strip()
-                continue
-            if columns is None:
+            elif line:
                 columns = line.split(",")
-            else:
-                rows.append(line.split(","))
+                break
+        else:
+            raise ValueError(f"{path}: no column line")
+        with warnings.catch_warnings():
+            # an empty body is an empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not rows.size:
+        rows = rows.reshape(0, len(columns))
+    if rows.shape[1] != len(columns):
+        raise ValueError(f"{path}: {rows.shape[1]} values per row for {len(columns)} columns")
     return config, columns, rows
 
 
@@ -80,7 +87,7 @@ def _require(cond, message):
 def check_positions(path):
     _, cols, rows = read_csv(path)
     _require(cols == ["n", "u"], f"{path}: unexpected columns {cols}")
-    u = np.array([float(r[1]) for r in rows])
+    u = rows[:, 1]
     _require(np.all(np.diff(u) > 0), f"{path}: positions not strictly ascending")
     _require(
         float(np.max(np.abs(u + u[::-1]))) <= 1e-10,
@@ -94,8 +101,8 @@ def check_modes(path):
     n = len(rows)
     _require(cols[:2] == ["k", "omega"], f"{path}: unexpected columns {cols}")
     _require(len(cols) == 2 + n, f"{path}: mode matrix block is not {n}x{n}")
-    omega = np.array([float(r[1]) for r in rows])
-    b = np.array([[float(x) for x in r[2:]] for r in rows]).T  # column k = mode k
+    omega = rows[:, 1]
+    b = rows[:, 2:].T  # column k = mode k
     _require(np.all(np.diff(omega) > 0), f"{path}: frequencies not ascending")
     gram = b.T @ b - np.eye(n)
     _require(
@@ -113,19 +120,21 @@ def check_modes(path):
 def check_couplings(csv_path, json_path):
     config, cols, rows = read_csv(csv_path)
     _require(cols == ["m", "n", "j"], f"{csv_path}: unexpected columns {cols}")
-    pairs = [(int(r[0]), int(r[1]), float(r[2])) for r in rows]
-    n = max(max(m, p) for m, p, _ in pairs)
-    _require(len(pairs) == n * (n - 1) // 2, f"{csv_path}: expected one row per pair m<n")
+    n = int(np.sqrt(2 * len(rows))) + 1  # the N with N(N-1)/2 rows, if there is one
+    m, p = np.triu_indices(n, 1)
+    _require(
+        len(rows) and np.array_equal(rows[:, :2], np.column_stack((m, p)) + 1),
+        f"{csv_path}: expected one row per pair m<n, in order",
+    )
     j = np.zeros((n, n))
-    for m, p, val in pairs:
-        j[m - 1, p - 1] = j[p - 1, m - 1] = val
+    j[m, p] = j[p, m] = rows[:, 2]
     refl = j[::-1, ::-1]
     _require(
         float(np.max(np.abs(j - refl))) <= 1e-10,
         f"{csv_path}: couplings not reflection-symmetric",
     )
     jbar = float(np.sqrt(np.sum(j * j) / (n * (n - 1))))
-    messages = [f"{csv_path}: {len(pairs)} bonds reflection-symmetric"]
+    messages = [f"{csv_path}: {len(rows)} bonds reflection-symmetric"]
     if os.path.exists(json_path):
         with open(json_path) as fh:
             doc = json.load(fh)
@@ -150,7 +159,17 @@ def check_phase_table(path):
         doc = json.load(fh)
     table = doc["table"]
     refine = float(table["refine_tol"])
-    for iv in table["intervals"]:
+    intervals = table["intervals"]
+    _require(
+        [iv["lower_mode"] for iv in intervals] == list(range(1, table["n_ions"])),
+        f"{path}: intervals are not (1,2) ... (N-1,N) for N={table['n_ions']}",
+    )
+    listed = sum(len(iv["transitions"]) for iv in intervals)
+    _require(
+        doc["transition_count"] == listed,
+        f"{path}: transition_count {doc['transition_count']} for {listed} transitions listed",
+    )
+    for iv in intervals:
         k = iv["lower_mode"]
         subs, transitions = iv["subintervals"], iv["transitions"]
         _require(subs, f"{path}: interval ({k},{k + 1}) has no subintervals")
@@ -185,20 +204,12 @@ def check_phase_table(path):
 
 
 def check_scan2d(path):
-    with open(path) as fh:
-        # the header is the first line that is neither blank nor a comment;
-        # np.loadtxt parses the rest straight into floats, never held as text
-        header = next((line for line in fh if line.rstrip("\n") and not line.startswith("#")), None)
-        cols = None if header is None else header.rstrip("\n").split(",")
-        _require(
-            cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
-            f"{path}: unexpected columns {cols}",
-        )
-        with warnings.catch_warnings():
-            # an empty body is a (0, 6) array, an empty grid
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, delimiter=",", usecols=range(6), ndmin=2)
-    mu, b, op, pol, e0, e1 = values.T
+    _, cols, rows = read_csv(path)
+    _require(
+        cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
+        f"{path}: unexpected columns {cols}",
+    )
+    mu, b, op, pol, e0, e1 = rows.T
     finite = np.isfinite(op)
     _require(
         np.all(np.abs(op[finite]) <= 1.0 + 1e-12), f"{path}: order parameter outside [-1, 1]"
@@ -211,8 +222,8 @@ def check_scan2d(path):
     _require(np.all(e0[both] <= e1[both]), f"{path}: E0 above E1")
     n_mu = len(set(mu.tolist()))
     n_b = len(set(b.tolist()))
-    _require(len(values) == n_mu * n_b, f"{path}: incomplete grid")
-    return f"{path}: {len(values)} grid rows within bounds, E0 <= E1"
+    _require(len(rows) == n_mu * n_b, f"{path}: incomplete grid")
+    return f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"
 
 
 def check_gap_files(csv_path, json_path):
@@ -221,13 +232,18 @@ def check_gap_files(csv_path, json_path):
         cols == ["N", "B_over_NJbar", "delta_E", "mu_star"],
         f"{csv_path}: unexpected columns {cols}",
     )
-    _require(rows, f"{csv_path}: no gap samples")
-    gaps = np.array([float(r[2]) for r in rows])
+    _require(len(rows), f"{csv_path}: no gap samples")
+    gaps = rows[:, 2]
     _require(np.all(gaps > 0), f"{csv_path}: non-positive gap recorded")
     messages = [f"{csv_path}: {len(rows)} gap samples positive"]
     if os.path.exists(json_path):
         with open(json_path) as fh:
             doc = json.load(fh)
+        n_ions = [entry["n_ions"] for entry in doc["alphas"]]
+        _require(
+            len(set(n_ions)) == len(n_ions) and set(n_ions) == set(rows[:, 0].tolist()),
+            f"{json_path}: alphas for N={n_ions}, not one for each N of {csv_path}",
+        )
         for entry in doc["alphas"]:
             _require(entry["alpha"] > 0, f"{json_path}: non-positive exponent")
         messages.append(f"{json_path}: exponents positive")

@@ -278,19 +278,6 @@ class ScanGrid:
     e1: np.ndarray
     failures: list = field(default_factory=list)
 
-    def rows(self):
-        """Flat iteration: (mu, b, order_parameter, polarization, e0, e1)."""
-        for i, mu in enumerate(self.mu_values):
-            for l, b in enumerate(self.b_values):
-                yield (
-                    float(mu),
-                    float(b),
-                    float(self.order_parameter[i, l]),
-                    float(self.polarization[i, l]),
-                    float(self.e0[i, l]),
-                    float(self.e1[i, l]),
-                )
-
 
 def _scan_column(n_ions, beta, mu, b_fields):
     """Order parameter, polarization, E0 and E1 at each field B/Jbar of one detuning.

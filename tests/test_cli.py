@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from ionspins import cli, phases, spins
@@ -126,7 +127,11 @@ def test_scan2d_files_and_check(tmp_path):
     )
     _, cols, rows = read_csv(os.path.join(out, "scan2d.csv"))
     assert cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"]
-    assert len(rows) == 15
+    assert rows.shape == (15, 6)
+    # mu-major: each detuning's 3 fields in a block, ascending in B within it
+    mu, b = rows[:, 0].reshape(5, 3), rows[:, 1].reshape(5, 3)
+    assert np.all(mu == mu[:, :1]) and np.all(np.diff(mu[:, 0]) > 0)
+    assert np.all(np.diff(b, axis=1) > 0)
     assert os.path.exists(os.path.join(out, "scan2d.json"))
     assert run("check", "--out", out) == 0
 
@@ -465,6 +470,45 @@ def test_check_flags_transition_disagreeing_with_its_subinterval(tmp_path, capsy
     assert "CheckFailure" in err and "does not join the orders of its subintervals" in err
 
 
+def _cut_to_first_interval(doc):
+    doc["table"]["intervals"] = doc["table"]["intervals"][:1]
+    doc["transition_count"] = len(doc["table"]["intervals"][0]["transitions"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_cut_to_first_interval, "intervals are not (1,2) ... (N-1,N)"),
+        (lambda doc: doc.update(transition_count=99), "transition_count 99 for"),
+    ],
+    ids=["missing-intervals", "transition-count"],
+)
+def test_check_flags_phase_table_structure(tmp_path, capsys, edit, message):
+    out = str(tmp_path)
+    assert run("phase-table", "--n", "5", "--samples", "16", "--out", out) == 0
+    _edit_json(os.path.join(out, "phase_table.json"), edit)
+    assert run("check", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "CheckFailure" in err and message in err
+
+
+def test_check_flags_alpha_fit_disagreeing_with_gap_table(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run("gap", "--n-list", "3,5", "--samples", "5", "--out", out) == 0
+    path = os.path.join(out, "alpha_fit.json")
+    with open(path) as fh:
+        alphas = json.load(fh)["alphas"]
+    for edited in (
+        [dict(alphas[0], n_ions=11)],  # N = 11, which the table lacks, for N = 3 and 5
+        [alphas[0]],  # N = 5 has no entry
+        [alphas[0], alphas[1], alphas[1]],  # N = 5 has two
+    ):
+        _edit_json(path, lambda doc: doc.update(alphas=edited))
+        assert run("check", "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "CheckFailure" in err and "not one for each N" in err
+
+
 SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
 
 
@@ -478,8 +522,18 @@ SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
         ("phase_table.json", '{"table": 5}\n'),  # TypeError
         ("scan2d.csv", SCAN2D_HEADER + "3.1,0,0.5\n"),  # too few values per row
         ("scan2d.csv", SCAN2D_HEADER + "3.1,0,x,0,-1,0\n"),  # not a number
+        # otherwise valid files whose every row holds one value too many
+        ("positions.csv", "n,u\n1,-1,0\n2,1,0\n"),
+        ("couplings.csv", "m,n,j\n1,2,0.5,0\n"),
+        ("scan2d.csv", SCAN2D_HEADER + "3.1,0,0.5,0.5,-1,0,7\n"),
+        ("gap_scaling.csv", "N,B_over_NJbar,delta_E,mu_star\n5,0.01,0.1,3.5,0\n"),
+        ("couplings.csv", "m,n,j\n1.5,2,0.5\n"),  # an ion label that is no integer
     ],
-    ids=["missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row", "scan2d-not-a-number"],
+    ids=[
+        "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
+        "scan2d-not-a-number", "positions-long-row", "couplings-long-row", "scan2d-long-row",
+        "gap-long-row", "couplings-fractional-label",
+    ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):
     (tmp_path / name).write_text(text)

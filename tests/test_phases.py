@@ -177,9 +177,6 @@ def test_scan_grid_contents():
     # zero-field column is fully ordered on both sides of the transition
     op0 = grid.order_parameter[:, 0]
     assert np.all((np.abs(op0 - 1.0) <= 1e-9) | (np.abs(op0 + 1.0) <= 1e-9))
-    rows = list(grid.rows())
-    assert len(rows) == 28
-    assert rows[1][0] == rows[0][0] and rows[1][1] > rows[0][1]  # row-major in mu
 
 
 def test_scan_strong_field_depolarizes_order():
@@ -327,6 +324,22 @@ def test_gap_scan_reports_missing_interior_minimum(lo, hi):
     with pytest.raises(NoInteriorMinimum) as excinfo:
         phases._minimize_gap_scan(5, 10.0, b_abs, lo, hi)
     assert excinfo.type is NoInteriorMinimum
+
+
+@pytest.mark.parametrize("mu_min", [3.05, 3.55], ids=["below", "above"])
+def test_gap_scan_expands_bracket_to_reach_minimum(monkeypatch, mu_min):
+    """A minimum outside the first bracket (3.2, 3.4) but inside the caps of (3, 4) is found."""
+    probes = []
+
+    def v_shaped_gap(n_ions, beta, mu, b_abs):
+        probes.append(mu)
+        return float(np.hypot(1e-3, mu - mu_min))
+
+    monkeypatch.setattr(phases, "_levels_at", v_shaped_gap)
+    mu_star, gap = phases._minimize_gap_scan(5, 10.0, 0.1, 3.2, 3.4)
+    assert mu_star == pytest.approx(mu_min, abs=1e-9)
+    assert gap == pytest.approx(1e-3, rel=1e-9)
+    assert not 3.2 <= min(probes) <= max(probes) <= 3.4  # the bracket did expand
 
 
 @pytest.mark.parametrize("sweep", [min_gap, transition_width])
