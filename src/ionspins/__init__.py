@@ -65,8 +65,6 @@ from .spins import (
     hamming_distance,
     kink_basis,
     lowest_eigenpairs,
-    polarization,
-    subspace_projection,
 )
 
 __version__ = "0.1.0"

@@ -209,10 +209,16 @@ def cmd_gap(cfg):
     if len(fits) >= 2:
         slope, intercept, rms = linear_fit([f.n_ions for f in fits], [f.alpha for f in fits])
         payload["fit"] = {"slope": slope, "intercept": intercept, "residual": rms}
+    points = [p for f in fits for p in f.points]
     _write(cfg, {
         "gap_scaling.csv": (
             ["N", "B_over_NJbar", "delta_E", "mu_star"],
-            [(f.n_ions, p.b_over_njbar, p.gap, p.mu_star) for f in fits for p in f.points],
+            np.column_stack((
+                [p.n_ions for p in points],
+                [p.b_over_njbar for p in points],
+                [p.gap for p in points],
+                [p.mu_star for p in points],
+            )),
         ),
         "alpha_fit.json": payload,
     })

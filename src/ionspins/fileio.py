@@ -84,16 +84,24 @@ def _require(cond, message):
         raise CheckFailure(message)
 
 
+def _require_labels(path, name, labels):
+    n = len(labels)
+    _require(
+        np.array_equal(labels, np.arange(1, n + 1)), f"{path}: labels {name} do not read 1 ... {n}"
+    )
+
+
 def check_positions(path):
     _, cols, rows = read_csv(path)
     _require(cols == ["n", "u"], f"{path}: unexpected columns {cols}")
+    _require_labels(path, "n", rows[:, 0])
     u = rows[:, 1]
     _require(np.all(np.diff(u) > 0), f"{path}: positions not strictly ascending")
     _require(
         float(np.max(np.abs(u + u[::-1]))) <= 1e-10,
         f"{path}: positions not odd-symmetric about the origin",
     )
-    return f"{path}: {len(u)} positions ascending and odd-symmetric"
+    return f"{path}: {len(u)} positions labelled, ascending and odd-symmetric"
 
 
 def check_modes(path):
@@ -101,6 +109,7 @@ def check_modes(path):
     n = len(rows)
     _require(cols[:2] == ["k", "omega"], f"{path}: unexpected columns {cols}")
     _require(len(cols) == 2 + n, f"{path}: mode matrix block is not {n}x{n}")
+    _require_labels(path, "k", rows[:, 0])
     omega = rows[:, 1]
     b = rows[:, 2:].T  # column k = mode k
     _require(np.all(np.diff(omega) > 0), f"{path}: frequencies not ascending")
@@ -114,7 +123,7 @@ def check_modes(path):
             abs(omega[-1] - float(beta)) <= 1e-10,
             f"{path}: stiffest mode is not the center-of-mass mode at beta",
         )
-    return f"{path}: {n} modes orthonormal and ascending"
+    return f"{path}: {n} modes labelled, orthonormal and ascending"
 
 
 def check_couplings(csv_path, json_path):
@@ -233,9 +242,13 @@ def check_gap_files(csv_path, json_path):
         f"{csv_path}: unexpected columns {cols}",
     )
     _require(len(rows), f"{csv_path}: no gap samples")
-    gaps = rows[:, 2]
+    n, fields, gaps, mu_star = rows.T
+    _require(np.all(fields > 0), f"{csv_path}: non-positive B_over_NJbar recorded")
     _require(np.all(gaps > 0), f"{csv_path}: non-positive gap recorded")
-    messages = [f"{csv_path}: {len(rows)} gap samples positive"]
+    _require(
+        np.all((n - 2 < mu_star) & (mu_star < n - 1)), f"{csv_path}: mu_star outside (N-2, N-1)"
+    )
+    messages = [f"{csv_path}: {len(rows)} gap samples positive, mu_star in (N-2, N-1)"]
     if os.path.exists(json_path):
         with open(json_path) as fh:
             doc = json.load(fh)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NoConvergence
 
-DEFAULT_SEED = 0x5EED
+_SEED = 0x5EED
 _GUARDS = 2
 _MAX_ITER = 1000
 _TOL = 1e-10  # residual bound ||Av - ev|| <= _TOL * max(1, |e|) per pair
@@ -72,7 +72,7 @@ def lowest_eigenpairs(matvec, k, *, diag):
         evals, vecs = np.linalg.eigh(matvec(np.eye(dim)))
         return evals[:k], vecs[:, :k]
     d_min = np.min(diag)
-    rng = np.random.default_rng(DEFAULT_SEED)
+    rng = np.random.default_rng(_SEED)
     # rows [0, m) of s hold the orthonormal basis [X, P, W], of a_s its image
     s, a_s = np.empty((3 * block, dim)), np.empty((3 * block, dim))
     m = block

@@ -110,63 +110,49 @@ def _nudged_orders(n_ions, beta, mus, nudges):
     return orders
 
 
-def _bisect_orders(n_ions, beta, lo, o_lo, hi, o_hi, tol, ties=()):
-    """Bracket every order change in (lo, hi); recursion handles interlopers.
-
-    Returns the final brackets, at most tol wide, in ascending order as
-    (lo, order at lo, hi, order at hi, exact).  A tied midpoint is sidestepped
-    by 1e-3 of the bracket, as a tied grid point is; a bracket that holds a
-    tied midpoint is an exact crossing.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        (o_mid,) = ground_orders(n_ions, beta, [mid])
-        if isinstance(o_mid, AmbiguousGround):
-            ties += (mid,)
-            mid, o_mid = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o_mid)
-        if o_mid == o_lo:
-            lo = mid
-        elif o_mid == o_hi:
-            hi = mid
-        else:
-            left = _bisect_orders(n_ions, beta, lo, o_lo, mid, o_mid, tol, ties)
-            return left + _bisect_orders(n_ions, beta, mid, o_mid, hi, o_hi, tol, ties)
-    return [(lo, o_lo, hi, o_hi, any(lo < t < hi for t in ties))]
-
-
 def _interval_phases(n_ions, beta, k, samples, tol):
     """Subintervals and transitions of (k, k+1), probed on a grid of ``samples`` points.
 
-    Every probe's order is kept.  Each pair of neighbouring probes whose
-    orders differ is bisected once, and each final bracket is a transition;
-    a subinterval takes the order of the probes it holds.  The grid starts
-    half a step inside the interval, so a change next to an edge can escape
-    it: a subinterval's midpoint whose order differs, and that no bracket
-    covers, becomes a probe, and its new pairs are bisected in turn until
-    every midpoint agrees.  Such a midpoint lies inside a run of probes of
-    one order, so each round adds a bracket and moves none; the brackets are
-    disjoint, each holds an order change, and an interval holds finitely
-    many, so the rounds end.
+    Neighbouring probes (mu -> order) whose orders differ are the brackets.
+    Each level sends the midpoints of all brackets wider than tol to
+    ``ground_orders`` in one call and keeps the halves that still change
+    order; a tied midpoint is sidestepped by 1e-3 of its bracket, as a tied
+    grid point is, and a bracket holding such a tie is an exact crossing.
+    Each subinterval takes the order of the probes it holds.  The grid
+    starts half a step inside the interval, so a change next to an edge can
+    escape it: a subinterval's midpoint whose order differs, and that no
+    bracket covers, lies inside a run of probes of one order and becomes a
+    probe of another round, until every midpoint agrees.  Each round adds a
+    bracket and moves none, and an interval holds finitely many order
+    changes, so the rounds end.
     """
     step = 1.0 / samples
     grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
-    orders = _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)
-    probes = dict(zip(grid, orders))
-    pairs = zip(grid, orders, grid[1:], orders[1:])  # neighbouring probes not yet compared
-    exact = {}  # (lo, hi) of each bracket -> whether it holds a tie
+    probes = dict(zip(grid, _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)))
+    ties = []  # tied bisection midpoints
     while True:
-        for lo, o_lo, hi, o_hi in pairs:
-            if o_lo != o_hi:
-                for b_lo, ob_lo, b_hi, ob_hi, tie in _bisect_orders(
-                    n_ions, beta, lo, o_lo, hi, o_hi, tol
-                ):
-                    probes[b_lo], probes[b_hi], exact[b_lo, b_hi] = ob_lo, ob_hi, tie
-        brackets = sorted(exact)
-        cuts = [float(k)] + [0.5 * (lo + hi) for lo, hi in brackets] + [float(k + 1)]
+        xs = sorted(probes)
+        brackets = [
+            (lo, probes[lo], hi, probes[hi])
+            for lo, hi in zip(xs, xs[1:])
+            if probes[lo] != probes[hi]
+        ]
+        while wide := [b for b in brackets if b[2] - b[0] > tol]:
+            mids = [0.5 * (lo + hi) for lo, _, hi, _ in wide]
+            halves = {}
+            for (lo, o_lo, hi, o_hi), mid, o in zip(wide, mids, ground_orders(n_ions, beta, mids)):
+                if isinstance(o, AmbiguousGround):
+                    ties.append(mid)
+                    mid, o = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o)
+                halves[lo] = [h for h in ((lo, o_lo, mid, o), (mid, o, hi, o_hi)) if h[1] != h[3]]
+            brackets = [h for b in brackets for h in halves.get(b[0], [b])]
+        for lo, o_lo, hi, o_hi in brackets:
+            probes[lo], probes[hi] = o_lo, o_hi
+        cuts = [float(k)] + [0.5 * (lo + hi) for lo, _, hi, _ in brackets] + [float(k + 1)]
         spans = list(zip(cuts[:-1], cuts[1:]))
-        span_orders = [probes[min(probes)]] + [probes[hi] for _, hi in brackets]
+        span_orders = [probes[xs[0]]] + [o_hi for *_, o_hi in brackets]
         # the stretch of each span that no bracket covers
-        uncovered = zip([-np.inf] + [hi for _, hi in brackets], [lo for lo, _ in brackets] + [np.inf])
+        uncovered = zip([-np.inf] + [b[2] for b in brackets], [b[0] for b in brackets] + [np.inf])
         mids = [0.5 * (lo + hi) for lo, hi in spans]
         mid_orders = _nudged_orders(n_ions, beta, mids, [(hi - lo) * 1e-3 for lo, hi in spans])
         missed = {
@@ -177,21 +163,15 @@ def _interval_phases(n_ions, beta, k, samples, tol):
         if not missed:
             break
         probes.update(missed)
-        xs = sorted(probes)
-        pairs = [
-            (lo, probes[lo], hi, probes[hi])
-            for lo, hi in zip(xs[:-1], xs[1:])
-            if lo in missed or hi in missed
-        ]
     transitions = [
         Transition(
             mu_tilde=0.5 * (lo + hi),
             uncertainty=0.5 * (hi - lo),
-            left_order=probes[lo].bits,
-            right_order=probes[hi].bits,
-            exact_crossing=exact[lo, hi],
+            left_order=o_lo.bits,
+            right_order=o_hi.bits,
+            exact_crossing=any(lo < t < hi for t in ties),
         )
-        for lo, hi in brackets
+        for lo, o_lo, hi, o_hi in brackets
     ]
     subintervals = [
         Subinterval(lo=lo, hi=hi, order=o.bits, degeneracy=o.degeneracy)
@@ -203,15 +183,14 @@ def _interval_phases(n_ions, beta, k, samples, tol):
 def phase_table(n_ions, beta=10.0, samples_per_interval=64):
     """Zero-field phase table: spin orders tiling every inter-mode interval.
 
-    Each interval (k, k+1) is sampled on a uniform grid and every order change
-    is bisected down to _TABLE_TOL; a subinterval's midpoint that shows a
-    change the grid missed is bisected too (``_interval_phases``), so each
-    transition joins the orders of its two subintervals.  An exact crossing
-    hit along the way is sidestepped and its transition marked
-    ``exact_crossing=True``, and one that every sidestep still ties is raised
-    (``AmbiguousGround``).  Every
-    probe goes through ``spins.ground_orders`` (mode space, a tile of
-    detunings per product).
+    Each interval (k, k+1) is sampled on a uniform grid, and all its order
+    changes are bisected in lock step down to _TABLE_TOL, one
+    ``spins.ground_orders`` call (mode space, a tile of detunings per
+    product) per level; a subinterval's midpoint that shows a change the grid
+    missed starts another round (``_interval_phases``), so each transition
+    joins the orders of its two subintervals.  An exact crossing hit along
+    the way is sidestepped and its transition marked ``exact_crossing=True``,
+    and one that every sidestep still ties is raised (``AmbiguousGround``).
     """
     if n_ions < 3:
         raise ValueError("phase tables need at least 3 ions")

@@ -455,22 +455,6 @@ def _cluster_mask(evals):
     return evals - e0 <= _CLUSTER_RTOL * np.maximum(1.0, np.abs(e0))
 
 
-def polarization(result, which=0):
-    """<sum_n sigma^x_n> / N for one eigenstate; lies in [-1, 1]."""
-    return float(_level_polarizations(result.eigenvectors[:, which], result.n_ions))
-
-
-def subspace_projection(result, basis, which=0):
-    """Probability of one eigenstate inside the span of distinct configurations in [0, 2^N)."""
-    v = result.eigenvectors[:, which]
-    return float(_level_weights(v, _basis_indices(basis, len(v))))
-
-
-def ground_cluster(result):
-    """Indices of eigenstates degenerate with the ground state."""
-    return np.flatnonzero(_cluster_mask(result.eigenvalues))
-
-
 def cluster_averages(results, bases):
     """Ground-cluster averages of spectra with one N and k, computed on their stacked vectors.
 

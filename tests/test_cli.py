@@ -528,11 +528,17 @@ SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
         ("scan2d.csv", SCAN2D_HEADER + "3.1,0,0.5,0.5,-1,0,7\n"),
         ("gap_scaling.csv", "N,B_over_NJbar,delta_E,mu_star\n5,0.01,0.1,3.5,0\n"),
         ("couplings.csv", "m,n,j\n1.5,2,0.5\n"),  # an ion label that is no integer
+        # well-formed files that break an invariant: labels 1 ... N, B > 0, N-2 < mu_star < N-1
+        ("positions.csv", "n,u\n7,-1\n7,1\n"),
+        ("modes.csv", "k,omega,b_1,b_2\n9,0.5,1,0\n9,1,0,1\n"),
+        ("gap_scaling.csv", "N,B_over_NJbar,delta_E,mu_star\n5,-0.01,0.1,3.5\n"),
+        ("gap_scaling.csv", "N,B_over_NJbar,delta_E,mu_star\n5,0.01,0.1,42\n"),
     ],
     ids=[
         "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
         "scan2d-not-a-number", "positions-long-row", "couplings-long-row", "scan2d-long-row",
-        "gap-long-row", "couplings-fractional-label",
+        "gap-long-row", "couplings-fractional-label", "positions-labels", "modes-labels",
+        "gap-non-positive-field", "gap-mu-star-outside",
     ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):

@@ -142,6 +142,26 @@ def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):
     assert abs(t.mu_tilde - cross) <= table.refine_tol
 
 
+def test_order_changes_of_an_interval_bisect_in_lock_step(monkeypatch):
+    """Two changes share every bisection level: 1 grid call, 16 levels, 1 midpoint round."""
+    outer, inner = phases.ground_orders(3, 10.0, [1.1, 1.9])
+    calls = []
+
+    def two_changes(n_ions, beta, mus):
+        calls.append(len(mus))
+        return [inner if 1.3 < mu < 1.7 else outer for mu in mus]
+
+    monkeypatch.setattr(phases, "ground_orders", two_changes)
+    iv = phases._interval_phases(3, 10.0, 1, 16, 1e-6)
+    assert [(t.left_order, t.right_order) for t in iv.transitions] == [
+        (outer.bits, inner.bits),
+        (inner.bits, outer.bits),
+    ]
+    for t, cross in zip(iv.transitions, (1.3, 1.7)):
+        assert abs(t.mu_tilde - cross) <= 1e-6
+    assert calls == [16] + [2] * 16 + [3]
+
+
 @pytest.mark.parametrize("n", [13, 15])
 def test_degeneracy_law_holds_on_every_subinterval(n):
     """Criterion 04's {2,4} law and reflection rule, past its N <= 9 sample."""

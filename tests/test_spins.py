@@ -32,16 +32,13 @@ from ionspins.spins import (
     field_spectra,
     flip_all,
     fm_basis,
-    ground_cluster,
     ground_orders,
     hamming_distance,
     index_to_bits,
     kink_basis,
     lowest_eigenpairs,
     orbit,
-    polarization,
     reverse_bits,
-    subspace_projection,
 )
 
 
@@ -329,7 +326,8 @@ def test_pure_field_ground_state():
     uniform = np.full(2**n, 1.0 / 2 ** (n / 2))
     overlap = abs(res.eigenvectors[:, 0] @ uniform)
     assert overlap == pytest.approx(1.0, abs=1e-10)
-    assert polarization(res, 0) == pytest.approx(1.0, abs=1e-10)
+    assert level_polarization(res, 0) == pytest.approx(1.0, abs=1e-10)
+    assert cluster_polarization(res) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_eigenpair_contracts(coupling_n7_51):
@@ -653,36 +651,51 @@ def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch, fo
 # --- observables ---------------------------------------------------------------
 
 
+def cluster_members(res):
+    """Indices of the levels within 1e-9 of the ground energy, relative to max(1, |E0|)."""
+    e = res.eigenvalues
+    return [i for i in range(len(e)) if e[i] - e[0] <= 1e-9 * max(1.0, abs(e[0]))]
+
+
+def level_polarization(res, which):
+    """<sum_n sigma^x_n> / N of one level, from explicit single-spin flips of its vector."""
+    v, n = res.eigenvectors[:, which], res.n_ions
+    states = np.arange(1 << n)
+    return sum(v @ v[states ^ (1 << p)] for p in range(n)) / n
+
+
 def test_polarization_of_basis_state(coupling_n7_51):
     res = lowest_eigenpairs(coupling_n7_51, 0.0, k=2)
-    assert polarization(res, 0) == pytest.approx(0.0, abs=1e-12)
+    assert level_polarization(res, 0) == pytest.approx(0.0, abs=1e-12)
+    assert cluster_polarization(res) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_projection_completeness_and_bounds(coupling_n7_51):
     res = lowest_eigenpairs(coupling_n7_51, 0.5, k=2)
-    full = subspace_projection(res, range(2**7))
+    assert np.sum(res.eigenvectors[:, 0] ** 2) == pytest.approx(1.0, abs=1e-12)
+    full = cluster_projection(res, range(2**7))
     assert full == pytest.approx(1.0, abs=1e-12)
-    p_fm = subspace_projection(res, fm_basis(7))
-    p_k = subspace_projection(res, kink_basis(7))
+    p_fm = cluster_projection(res, fm_basis(7))
+    p_k = cluster_projection(res, kink_basis(7))
     assert 0.0 <= p_fm <= 1.0 and 0.0 <= p_k <= 1.0
     assert p_fm + p_k <= 1.0 + 1e-12
     with pytest.raises(ValueError):
-        subspace_projection(res, [])
+        cluster_projection(res, [])
     with pytest.raises(ValueError):
-        subspace_projection(res, [1, 1])
+        cluster_projection(res, [1, 1])
     # a negative index would alias one counted already (-128 is 0 at N = 7), one past 2^N not exist
     for basis in ([0, -(2**7)], [-1], [2**7], [3, 2**7 + 3]):
         with pytest.raises(ValueError, match="distinct configurations"):
-            subspace_projection(res, basis)
-        with pytest.raises(ValueError, match="distinct configurations"):
             cluster_projection(res, basis)
+        with pytest.raises(ValueError, match="distinct configurations"):
+            cluster_averages([res], [fm_basis(7), basis])
 
 
 def test_ground_cluster_matches_degeneracy(coupling_n7_51, coupling_n7_53):
     res = lowest_eigenpairs(coupling_n7_51, 0.0, k=6)
-    assert len(ground_cluster(res)) == 2
+    assert len(cluster_members(res)) == 2
     res53 = lowest_eigenpairs(coupling_n7_53, 0.0, k=6)
-    assert len(ground_cluster(res53)) == 4
+    assert len(cluster_members(res53)) == 4
 
 
 def test_cluster_projection_saturates_in_ordered_phases(coupling_n7_51, coupling_n7_53):
@@ -701,8 +714,8 @@ def test_deep_kink_projection_stays_high():
 
 def cluster_oracle(res, basis):
     """(projection, polarization) averaged over the ground cluster, from per-level loops."""
-    e, v, n = res.eigenvalues, res.eigenvectors, res.n_ions
-    members = [i for i in range(len(e)) if e[i] - e[0] <= 1e-9 * max(1.0, abs(e[0]))]
+    v, n = res.eigenvectors, res.n_ions
+    members = cluster_members(res)
     x_total = np.zeros((1 << n, 1 << n))
     for s in range(1 << n):
         for p in range(n):
@@ -718,7 +731,7 @@ def test_column_observables_match_one_field_calls(n):
     for side, cluster in ((fm_side, 2), (kink_side, 4)):
         j = coupling_from_trap(n, 10.0, 0.5 * (side.lo + side.hi))
         spectra = field_spectra(j, [0.0, 0.05, 0.3, 1.0], k=6)
-        assert len(ground_cluster(spectra[0])) == cluster  # B = 0: the degenerate orbit
+        assert len(cluster_members(spectra[0])) == cluster  # B = 0: the degenerate orbit
         (p_fm, p_kink), pol = cluster_averages(spectra, (fm_basis(n), kink_basis(n)))
         for col, res in enumerate(spectra):
             assert abs(p_fm[col] - cluster_projection(res, fm_basis(n))) <= 1e-13
@@ -733,14 +746,15 @@ def test_column_observables_match_one_field_calls(n):
 @pytest.mark.parametrize("mu, cluster", [(5.1, 2), (5.3, 4)])
 def test_cluster_averages_ignore_rotations_inside_the_cluster(mu, cluster):
     res = lowest_eigenpairs(coupling_from_trap(7, 10.0, mu), 0.0, k=6)
-    assert len(ground_cluster(res)) == cluster
+    assert len(cluster_members(res)) == cluster
     q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((cluster, cluster)))
     vecs = res.eigenvectors.copy()
     vecs[:, :cluster] = vecs[:, :cluster] @ q
     rotated = dataclasses.replace(res, eigenvectors=vecs)
     part = fm_basis(7)[:1] if cluster == 2 else kink_basis(7)[:2]
     # single levels see the rotation, the cluster averages do not
-    assert abs(subspace_projection(rotated, part) - subspace_projection(res, part)) > 1e-3
+    rotated_weight, weight = (np.sum(r.eigenvectors[part, 0] ** 2) for r in (rotated, res))
+    assert abs(rotated_weight - weight) > 1e-3
     for basis in (part, fm_basis(7), kink_basis(7)):
         assert abs(cluster_projection(rotated, basis) - cluster_projection(res, basis)) <= 1e-13
     assert abs(cluster_polarization(rotated) - cluster_polarization(res)) <= 1e-13
