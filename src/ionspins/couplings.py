@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,28 +74,44 @@ def rms_coupling(j):
     return float(np.sqrt(np.sum(j * j) / (n * (n - 1))))
 
 
-def resolve_detuning(spectrum, rescaled):
-    """Map a rescaled detuning onto a physical one.
+def resolve_detunings(spectrum, rescaled):
+    """Resolved detunings (units of wz) of a sequence of rescaled ones.
 
     mu = omega_k + frac * (omega_{k+1} - omega_k) with k = floor(rescaled).
     Rejects values outside the closed interval [1, N] (ValueError), then the
     integer ones, each on a mode 1..N (ResonanceError: on-mode drive); the
-    resolved detuning must clear every mode by at least 1e-6 wz.
+    resolved detuning must clear every mode by at least 1e-6 wz.  A batch
+    with bad entries raises what its first bad entry raises when resolved
+    alone.
     """
     w = np.asarray(spectrum.frequencies, dtype=float)
     n = len(w)
-    rescaled = float(rescaled)
-    if not 1.0 <= rescaled <= n:
-        raise ValueError(f"rescaled detuning {rescaled} outside the open interval (1, {n})")
-    if abs(rescaled - round(rescaled)) < 1e-6:
-        raise ResonanceError(f"rescaled detuning {rescaled} sits on phonon mode {round(rescaled)}")
-    k = math.floor(rescaled)
-    frac = rescaled - k
+    rescaled = np.asarray(rescaled, dtype=float).reshape(-1)
+    outside = ~((1.0 <= rescaled) & (rescaled <= n))
+    # entries that fail a check stand in as 1.5 for the later ones (no inf - inf, no
+    # mode index past N); their own failure is reported below
+    r = np.where(outside, 1.5, rescaled)
+    on_mode = np.abs(r - np.round(r)) < 1e-6
+    k = np.floor(np.where(on_mode, 1.5, r)).astype(np.int64)
+    frac = r - k
     mu = w[k - 1] + frac * (w[k] - w[k - 1])
-    if np.min(np.abs(mu - w)) < 1e-6:
-        raise ResonanceError(
-            f"resolved detuning {mu!r} is within 1e-6 of a mode frequency"
-        )
+    near = np.min(np.abs(mu[:, None] - w), axis=1) < 1e-6
+    bad = np.flatnonzero(outside | on_mode | near)
+    if len(bad):
+        i = bad[0]
+        x = float(rescaled[i])
+        if outside[i]:
+            raise ValueError(f"rescaled detuning {x} outside the open interval (1, {n})")
+        if on_mode[i]:
+            raise ResonanceError(f"rescaled detuning {x} sits on phonon mode {round(x)}")
+        raise ResonanceError(f"resolved detuning {mu[i]!r} is within 1e-6 of a mode frequency")
+    return mu
+
+
+def resolve_detuning(spectrum, rescaled):
+    """Map one rescaled detuning onto a physical one (``resolve_detunings`` of one entry)."""
+    rescaled = float(rescaled)
+    (mu,) = resolve_detunings(spectrum, [rescaled])
     return DetuningSpec(rescaled=rescaled, resolved=float(mu))
 
 

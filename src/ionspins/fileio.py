@@ -163,15 +163,25 @@ def check_couplings(csv_path, json_path):
     return "; ".join(messages)
 
 
+_FLIP = str.maketrans("01", "10")
+
+
+def _orbit(bits):
+    """An order string, its global flip, its reflection and the reflection's flip, as a set."""
+    flip = bits.translate(_FLIP)
+    return {bits, flip, bits[::-1], flip[::-1]}
+
+
 def check_phase_table(path):
     with open(path) as fh:
         doc = json.load(fh)
     table = doc["table"]
+    n = table["n_ions"]
     refine = float(table["refine_tol"])
     intervals = table["intervals"]
     _require(
-        [iv["lower_mode"] for iv in intervals] == list(range(1, table["n_ions"])),
-        f"{path}: intervals are not (1,2) ... (N-1,N) for N={table['n_ions']}",
+        [iv["lower_mode"] for iv in intervals] == list(range(1, n)),
+        f"{path}: intervals are not (1,2) ... (N-1,N) for N={n}",
     )
     listed = sum(len(iv["transitions"]) for iv in intervals)
     _require(
@@ -181,6 +191,20 @@ def check_phase_table(path):
     for iv in intervals:
         k = iv["lower_mode"]
         subs, transitions = iv["subintervals"], iv["transitions"]
+        orders = [sub["order"] for sub in subs] + [
+            o for t in transitions for o in (t["left_order"], t["right_order"])
+        ]
+        for o in orders:
+            # equal-length bit strings compare as the integers they spell
+            _require(
+                len(o) == n and set(o) <= {"0", "1"} and o == min(_orbit(o)),
+                f"{path}: order {o!r} is not a canonical {n}-bit order",
+            )
+        for sub in subs:
+            _require(
+                sub["degeneracy"] == len(_orbit(sub["order"])),
+                f"{path}: degeneracy {sub['degeneracy']} of {sub['order']} is not its orbit size",
+            )
         _require(subs, f"{path}: interval ({k},{k + 1}) has no subintervals")
         _require(
             len(subs) == len(transitions) + 1,
@@ -209,7 +233,7 @@ def check_phase_table(path):
                 (t["left_order"], t["right_order"]) == (left["order"], right["order"]),
                 f"{path}: transition at {t['mu_tilde']} does not join the orders of its subintervals",
             )
-    return f"{path}: tiling contiguous, adjacent orders distinct"
+    return f"{path}: tiling contiguous, orders canonical, adjacent orders distinct"
 
 
 def check_scan2d(path):

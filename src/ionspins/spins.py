@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanczos
-from .couplings import chain_spectrum, mode_denominators, resolve_detuning
+from .couplings import chain_spectrum, mode_denominators, resolve_detunings
 from .errors import AmbiguousGround, NoConvergence
 
 _ENUM_CHUNK = 1 << 18
@@ -82,25 +82,60 @@ def flip_all(s, n_ions):
     return s ^ ((1 << n_ions) - 1)
 
 
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
+
+
+def reflected_configs(s, n_ions):
+    """Chain reflection (ion n -> N + 1 - n) of an array of configurations, by shifts.
+
+    The N bits are padded to whole bytes, reversed a byte at a time (each
+    byte from a 256-entry table, the bytes in reverse order) and shifted
+    back down by the padding.  Configurations are int64, so N <= 62.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    r = np.zeros_like(s)
+    for shift in range(0, n_ions, 8):
+        r = (r << 8) | _BYTE_REVERSED[(s >> shift) & 0xFF]
+    return r >> (-n_ions % 8)
+
+
+def _orbit_members(s, n_ions):
+    """Each configuration, its global flip, its reflection and the reflection's flip: four arrays."""
+    s = np.asarray(s, dtype=np.int64)
+    r = reflected_configs(s, n_ions)
+    mask = (1 << n_ions) - 1
+    return s, s ^ mask, r, r ^ mask
+
+
+def canonical_configs(s, n_ions):
+    """Smallest orbit member of each configuration in an array."""
+    s, fs, r, fr = _orbit_members(s, n_ions)
+    return np.minimum(np.minimum(s, fs), np.minimum(r, fr))
+
+
+def orbit_sizes(s, n_ions):
+    """Orbit size of each configuration in an array: 2 if its reflection is s or flip s, else 4."""
+    s, fs, r, _ = _orbit_members(s, n_ions)
+    return np.where((r == s) | (r == fs), 2, 4)
+
+
 def reverse_bits(s, n_ions):
-    """Chain reflection: ion n -> N + 1 - n."""
-    r = 0
-    for _ in range(n_ions):
-        r = (r << 1) | (s & 1)
-        s >>= 1
-    return r
+    """Chain reflection of one configuration (``reflected_configs`` of one entry)."""
+    return int(reflected_configs(s, n_ions))
 
 
 def orbit(s, n_ions):
     """Symmetry orbit {s, flip, reverse, flip(reverse)} sorted ascending."""
-    r = reverse_bits(s, n_ions)
-    return tuple(sorted({s, flip_all(s, n_ions), r, flip_all(r, n_ions)}))
+    return tuple(sorted({int(x) for x in _orbit_members(s, n_ions)}))
 
 
 def canonicalize(s, n_ions):
     """Smallest orbit member and the orbit size (2 for reflection-symmetric orders)."""
-    members = orbit(s, n_ions)
-    return SpinOrder(canonical=members[0], n_ions=n_ions, degeneracy=len(members))
+    return SpinOrder(
+        canonical=int(canonical_configs(s, n_ions)),
+        n_ions=n_ions,
+        degeneracy=int(orbit_sizes(s, n_ions)),
+    )
 
 
 def fm_basis(n_ions):
@@ -164,19 +199,43 @@ def _check_budget(n_ions):
         raise ValueError("exhaustive scan budget is N <= 24")
 
 
-def _order_or_tie(energies, n_ions):
-    """The canonical order minimizing half-basis energies, or the AmbiguousGround of a tie.
+def _tile_winners(e):
+    """Row minima of a tile of half-basis energies, and the flat indices of each row's winners.
 
-    A tie is configurations from distinct orders within
-    _TIE_RTOL * max(1, |E_min|) of the minimum - the signature of an exact
-    level crossing.
+    A winner lies within _TIE_RTOL * max(1, |E_min|) of its row's minimum;
+    the indices ascend, row * 2^(N-1) + configuration.
     """
-    emin = float(energies.min())
-    winners = np.nonzero(energies <= emin + _TIE_RTOL * max(1.0, abs(emin)))[0]
-    orders = {canonicalize(int(s), n_ions) for s in winners}
-    if len(orders) > 1:
-        return AmbiguousGround(orders, emin)
-    return orders.pop()
+    emin = e.min(axis=1)
+    return emin, np.flatnonzero(e <= (emin + _TIE_RTOL * np.maximum(1.0, np.abs(emin)))[:, None])
+
+
+def _orders_or_ties(emin, winners, n_ions):
+    """Per row: the canonical order of its winners, or the AmbiguousGround of a tie.
+
+    emin and winners are what ``_tile_winners`` gives, for all rows.  Winners
+    from distinct orders are the signature of an exact level crossing.  Every
+    winner is canonicalized in one pass and the winners are grouped by row
+    (``reduceat``); one SpinOrder serves every row it wins, and only a tied
+    row builds its AmbiguousGround.
+    """
+    if not np.all(np.isfinite(emin)):
+        raise ValueError("classical energies must be finite")
+    codes = canonical_configs(winners & ((1 << (n_ions - 1)) - 1), n_ions)
+    # a set, not np.unique, whose first call alone raises peak RSS by about 0.7 MiB
+    distinct = list(set(codes.tolist()))
+    orders = {
+        c: SpinOrder(canonical=c, n_ions=n_ions, degeneracy=g)
+        for c, g in zip(distinct, orbit_sizes(distinct, n_ions).tolist())
+    }
+    # row i's winners are codes[bounds[i] : bounds[i + 1]], never empty: its minimum is one
+    bounds = np.searchsorted(winners >> (n_ions - 1), np.arange(len(emin) + 1))
+    starts, ends = bounds[:-1], bounds[1:]
+    found = [orders[c] for c in codes[starts].tolist()]
+    tied = np.minimum.reduceat(codes, starts) != np.maximum.reduceat(codes, starts)
+    for i in np.flatnonzero(tied):
+        tie = {orders[c] for c in codes[starts[i] : ends[i]].tolist()}
+        found[i] = AmbiguousGround(tie, float(emin[i]))
+    return found
 
 
 def classical_ground(coupling):
@@ -185,14 +244,15 @@ def classical_ground(coupling):
     Returns the canonical order, energy and the full minimizing orbit.
     Raises AmbiguousGround when configurations from distinct orders tie within
     _TIE_RTOL * max(1, |E_min|) - the signature of an exact level crossing.
+    The order is selected as ``ground_orders`` selects it, on one row.
     """
     n = coupling.n_ions
     _check_budget(n)
-    e = classical_energies(coupling)
-    order = _order_or_tie(e, n)
+    emin, winners = _tile_winners(classical_energies(coupling)[None, :])
+    (order,) = _orders_or_ties(emin, winners, n)
     if isinstance(order, AmbiguousGround):
         raise order
-    return GroundState(order=order, energy=float(np.min(e)), configs=orbit(order.canonical, n))
+    return GroundState(order=order, energy=float(emin[0]), configs=orbit(order.canonical, n))
 
 
 def _mode_projections(n_ions, beta, lo):
@@ -217,17 +277,20 @@ def ground_orders(n_ions, beta, mu_tildes):
     detunings are one product with the cached (z . b^k)^2 table.  Each entry
     is what classical_ground(coupling_from_trap(n_ions, beta, mu)) finds: the
     canonical SpinOrder, or the AmbiguousGround it would raise (returned, not
-    raised).
+    raised).  The batch is handled in array passes: the detunings are
+    resolved at once (``resolve_detunings``; the first bad one raises), each
+    tile keeps only its row minima and winners (``_tile_winners``), and the
+    winners of all tiles are canonicalized together (``_orders_or_ties``).
     """
     _check_budget(n_ions)
     spec = chain_spectrum(n_ions, beta)
-    mus = [resolve_detuning(spec, mu).resolved for mu in mu_tildes]
-    d = 1.0 / mode_denominators(spec, mus)
+    d = 1.0 / mode_denominators(spec, resolve_detunings(spec, mu_tildes))
     half = 1 << (n_ions - 1)
     tile = max(1, _TILE_DOUBLES // half)
     chunks = range(0, half, _ENUM_CHUNK)
     project = _cached_projections if len(chunks) <= 2 else _mode_projections
-    found = []
+    emin = np.empty(len(d))
+    winners = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(d), tile):
         dt = d[start : start + tile]
         e = np.empty((len(dt), half))
@@ -235,8 +298,9 @@ def ground_orders(n_ions, beta, mu_tildes):
             p = project(n_ions, beta, lo)
             e[:, lo : lo + len(p)] = dt @ p.T
         e -= dt.sum(axis=1)[:, None]
-        found.extend(_order_or_tie(row, n_ions) for row in e)
-    return found
+        emin[start : start + len(dt)], w = _tile_winners(e)
+        winners.append(w + start * half)
+    return _orders_or_ties(emin, np.concatenate(winners), n_ions)
 
 
 def field_scale(coupling):

@@ -512,6 +512,25 @@ def test_check_flags_alpha_fit_disagreeing_with_gap_table(tmp_path, capsys):
 SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
 
 
+def _phase_table_text(order, degeneracy):
+    """An N = 3 ``phase_table.json`` with one transition in (1,2) and ``order`` across (2,3)."""
+
+    def sub(lo, hi, o, g):
+        return {"lo": lo, "hi": hi, "order": o, "degeneracy": g}
+
+    change = {"mu_tilde": 1.5, "uncertainty": 5e-7, "left_order": "000", "right_order": "001"}
+    intervals = [
+        {
+            "lower_mode": 1,
+            "subintervals": [sub(1.0, 1.5, "000", 2), sub(1.5, 2.0, "001", 4)],
+            "transitions": [dict(change, exact_crossing=False)],
+        },
+        {"lower_mode": 2, "subintervals": [sub(2.0, 3.0, order, degeneracy)], "transitions": []},
+    ]
+    table = {"n_ions": 3, "beta": 10.0, "samples_per_interval": 16, "refine_tol": 1e-6}
+    return json.dumps({"table": dict(table, intervals=intervals), "transition_count": 1})
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -533,12 +552,16 @@ SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
         ("modes.csv", "k,omega,b_1,b_2\n9,0.5,1,0\n9,1,0,1\n"),
         ("gap_scaling.csv", "N,B_over_NJbar,delta_E,mu_star\n5,-0.01,0.1,3.5\n"),
         ("gap_scaling.csv", "N,B_over_NJbar,delta_E,mu_star\n5,0.01,0.1,42\n"),
+        # each order canonical, each degeneracy its orbit size
+        ("phase_table.json", _phase_table_text("000", 3)),
+        ("phase_table.json", _phase_table_text("111", 2)),  # the global flip of 000
     ],
     ids=[
         "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
         "scan2d-not-a-number", "positions-long-row", "couplings-long-row", "scan2d-long-row",
         "gap-long-row", "couplings-fractional-label", "positions-labels", "modes-labels",
-        "gap-non-positive-field", "gap-mu-star-outside",
+        "gap-non-positive-field", "gap-mu-star-outside", "phase-table-degeneracy",
+        "phase-table-flipped-order",
     ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionspins import spins
-from ionspins.couplings import CouplingMatrix, chain_spectrum, coupling_from_trap
+from ionspins.couplings import CouplingMatrix, chain_spectrum, coupling_from_trap, resolve_detuning
 from ionspins.errors import NoConvergence, ResonanceError
 from ionspins.phases import fm_kink_interval, phase_table
 from ionspins.spins import (
     AmbiguousGround,
     apply_hamiltonian,
     bits_to_index,
+    canonical_configs,
     canonicalize,
     classical_energies,
     classical_energy,
@@ -38,6 +39,8 @@ from ionspins.spins import (
     kink_basis,
     lowest_eigenpairs,
     orbit,
+    orbit_sizes,
+    reflected_configs,
     reverse_bits,
 )
 
@@ -108,6 +111,21 @@ def test_canonicalize_idempotent_and_degeneracy_rule(n, data):
     expected = 2 if r in (s, flip_all(s, n)) else 4
     assert order.degeneracy == expected
     assert order.canonical <= min(s, flip_all(s, n), r, flip_all(r, n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_array_symmetry_forms_match_scalar_forms(n):
+    s = np.arange(1 << n)
+    reflected = reflected_configs(s, n)
+    canonical = canonical_configs(s, n)
+    sizes = orbit_sizes(s, n)
+    orders = [canonicalize(int(x), n) for x in s]
+    assert reflected.tolist() == [reverse_bits(int(x), n) for x in s]
+    assert canonical.tolist() == [o.canonical for o in orders]
+    assert sizes.tolist() == [o.degeneracy for o in orders]
+    # independent of both: the reflection reads the bit string backwards
+    assert reflected.tolist() == [int(index_to_bits(int(x), n)[::-1], 2) for x in s]
+    assert sizes.tolist() == [len(orbit(int(x), n)) for x in s]
 
 
 def test_kink_basis_examples():
@@ -193,6 +211,13 @@ def test_ambiguous_ground_detected():
         classical_ground(CouplingMatrix.from_matrix(j))
 
 
+def test_non_finite_energies_rejected():
+    j = np.zeros((4, 4))
+    j[0, 1] = j[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        classical_ground(CouplingMatrix.from_matrix(j))
+
+
 def test_ground_budget_guard():
     with pytest.raises(ValueError):
         classical_ground(CouplingMatrix.from_matrix(np.zeros((25, 25))))
@@ -225,6 +250,43 @@ def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     wide = ground_orders(n, 10.0, transitions)
     assert all(isinstance(f, AmbiguousGround) for f in wide)
     assert [f.orders for f in wide] == [scalar_ground(n, mu) for mu in transitions]
+
+
+def test_one_row_tiles_match_coupling_enumeration():
+    """N = 15: the half basis fills a whole tile, so every detuning is a tile of its own."""
+    n = 15
+    assert spins._TILE_DOUBLES // (1 << (n - 1)) == 1
+    transition, _, _ = fm_kink_interval(n)
+    mid, width = transition.mu_tilde, transition.uncertainty
+    mus = [k + 0.5 for k in range(1, n)] + [mid - width, mid, mid + width]
+    found = ground_orders(n, 10.0, mus)
+    assert [batched_ground(f) for f in found] == [scalar_ground(n, mu) for mu in mus]
+    assert found[-3].bits == "0" * n and found[-1].bits == "0" * 8 + "1" * 7
+
+
+@pytest.mark.parametrize("n", [9, 15])
+def test_ties_sit_at_their_own_index(n, monkeypatch):
+    """Subinterval midpoints and transitions alternate; each tie matches classical_ground's."""
+    table = phase_table(n, 10.0, 16)
+    mus = [
+        x
+        for iv in table.intervals
+        for sub, t in zip(iv.subintervals, iv.transitions)
+        for x in (0.5 * (sub.lo + sub.hi), t.mu_tilde)
+    ]
+    monkeypatch.setattr(spins, "_TIE_RTOL", 1e-3)
+    found = ground_orders(n, 10.0, mus)
+    assert [isinstance(f, AmbiguousGround) for f in found] == [False, True] * (len(mus) // 2)
+    for mu, f in zip(mus, found):
+        coupling = coupling_from_trap(n, 10.0, mu)
+        if isinstance(f, AmbiguousGround):
+            with pytest.raises(AmbiguousGround) as tie:
+                classical_ground(coupling)
+            assert f.orders == tie.value.orders
+            # mode-space and coupling-space energies agree to rounding
+            assert f.energy == pytest.approx(tie.value.energy, rel=1e-12)
+        else:
+            assert f == classical_ground(coupling).order
 
 
 def test_chain_modes_solved_once_across_layers():
@@ -266,6 +328,19 @@ def test_mode_space_grounds_reject_invalid_detunings():
             ground_orders(5, 10.0, [3.5, outside])
     with pytest.raises(ValueError, match="budget"):
         ground_orders(25, 10.0, [3.5])
+    # the first bad entry of a batch decides the error
+    spec = chain_spectrum(5, 10.0)
+    with pytest.raises(ResonanceError, match="sits on phonon mode 4"):
+        ground_orders(5, 10.0, [3.5, 4.0, 0.5])
+    with pytest.raises(ValueError, match="outside the open interval") as exc:
+        ground_orders(5, 10.0, [3.5, 0.5, 4.0])
+    assert not isinstance(exc.value, ResonanceError)
+    # 1e-5 past mode 4 resolves within 1e-6 wz of it: the modes near the top are 0.05 wz apart
+    with pytest.raises(ResonanceError, match="within 1e-6 of a mode frequency") as alone:
+        resolve_detuning(spec, 4.00001)
+    with pytest.raises(ResonanceError) as batch:
+        ground_orders(5, 10.0, [3.5, 4.00001, 0.5, 4.0])
+    assert str(batch.value) == str(alone.value)
 
 
 # --- Hamiltonian application and eigensolvers ---------------------------------
