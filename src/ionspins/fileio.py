@@ -19,6 +19,7 @@ import warnings
 
 import numpy as np
 
+from .chain import potential_gradient
 from .errors import CheckFailure
 
 
@@ -101,7 +102,10 @@ def check_positions(path):
         float(np.max(np.abs(u + u[::-1]))) <= 1e-10,
         f"{path}: positions not odd-symmetric about the origin",
     )
-    return f"{path}: {len(u)} positions labelled, ascending and odd-symmetric"
+    # Newton stops at a gradient of 1e-12; written files read about 1e-14
+    residual = float(np.max(np.abs(potential_gradient(u))))
+    _require(residual <= 1e-10, f"{path}: positions not in equilibrium (gradient {residual:.3e})")
+    return f"{path}: {len(u)} positions labelled, ascending, odd-symmetric and in equilibrium"
 
 
 def check_modes(path):

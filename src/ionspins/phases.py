@@ -124,7 +124,8 @@ def _interval_phases(n_ions, beta, k, samples, tol):
     bracket covers, lies inside a run of probes of one order and becomes a
     probe of another round, until every midpoint agrees.  Each round adds a
     bracket and moves none, and an interval holds finitely many order
-    changes, so the rounds end.
+    changes, so the rounds end.  Orders are compared by their int
+    ``canonical`` code, which alone tells two orders of one chain apart.
     """
     step = 1.0 / samples
     grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
@@ -135,7 +136,7 @@ def _interval_phases(n_ions, beta, k, samples, tol):
         brackets = [
             (lo, probes[lo], hi, probes[hi])
             for lo, hi in zip(xs, xs[1:])
-            if probes[lo] != probes[hi]
+            if probes[lo].canonical != probes[hi].canonical
         ]
         while wide := [b for b in brackets if b[2] - b[0] > tol]:
             mids = [0.5 * (lo + hi) for lo, _, hi, _ in wide]
@@ -144,7 +145,8 @@ def _interval_phases(n_ions, beta, k, samples, tol):
                 if isinstance(o, AmbiguousGround):
                     ties.append(mid)
                     mid, o = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o)
-                halves[lo] = [h for h in ((lo, o_lo, mid, o), (mid, o, hi, o_hi)) if h[1] != h[3]]
+                pair = ((lo, o_lo, mid, o), (mid, o, hi, o_hi))
+                halves[lo] = [h for h in pair if h[1].canonical != h[3].canonical]
             brackets = [h for b in brackets for h in halves.get(b[0], [b])]
         for lo, o_lo, hi, o_hi in brackets:
             probes[lo], probes[hi] = o_lo, o_hi
@@ -158,7 +160,7 @@ def _interval_phases(n_ions, beta, k, samples, tol):
         missed = {
             mid: o
             for mid, o, expected, (lo, hi) in zip(mids, mid_orders, span_orders, uncovered)
-            if o != expected and lo < mid < hi and mid not in probes
+            if o.canonical != expected.canonical and lo < mid < hi and mid not in probes
         }
         if not missed:
             break

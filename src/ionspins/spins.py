@@ -200,27 +200,30 @@ def _check_budget(n_ions):
 
 
 def _tile_winners(e):
-    """Row minima of a tile of half-basis energies, and the flat indices of each row's winners.
+    """Row minima of a tile of energies (one column per configuration), and each row's winners.
 
     A winner lies within _TIE_RTOL * max(1, |E_min|) of its row's minimum;
-    the indices ascend, row * 2^(N-1) + configuration.
+    the flat indices ascend, row * columns + column.
     """
     emin = e.min(axis=1)
     return emin, np.flatnonzero(e <= (emin + _TIE_RTOL * np.maximum(1.0, np.abs(emin)))[:, None])
 
 
-def _orders_or_ties(emin, winners, n_ions):
+def _orders_or_ties(emin, winners, configs, n_ions):
     """Per row: the canonical order of its winners, or the AmbiguousGround of a tie.
 
-    emin and winners are what ``_tile_winners`` gives, for all rows.  Winners
-    from distinct orders are the signature of an exact level crossing.  Every
+    emin and winners are what ``_tile_winners`` gives, for all rows, on
+    energies whose column c is the energy of configs[c]: the flat winner
+    row * len(configs) + c is configuration configs[c].  Winners from
+    distinct orders are the signature of an exact level crossing.  Every
     winner is canonicalized in one pass and the winners are grouped by row
     (``reduceat``); one SpinOrder serves every row it wins, and only a tied
     row builds its AmbiguousGround.
     """
     if not np.all(np.isfinite(emin)):
         raise ValueError("classical energies must be finite")
-    codes = canonical_configs(winners & ((1 << (n_ions - 1)) - 1), n_ions)
+    rows, columns = np.divmod(winners, len(configs))
+    codes = canonical_configs(configs[columns], n_ions)
     # a set, not np.unique, whose first call alone raises peak RSS by about 0.7 MiB
     distinct = list(set(codes.tolist()))
     orders = {
@@ -228,7 +231,7 @@ def _orders_or_ties(emin, winners, n_ions):
         for c, g in zip(distinct, orbit_sizes(distinct, n_ions).tolist())
     }
     # row i's winners are codes[bounds[i] : bounds[i + 1]], never empty: its minimum is one
-    bounds = np.searchsorted(winners >> (n_ions - 1), np.arange(len(emin) + 1))
+    bounds = np.searchsorted(rows, np.arange(len(emin) + 1))
     starts, ends = bounds[:-1], bounds[1:]
     found = [orders[c] for c in codes[starts].tolist()]
     tied = np.minimum.reduceat(codes, starts) != np.maximum.reduceat(codes, starts)
@@ -249,23 +252,37 @@ def classical_ground(coupling):
     n = coupling.n_ions
     _check_budget(n)
     emin, winners = _tile_winners(classical_energies(coupling)[None, :])
-    (order,) = _orders_or_ties(emin, winners, n)
+    # one row: the winners' flat indices are their configurations, so they serve as the columns
+    (order,) = _orders_or_ties(emin, np.arange(len(winners)), winners, n)
     if isinstance(order, AmbiguousGround):
         raise order
     return GroundState(order=order, energy=float(emin[0]), configs=orbit(order.canonical, n))
 
 
-def _mode_projections(n_ions, beta, lo):
-    """(z . b^k)^2 for the half-basis configurations lo .. lo + _ENUM_CHUNK - 1."""
+def _representatives(n_ions, lo):
+    """Configurations of the half-basis chunk lo .. lo + _ENUM_CHUNK - 1 that are canonical."""
     idx = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << (n_ions - 1)), dtype=np.int64)
+    return idx[canonical_configs(idx, n_ions) == idx]
+
+
+def _mode_projections(n_ions, beta, lo):
+    """The chunk's representatives, one per spin order, and their (z . b^k)^2 rows.
+
+    The half basis already drops the global flip; of the two members of a
+    reflection pair only the canonical one is kept.  Its partner has the
+    same order and, up to rounding, the same energy at every detuning (the
+    reflected modes are +-b^k), so one column per order decides every
+    ground order; only a row minimum can differ, by the partner's rounding.
+    """
+    idx = _representatives(n_ions, lo)
     p = _signs(idx, n_ions) @ chain_spectrum(n_ions, beta).mode_matrix
     p *= p
-    return p
+    return idx, p
 
 
 # Two chunks: up to N = 20 a whole table stays cached.  Larger tables are
 # rebuilt chunk by chunk per detuning, as classical_energies enumerates, so
-# the 1.6 GB table of N = 24 is never held.
+# the 0.8 GB table of N = 24 is never held.
 _cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
 
 
@@ -273,11 +290,13 @@ def ground_orders(n_ions, beta, mu_tildes):
     """Zero-field ground order of the trapped chain at each rescaled detuning.
 
     The modes are orthonormal, so z . J(mu) . z = sum_k d_k [(z . b^k)^2 - 1]
-    with d_k = 1 / (mu^2 - omega_k^2): the half-basis energies of a tile of
-    detunings are one product with the cached (z . b^k)^2 table.  Each entry
-    is what classical_ground(coupling_from_trap(n_ions, beta, mu)) finds: the
-    canonical SpinOrder, or the AmbiguousGround it would raise (returned, not
-    raised).  The batch is handled in array passes: the detunings are
+    with d_k = 1 / (mu^2 - omega_k^2): the energies of a tile of detunings
+    are one product with the cached (z . b^k)^2 table, which holds one
+    column per spin order (``_mode_projections``: the half basis reduced
+    to the canonical member of each reflection pair).  Each entry is what
+    classical_ground(coupling_from_trap(n_ions, beta, mu)) finds: the
+    canonical SpinOrder, or the AmbiguousGround it would raise (returned,
+    not raised).  The batch is handled in array passes: the detunings are
     resolved at once (``resolve_detunings``; the first bad one raises), each
     tile keeps only its row minima and winners (``_tile_winners``), and the
     winners of all tiles are canonicalized together (``_orders_or_ties``).
@@ -285,22 +304,28 @@ def ground_orders(n_ions, beta, mu_tildes):
     _check_budget(n_ions)
     spec = chain_spectrum(n_ions, beta)
     d = 1.0 / mode_denominators(spec, resolve_detunings(spec, mu_tildes))
-    half = 1 << (n_ions - 1)
-    tile = max(1, _TILE_DOUBLES // half)
-    chunks = range(0, half, _ENUM_CHUNK)
-    project = _cached_projections if len(chunks) <= 2 else _mode_projections
+    chunks = range(0, 1 << (n_ions - 1), _ENUM_CHUNK)
+    if len(chunks) <= 2:
+        project = _cached_projections
+        configs = np.concatenate([project(n_ions, beta, lo)[0] for lo in chunks])
+    else:  # the projections are rebuilt per tile; the representatives alone are kept
+        project = _mode_projections
+        configs = np.concatenate([_representatives(n_ions, lo) for lo in chunks])
+    tile = max(1, _TILE_DOUBLES // len(configs))
     emin = np.empty(len(d))
     winners = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(d), tile):
         dt = d[start : start + tile]
-        e = np.empty((len(dt), half))
+        e = np.empty((len(dt), len(configs)))
+        col = 0
         for lo in chunks:
-            p = project(n_ions, beta, lo)
-            e[:, lo : lo + len(p)] = dt @ p.T
+            _, p = project(n_ions, beta, lo)
+            np.matmul(dt, p.T, out=e[:, col : col + len(p)])
+            col += len(p)
         e -= dt.sum(axis=1)[:, None]
         emin[start : start + len(dt)], w = _tile_winners(e)
-        winners.append(w + start * half)
-    return _orders_or_ties(emin, np.concatenate(winners), n_ions)
+        winners.append(w + start * len(configs))
+    return _orders_or_ties(emin, np.concatenate(winners), configs, n_ions)
 
 
 def field_scale(coupling):

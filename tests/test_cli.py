@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ionspins import cli, phases, spins
+from ionspins.chain import TrapConfig, equilibrium_positions
 from ionspins.cli import main
 from ionspins.fileio import read_csv
 
@@ -531,6 +532,12 @@ def _phase_table_text(order, degeneracy):
     return json.dumps({"table": dict(table, intervals=intervals), "transition_count": 1})
 
 
+def _doubled_positions_text():
+    """The ``modes --n 5`` positions, each doubled: ascending and odd-symmetric, off equilibrium."""
+    u = 2.0 * equilibrium_positions(TrapConfig(n_ions=5)).positions
+    return "n,u\n" + "".join(f"{n},{x!r}\n" for n, x in enumerate(u.tolist(), 1))
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -555,13 +562,14 @@ def _phase_table_text(order, degeneracy):
         # each order canonical, each degeneracy its orbit size
         ("phase_table.json", _phase_table_text("000", 3)),
         ("phase_table.json", _phase_table_text("111", 2)),  # the global flip of 000
+        ("positions.csv", _doubled_positions_text()),  # no longer an equilibrium
     ],
     ids=[
         "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
         "scan2d-not-a-number", "positions-long-row", "couplings-long-row", "scan2d-long-row",
         "gap-long-row", "couplings-fractional-label", "positions-labels", "modes-labels",
         "gap-non-positive-field", "gap-mu-star-outside", "phase-table-degeneracy",
-        "phase-table-flipped-order",
+        "phase-table-flipped-order", "positions-off-equilibrium",
     ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):

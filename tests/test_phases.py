@@ -1,6 +1,7 @@
 """Phase table, 2-D scans, gap minimization, and scaling-fit tests."""
 
 import gc
+import hashlib
 import json
 import weakref
 
@@ -122,6 +123,33 @@ def test_table_equals_enumerated_table(monkeypatch, tie_rtol):
     batched = [table_or_error(n) for n in (3, 5, 7, 9)]
     monkeypatch.setattr(phases, "ground_orders", enumerated_orders)
     assert batched == [table_or_error(n) for n in (3, 5, 7, 9)]
+
+
+# SHA-256 of json.dumps(phase_table(n, 10.0, 64).to_dict(), sort_keys=True), recorded when
+# ground_orders still scored the whole half basis.  Every faster table search must reproduce
+# them byte for byte: a digest that moves is a bug to find, never one to record again.
+TABLE_DIGESTS = {
+    3: "71f9aae359746b2c78ec3283709ff5cd99c3bc7615b769706a063240eebdbc41",
+    4: "a19d171b73a3b69e645106aed793519d531be8ef07a990abb7021ca7e0e06597",
+    5: "11c32747a33ef2447e3e58f9cbaa59df166952f7454eddf99f06a1abad63e560",
+    6: "d5f23e6c24a7d38e3be8283d33c94d314a4908b132ba6a27cf9994d95e042c74",
+    7: "a638f7219c46ea47883d0a5f82b32b71096b447fd95f09c31c2d4938dab335f6",
+    8: "540d0ccbe34991ca182bfdc251c1cdead45cd0b35675b5b2b0eb1b049b3f8d31",
+    9: "9fece7bf2fb03d8a2a76c9293a79aa3818bb4bfeaaca275c6801a1f19b0578c9",
+    10: "b263216a301649fc14fe3ac300b9ab4595e0d075f4eee4cd83c00666b8e23a0e",
+    11: "5da4782bd62eabfb6b8dbecc8273f578a4850d18374d7e28cacde04438d51a3a",
+    12: "cbfd27a49aabfe2358b61bdfac52c30aa724088105879dade7fc51d575c07c2e",
+    13: "a7fe90aa8745d45eee11012fbc917f6f0ad789366a8e7c63d5f8dfe082e31d6d",
+    14: "e7361fbfae9f2e214e705ff4a7e802b3eacc97eb40cd9c8508545821746e57d5",
+    15: "ea37f1f2bae7d840bc0149a49cc58f3526a3e9ce57307f192696ecc28cc0c0e6",
+    16: "983a336f65b9dd8eb781ecf561e7db0fba9aee4a34e6946984a4d100da90b086",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_phase_tables_are_pinned(n):
+    text = json.dumps(phase_table(n, 10.0, 64).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):

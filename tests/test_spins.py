@@ -252,10 +252,31 @@ def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     assert [f.orders for f in wide] == [scalar_ground(n, mu) for mu in transitions]
 
 
+def mode_space_columns(n):
+    """The configurations of ground_orders' energy columns, chunk after chunk."""
+    chunks = range(0, 1 << (n - 1), spins._ENUM_CHUNK)
+    return np.concatenate([spins._mode_projections(n, 10.0, lo)[0] for lo in chunks])
+
+
+ORDER_COUNTS = [2, 3, 6, 10, 20, 36, 72, 136, 272, 528, 1056, 2080, 4160]  # N = 2 ... 14
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 5])
+def test_mode_space_columns_are_one_per_order(chunk, monkeypatch):
+    """One column per spin order: the canonical forms of the whole basis, ascending."""
+    if chunk is not None:
+        monkeypatch.setattr(spins, "_ENUM_CHUNK", chunk)
+    for n, count in zip(range(2, 15), ORDER_COUNTS):
+        columns = mode_space_columns(n)
+        np.testing.assert_array_equal(columns, np.unique(canonical_configs(np.arange(1 << n), n)))
+        assert len(columns) == count
+
+
 def test_one_row_tiles_match_coupling_enumeration():
-    """N = 15: the half basis fills a whole tile, so every detuning is a tile of its own."""
+    """N = 15: its 8256 orders fill a whole tile, so every detuning is a tile of its own."""
     n = 15
-    assert spins._TILE_DOUBLES // (1 << (n - 1)) == 1
+    assert len(mode_space_columns(n)) == 8256
+    assert spins._TILE_DOUBLES // 8256 == 1
     transition, _, _ = fm_kink_interval(n)
     mid, width = transition.mu_tilde, transition.uncertainty
     mus = [k + 0.5 for k in range(1, n)] + [mid - width, mid, mid + width]
