@@ -31,6 +31,9 @@ _CLUSTER_RTOL = 1e-9  # relative width of the degenerate ground cluster
 _STACK_DOUBLES = 1 << 21  # matrix entries per stacked dense eigh (16 MiB)
 _DENSE_MAX_DIM = 1 << 9  # largest 2^N diagonalized densely; above it LOBPCG runs
 _TIE_RTOL = 1e-10  # relative energy window of an exact classical tie
+# spin bits that sector_matvec flips in one product (_flip_sum): 4 to 6 time
+# alike on 1- to 8-row blocks at N = 13, 7 and 8 are slower on the small blocks
+_LOW_FLIP_BITS = 5
 
 
 @dataclass(frozen=True)
@@ -338,6 +341,17 @@ def _flip(x, p, axis=0):
     return x.reshape(-1, 2, math.prod(x.shape[axis:][1:]) << p)[:, ::-1].reshape(x.shape)
 
 
+@functools.cache
+def _flip_sum(low):
+    """The 2^low x 2^low 0/1 matrix of the single flips of spin bits 0 .. low - 1.
+
+    Entry (s, t) is 1 when s and t differ in exactly one of those bits, so
+    x.reshape(-1, 2^low) @ _flip_sum(low) sums the low flips of every row at once.
+    """
+    eye = np.eye(1 << low)
+    return sum((_flip(eye, p) for p in range(low)), np.zeros_like(eye))
+
+
 class _SpinOperator:
     """H for one coupling: Ising energies on the diagonal, -b_abs per spin flip.
 
@@ -358,9 +372,11 @@ class _SpinOperator:
         b_abs is one field, or an array that broadcasts against the trailing
         axes of x (one field per group of columns).
         """
+        x = np.ascontiguousarray(x)  # so each flip below reshapes a view, not a copy
         out = (x.T * self.diag).T
+        x = b_abs * x  # scaled once; each flip below only moves entries
         for p in range(self.n_ions):
-            out -= b_abs * _flip(x, p)
+            out -= _flip(x, p)
         return out
 
     def sector_matvec(self, x, b_abs, sign):
@@ -372,11 +388,17 @@ class _SpinOperator:
         image.  Flipping ion 1 leaves the half, and the global flip that
         brings it back reverses the index order inside it: hence the
         sign * x[:, ::-1] term.  The diagonal is diag[:half], the half-basis
-        energies.
+        energies.  The flips of the lowest _LOW_FLIP_BITS bits (all in-half
+        bits when N - 1 is fewer) are one product of the rows, cut into
+        blocks of 2^low entries, with the constant ``_flip_sum(low)``; each
+        higher bit is one ``_flip`` block move.  The full-space ``matvec``,
+        which checks the residuals, keeps one block move per bit.
         """
+        low = min(_LOW_FLIP_BITS, self.n_ions - 1)
         out = x * self.diag[: x.shape[-1]]
-        x = b_abs * x  # scaled once; each flip below only moves entries
-        for p in range(self.n_ions - 1):
+        x = b_abs * x  # scaled once; the flips below only move and add entries
+        out -= (x.reshape(-1, 1 << low) @ _flip_sum(low)).reshape(x.shape)
+        for p in range(low, self.n_ions - 1):
             out -= _flip(x, p, axis=-1)
         out -= sign * x[:, ::-1]
         return out

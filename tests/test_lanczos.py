@@ -142,11 +142,21 @@ def test_guards_draw_no_rows(case, rng):
     assert max(len(block) for block in seen[1:]) <= 6
 
 
-def test_orthonormalize_drops_dependent_columns(rng):
+@pytest.mark.parametrize("case", ["dependent", "near-basis", "near-dependent"])
+def test_orthonormalize_drops_dependent_columns(case, rng):
     basis = np.linalg.qr(rng.standard_normal((50, 10)))[0].T
     u = rng.standard_normal((3, 50))
-    u[2] = u[0] - 2.0 * u[1] + rng.standard_normal(10) @ basis
+    rows = 2 if case == "dependent" else 3
+    if case == "dependent":
+        u[2] = u[0] - 2.0 * u[1] + rng.standard_normal(10) @ basis
+    elif case == "near-basis":
+        # each row keeps about 1e-9 of its norm through the projection
+        u = rng.standard_normal((3, 10)) @ basis + 1e-9 * u
+    else:
+        # the third row lies 1e-3 off the span of the first two: a Gram condition near 1e-7
+        u[2] = u[0] - 2.0 * u[1] + 1e-3 * rng.standard_normal(50)
+    # each case takes the second pass: one pass alone leaves errors far above 1e-13
     q = _orthonormalize(u, basis)
-    assert q.shape == (2, 50)
-    full = np.concatenate([basis, q])
-    assert np.linalg.norm(full @ full.T - np.eye(12)) <= 1e-13
+    assert q.shape == (rows, 50)
+    assert np.linalg.norm(q @ q.T - np.eye(rows)) <= 1e-13
+    assert np.linalg.norm(q @ basis.T) <= 1e-13

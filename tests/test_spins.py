@@ -235,14 +235,16 @@ def batched_ground(found):
     return found.orders if isinstance(found, AmbiguousGround) else found
 
 
-@pytest.mark.parametrize("n", range(3, 12))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     grid = [k + (i + 0.5) / 64 for k in range(1, n) for i in range(64)]
     transitions = [t.mu_tilde for t in phase_table(n, 10.0, 64).transitions]
     mus = grid + transitions
     found = ground_orders(n, 10.0, mus)
     assert [batched_ground(f) for f in found] == [scalar_ground(n, mu) for mu in mus]
-    # one product over many detunings answers as one call per detuning does
+    # one product over many detunings answers as one call per detuning does: a
+    # tile's energies round differently with its row count, which must not
+    # decide an order, not even at a transition
     one_by_one = [ground_orders(n, 10.0, [mu])[0] for mu in mus]
     assert [batched_ground(f) for f in one_by_one] == [batched_ground(f) for f in found]
     # trap tables show no exact crossing; a wide tie window makes every transition one
@@ -548,6 +550,28 @@ def test_flip_sectors_match_dense_oracle(force_solver):
                 p_dense = cluster_projection(dense, fm_basis(n))
                 assert abs(p_dense - cluster_projection(krylov, fm_basis(n))) <= 1e-8
                 assert abs(cluster_polarization(dense) - cluster_polarization(krylov)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_sector_operator_is_the_full_operator_on_sector_states(n):
+    """matvec of (v, sign * v[::-1]) / sqrt(2) is the same embedding of sector_matvec(v).
+
+    No solver runs; N - 1 < _LOW_FLIP_BITS, where one product flips every
+    in-half bit, is covered as well as the split into product and block moves.
+    """
+    rng = np.random.default_rng(0x5EC7 + n)
+    j = coupling_from_trap(n, 10.0, detunings(rng, n, 1)[0])
+    op = spins._SpinOperator(j)
+    b_abs = 0.7 * spins.field_scale(j)
+    v = rng.standard_normal((3, 1 << (n - 1)))
+
+    def embed(rows, sign):
+        return np.concatenate([rows, sign * rows[:, ::-1]], axis=1).T / np.sqrt(2.0)
+
+    for sign in (1.0, -1.0):
+        full = op.matvec(embed(v, sign), b_abs)
+        sector = embed(op.sector_matvec(v, b_abs, sign), sign)
+        assert np.max(np.abs(full - sector)) <= 1e-13 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("mu", [1.1, 3.064, 10.009])
