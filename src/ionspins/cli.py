@@ -193,6 +193,8 @@ def cmd_gap(cfg):
         n_values = [int(x) for x in cfg.n_list.split(",") if x.strip()]
         if not n_values:
             raise ValueError(f"--n-list {cfg.n_list!r} names no ion count")
+        if len(set(n_values)) != len(n_values):
+            raise ValueError(f"--n-list {cfg.n_list!r} names an ion count twice")
     else:
         n_values = [cfg.n]
     lo, hi = _parse_range(cfg.b_range, "b-range")

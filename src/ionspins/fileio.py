@@ -21,6 +21,7 @@ import numpy as np
 
 from .chain import potential_gradient
 from .errors import CheckFailure
+from .phases import linear_fit, power_law_fit
 
 
 def fmt(x):
@@ -280,14 +281,30 @@ def check_gap_files(csv_path, json_path):
     if os.path.exists(json_path):
         with open(json_path) as fh:
             doc = json.load(fh)
-        n_ions = [entry["n_ions"] for entry in doc["alphas"]]
+        alphas = doc["alphas"]
+        n_ions = [entry["n_ions"] for entry in alphas]
         _require(
-            len(set(n_ions)) == len(n_ions) and set(n_ions) == set(rows[:, 0].tolist()),
+            len(set(n_ions)) == len(n_ions) and set(n_ions) == set(n.tolist()),
             f"{json_path}: alphas for N={n_ions}, not one for each N of {csv_path}",
         )
-        for entry in doc["alphas"]:
+        for entry in alphas:
+            at_n = n == entry["n_ions"]
             _require(entry["alpha"] > 0, f"{json_path}: non-positive exponent")
-        messages.append(f"{json_path}: exponents positive")
+            alpha, rms = power_law_fit(fields[at_n], gaps[at_n])
+            _require(
+                entry["alpha"] == alpha and entry["residual"] == rms,
+                f"{json_path}: N={entry['n_ions']} alpha or residual is not the fit of {csv_path}",
+            )
+            _require(
+                not np.isin(entry["skipped"], fields[at_n]).any(),
+                f"{json_path}: N={entry['n_ions']} skips a field that {csv_path} holds",
+            )
+        fit = None
+        if len(alphas) >= 2:
+            slope, intercept, rms = linear_fit(n_ions, [entry["alpha"] for entry in alphas])
+            fit = {"slope": slope, "intercept": intercept, "residual": rms}
+        _require(doc.get("fit") == fit, f"{json_path}: fit is not the line through its (N, alpha)")
+        messages.append(f"{json_path}: exponents positive, the fits of {csv_path}")
     return "; ".join(messages)
 
 

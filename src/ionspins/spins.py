@@ -202,31 +202,30 @@ def _check_budget(n_ions):
         raise ValueError("exhaustive scan budget is N <= 24")
 
 
+def _tie_window(emin):
+    """Top of each row's tie window, E_min + _TIE_RTOL * max(1, |E_min|): monotone in E_min."""
+    return emin + _TIE_RTOL * np.maximum(1.0, np.abs(emin))
+
+
 def _tile_winners(e):
-    """Row minima of a tile of energies (one column per configuration), and each row's winners.
-
-    A winner lies within _TIE_RTOL * max(1, |E_min|) of its row's minimum;
-    the flat indices ascend, row * columns + column.
-    """
+    """Row minima of an energy tile (a column per configuration), the winners' flat indices."""
     emin = e.min(axis=1)
-    return emin, np.flatnonzero(e <= (emin + _TIE_RTOL * np.maximum(1.0, np.abs(emin)))[:, None])
+    return emin, np.flatnonzero(e <= _tie_window(emin)[:, None])
 
 
-def _orders_or_ties(emin, winners, configs, n_ions):
+def _orders_or_ties(emin, rows, configs, n_ions):
     """Per row: the canonical order of its winners, or the AmbiguousGround of a tie.
 
-    emin and winners are what ``_tile_winners`` gives, for all rows, on
-    energies whose column c is the energy of configs[c]: the flat winner
-    row * len(configs) + c is configuration configs[c].  Winners from
-    distinct orders are the signature of an exact level crossing.  Every
-    winner is canonicalized in one pass and the winners are grouped by row
-    (``reduceat``); one SpinOrder serves every row it wins, and only a tied
-    row builds its AmbiguousGround.
+    emin holds each row's minimum; rows and configs list the winners, grouped
+    by row in ascending order, and every row has at least one.  Winners
+    from distinct orders are the signature of an exact level crossing.
+    Every winner is canonicalized in one pass and the winners are grouped
+    by row (``reduceat``); one SpinOrder serves every row it wins, and only
+    a tied row builds its AmbiguousGround.
     """
     if not np.all(np.isfinite(emin)):
         raise ValueError("classical energies must be finite")
-    rows, columns = np.divmod(winners, len(configs))
-    codes = canonical_configs(configs[columns], n_ions)
+    codes = canonical_configs(configs, n_ions)
     # a set, not np.unique, whose first call alone raises peak RSS by about 0.7 MiB
     distinct = list(set(codes.tolist()))
     orders = {
@@ -255,21 +254,15 @@ def classical_ground(coupling):
     n = coupling.n_ions
     _check_budget(n)
     emin, winners = _tile_winners(classical_energies(coupling)[None, :])
-    # one row: the winners' flat indices are their configurations, so they serve as the columns
-    (order,) = _orders_or_ties(emin, np.arange(len(winners)), winners, n)
+    # one row: a winner's flat index is its configuration
+    (order,) = _orders_or_ties(emin, np.zeros_like(winners), winners, n)
     if isinstance(order, AmbiguousGround):
         raise order
     return GroundState(order=order, energy=float(emin[0]), configs=orbit(order.canonical, n))
 
 
-def _representatives(n_ions, lo):
-    """Configurations of the half-basis chunk lo .. lo + _ENUM_CHUNK - 1 that are canonical."""
-    idx = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << (n_ions - 1)), dtype=np.int64)
-    return idx[canonical_configs(idx, n_ions) == idx]
-
-
 def _mode_projections(n_ions, beta, lo):
-    """The chunk's representatives, one per spin order, and their (z . b^k)^2 rows.
+    """Canonical members of half-basis chunk lo .. lo + _ENUM_CHUNK - 1 and their (z . b^k)^2 rows.
 
     The half basis already drops the global flip; of the two members of a
     reflection pair only the canonical one is kept.  Its partner has the
@@ -277,15 +270,16 @@ def _mode_projections(n_ions, beta, lo):
     reflected modes are +-b^k), so one column per order decides every
     ground order; only a row minimum can differ, by the partner's rounding.
     """
-    idx = _representatives(n_ions, lo)
+    idx = np.arange(lo, min(lo + _ENUM_CHUNK, 1 << (n_ions - 1)), dtype=np.int64)
+    idx = idx[canonical_configs(idx, n_ions) == idx]
     p = _signs(idx, n_ions) @ chain_spectrum(n_ions, beta).mode_matrix
     p *= p
     return idx, p
 
 
-# Two chunks: up to N = 20 a whole table stays cached.  Larger tables are
-# rebuilt chunk by chunk per detuning, as classical_energies enumerates, so
-# the 0.8 GB table of N = 24 is never held.
+# Two chunks: up to N = 20 a whole table stays cached across calls.  Larger
+# tables are built a chunk at a time, once per ground_orders call, as
+# classical_energies enumerates, so the 0.8 GB table of N = 24 is never held.
 _cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
 
 
@@ -294,41 +288,46 @@ def ground_orders(n_ions, beta, mu_tildes):
 
     The modes are orthonormal, so z . J(mu) . z = sum_k d_k [(z . b^k)^2 - 1]
     with d_k = 1 / (mu^2 - omega_k^2): the energies of a tile of detunings
-    are one product with the cached (z . b^k)^2 table, which holds one
-    column per spin order (``_mode_projections``: the half basis reduced
-    to the canonical member of each reflection pair).  Each entry is what
+    are one product with a chunk of the (z . b^k)^2 table, which holds one
+    column per spin order (``_mode_projections``).  Each entry is what
     classical_ground(coupling_from_trap(n_ions, beta, mu)) finds: the
     canonical SpinOrder, or the AmbiguousGround it would raise (returned,
-    not raised).  The batch is handled in array passes: the detunings are
-    resolved at once (``resolve_detunings``; the first bad one raises), each
-    tile keeps only its row minima and winners (``_tile_winners``), and the
-    winners of all tiles are canonicalized together (``_orders_or_ties``).
+    not raised).  The detunings are resolved at once (``resolve_detunings``;
+    the first bad one raises).  Each chunk is read once per call; inside it,
+    each tile of _TILE_DOUBLES energies keeps its row minima and the
+    candidates in their tie window (``_tile_winners``).  The window is
+    monotone in E_min, so the candidates hold every final winner: after the
+    last chunk they are filtered against each row's minimum, grouped by row
+    and canonicalized together (``_orders_or_ties``).
     """
     _check_budget(n_ions)
     spec = chain_spectrum(n_ions, beta)
     d = 1.0 / mode_denominators(spec, resolve_detunings(spec, mu_tildes))
-    chunks = range(0, 1 << (n_ions - 1), _ENUM_CHUNK)
-    if len(chunks) <= 2:
-        project = _cached_projections
-        configs = np.concatenate([project(n_ions, beta, lo)[0] for lo in chunks])
-    else:  # the projections are rebuilt per tile; the representatives alone are kept
-        project = _mode_projections
-        configs = np.concatenate([_representatives(n_ions, lo) for lo in chunks])
-    tile = max(1, _TILE_DOUBLES // len(configs))
-    emin = np.empty(len(d))
-    winners = [np.empty(0, dtype=np.int64)]
-    for start in range(0, len(d), tile):
-        dt = d[start : start + tile]
-        e = np.empty((len(dt), len(configs)))
-        col = 0
-        for lo in chunks:
-            _, p = project(n_ions, beta, lo)
-            np.matmul(dt, p.T, out=e[:, col : col + len(p)])
-            col += len(p)
-        e -= dt.sum(axis=1)[:, None]
-        emin[start : start + len(dt)], w = _tile_winners(e)
-        winners.append(w + start * len(configs))
-    return _orders_or_ties(emin, np.concatenate(winners), configs, n_ions)
+    if not len(d):
+        return []
+    emin = np.full(len(d), np.inf)
+    rows, configs, energies = [], [], []
+    for lo in range(0, 1 << (n_ions - 1), _ENUM_CHUNK):
+        idx, p = _cached_projections(n_ions, beta, lo)
+        if not len(p):  # a small chunk may hold no canonical configuration
+            continue
+        tile = max(1, _TILE_DOUBLES // len(p))
+        chunk_min, flat = np.empty(len(d)), []
+        for start in range(0, len(d), tile):
+            dt = d[start : start + tile]
+            e = dt @ p.T
+            e -= dt.sum(axis=1)[:, None]
+            chunk_min[start : start + len(dt)], w = _tile_winners(e)
+            flat.append(w + start * len(p))
+            energies.append(e.take(w))
+        r, c = np.divmod(np.concatenate(flat), len(p))
+        rows.append(r)
+        configs.append(idx[c])
+        np.minimum(emin, chunk_min, out=emin)
+    rows, configs, energies = (np.concatenate(a) for a in (rows, configs, energies))
+    keep = np.flatnonzero(energies <= _tie_window(emin)[rows])
+    keep = keep[np.argsort(rows[keep], kind="stable")]  # grouped by row, configurations ascending
+    return _orders_or_ties(emin, rows[keep], configs[keep], n_ions)
 
 
 def field_scale(coupling):

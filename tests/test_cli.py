@@ -181,6 +181,16 @@ def test_gap_empty_n_list_exits_2(tmp_path):
     assert not os.path.exists(os.path.join(str(tmp_path), "gap_scaling.csv"))
 
 
+def test_gap_repeated_n_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("fit_alpha ran")
+
+    monkeypatch.setattr(cli, "fit_alpha", no_fit)
+    assert run("gap", "--n-list", "3,3", "--samples", "5", "--out", str(tmp_path)) == 2
+    assert "names an ion count twice" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_gap_non_positive_field_range_exits_2(tmp_path, capsys):
     assert run("gap", "--n", "5", "--b-range=-0.05:0.05", "--samples", "5", "--out", str(tmp_path)) == 2
     assert "lo > 0" in capsys.readouterr().err
@@ -498,16 +508,27 @@ def test_check_flags_alpha_fit_disagreeing_with_gap_table(tmp_path, capsys):
     assert run("gap", "--n-list", "3,5", "--samples", "5", "--out", out) == 0
     path = os.path.join(out, "alpha_fit.json")
     with open(path) as fh:
-        alphas = json.load(fh)["alphas"]
-    for edited in (
-        [dict(alphas[0], n_ions=11)],  # N = 11, which the table lacks, for N = 3 and 5
-        [alphas[0]],  # N = 5 has no entry
-        [alphas[0], alphas[1], alphas[1]],  # N = 5 has two
+        written = fh.read()
+    alphas = json.loads(written)["alphas"]
+    _, _, rows = read_csv(os.path.join(out, "gap_scaling.csv"))
+    n3_field = float(rows[rows[:, 0] == 3, 1][0])
+    for edit, message in (
+        # N = 11, which the table lacks, for N = 3 and 5
+        (lambda doc: doc.update(alphas=[dict(alphas[0], n_ions=11)]), "not one for each N"),
+        (lambda doc: doc.update(alphas=[alphas[0]]), "not one for each N"),  # N = 5 has no entry
+        (lambda doc: doc.update(alphas=[alphas[0], alphas[1], alphas[1]]), "not one for each N"),
+        (lambda doc: doc["alphas"][0].update(alpha=99.0), "alpha or residual is not the fit"),
+        (lambda doc: doc["alphas"][1].update(residual=alphas[1]["residual"] + 1e-3), "not the fit"),
+        (lambda doc: doc["alphas"][0].update(skipped=[n3_field]), "skips a field"),
+        (lambda doc: doc["fit"].update(slope=-7.0), "fit is not the line"),
+        (lambda doc: doc.pop("fit"), "fit is not the line"),
     ):
-        _edit_json(path, lambda doc: doc.update(alphas=edited))
+        with open(path, "w") as fh:
+            fh.write(written)
+        _edit_json(path, edit)
         assert run("check", "--out", out) == 3
         err = capsys.readouterr().err
-        assert "CheckFailure" in err and "not one for each N" in err
+        assert "CheckFailure" in err and message in err
 
 
 SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"

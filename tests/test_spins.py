@@ -254,6 +254,18 @@ def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     assert [f.orders for f in wide] == [scalar_ground(n, mu) for mu in transitions]
 
 
+@pytest.fixture
+def enum_chunk(monkeypatch):
+    """Sets spins._ENUM_CHUNK; the projection cache, whose keys omit the chunk, is emptied around it."""
+
+    def set_chunk(chunk):
+        spins._cached_projections.cache_clear()
+        monkeypatch.setattr(spins, "_ENUM_CHUNK", chunk)
+
+    yield set_chunk
+    spins._cached_projections.cache_clear()
+
+
 def mode_space_columns(n):
     """The configurations of ground_orders' energy columns, chunk after chunk."""
     chunks = range(0, 1 << (n - 1), spins._ENUM_CHUNK)
@@ -287,9 +299,15 @@ def test_one_row_tiles_match_coupling_enumeration():
     assert found[-3].bits == "0" * n and found[-1].bits == "0" * 8 + "1" * 7
 
 
-@pytest.mark.parametrize("n", [9, 15])
-def test_ties_sit_at_their_own_index(n, monkeypatch):
-    """Subinterval midpoints and transitions alternate; each tie matches classical_ground's."""
+@pytest.mark.parametrize(
+    "n, chunk", [pytest.param(9, None, id="9"), pytest.param(15, None, id="15"), (9, 1 << 5), (15, 1 << 5)]
+)
+def test_ties_sit_at_their_own_index(n, chunk, monkeypatch, enum_chunk):
+    """Subinterval midpoints and transitions alternate; each tie matches classical_ground's.
+
+    With 32-row chunks some tie spans two chunks, and a row's minimum in one
+    chunk is beaten by a later chunk's.
+    """
     table = phase_table(n, 10.0, 16)
     mus = [
         x
@@ -298,8 +316,13 @@ def test_ties_sit_at_their_own_index(n, monkeypatch):
         for x in (0.5 * (sub.lo + sub.hi), t.mu_tilde)
     ]
     monkeypatch.setattr(spins, "_TIE_RTOL", 1e-3)
+    if chunk is not None:
+        enum_chunk(chunk)
     found = ground_orders(n, 10.0, mus)
     assert [isinstance(f, AmbiguousGround) for f in found] == [False, True] * (len(mus) // 2)
+    if chunk is not None:
+        ties = [f.orders for f in found if isinstance(f, AmbiguousGround)]
+        assert any(len({o.canonical // chunk for o in tie}) > 1 for tie in ties)
     for mu, f in zip(mus, found):
         coupling = coupling_from_trap(n, 10.0, mu)
         if isinstance(f, AmbiguousGround):
@@ -321,8 +344,8 @@ def test_chain_modes_solved_once_across_layers():
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
-def test_multi_chunk_enumeration_matches_one_chunk(n, monkeypatch):
-    """32-row chunks (uncached mode projections) reproduce the one-chunk results bit for bit."""
+def test_multi_chunk_enumeration_matches_one_chunk(n, enum_chunk):
+    """32-row chunks (more than the projection cache holds) reproduce the one-chunk results bit for bit."""
     j = coupling_from_trap(n, 10.0, n - 1.5)
     mus = [k + (i + 0.5) / 16 for k in range(1, n) for i in range(16)]
 
@@ -332,15 +355,24 @@ def test_multi_chunk_enumeration_matches_one_chunk(n, monkeypatch):
 
     spins._cached_projections.cache_clear()
     full, half, orders = enumerate_all()
-    monkeypatch.setattr(spins, "_ENUM_CHUNK", 1 << 5)
-    spins._cached_projections.cache_clear()
-    try:
-        full_c, half_c, orders_c = enumerate_all()
-    finally:
-        spins._cached_projections.cache_clear()
+    enum_chunk(1 << 5)
+    full_c, half_c, orders_c = enumerate_all()
     np.testing.assert_array_equal(full_c, full)
     np.testing.assert_array_equal(half_c, half)
     assert orders_c == orders
+
+
+def test_each_chunk_is_built_once_per_call(enum_chunk):
+    """N = 9 in 32-row chunks: 8 chunks, more than the cache's 2, and 1024 detunings in one call."""
+    mus = [k + (i + 0.5) / 128 for k in range(1, 9) for i in range(128)]
+    one_chunk = [batched_ground(f) for f in ground_orders(9, 10.0, mus)]
+    enum_chunk(1 << 5)
+    assert [batched_ground(f) for f in ground_orders(9, 10.0, mus)] == one_chunk
+    assert spins._cached_projections.cache_info().misses == 8
+
+
+def test_empty_batch_has_no_orders():
+    assert ground_orders(5, 10.0, []) == []
 
 
 def test_mode_space_grounds_reject_invalid_detunings():
