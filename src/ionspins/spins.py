@@ -278,8 +278,8 @@ def _mode_projections(n_ions, beta, lo):
 
 
 # Two chunks: up to N = 20 a whole table stays cached across calls.  Larger
-# tables are built a chunk at a time, once per ground_orders call, as
-# classical_energies enumerates, so the 0.8 GB table of N = 24 is never held.
+# tables are built a chunk at a time, once per ground_orders call, so the 0.8 GB
+# table of N = 24 is never held; the last two chunks read stay (60 MB at N = 21).
 _cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
 
 

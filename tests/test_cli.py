@@ -529,6 +529,12 @@ def test_check_flags_alpha_fit_disagreeing_with_gap_table(tmp_path, capsys):
         assert run("check", "--out", out) == 3
         err = capsys.readouterr().err
         assert "CheckFailure" in err and message in err
+    # a fit repeated on another numpy or LAPACK build may differ in its last bits
+    with open(path, "w") as fh:
+        fh.write(written)
+    _edit_json(path, lambda doc: doc["alphas"][0].update(alpha=alphas[0]["alpha"] * (1 + 1e-14)))
+    _edit_json(path, lambda doc: doc["fit"].update(slope=doc["fit"]["slope"] * (1 - 1e-14)))
+    assert run("check", "--out", out) == 0
 
 
 SCAN2D_HEADER = "mu_tilde,B_over_Jbar,order_parameter,polarization,E0,E1\n"
