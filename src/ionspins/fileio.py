@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .chain import potential_gradient
+from .chain import IonChain, TrapConfig, potential_gradient, transverse_modes
 from .errors import CheckFailure
 from .phases import linear_fit, power_law_fit
 
@@ -118,7 +118,7 @@ def check_positions(path):
     return f"{path}: {len(u)} positions labelled, ascending, odd-symmetric and in equilibrium"
 
 
-def check_modes(path):
+def check_modes(path, positions_path):
     config, cols, rows = read_csv(path)
     n = len(rows)
     _require(cols[:2] == ["k", "omega"], f"{path}: unexpected columns {cols}")
@@ -131,13 +131,29 @@ def check_modes(path):
     _require(
         float(np.max(np.abs(gram))) <= 1e-10, f"{path}: mode matrix not orthonormal"
     )
+    messages = [f"{path}: {n} modes labelled, orthonormal and ascending"]
     beta = config.get("beta")
     if beta is not None:
         _require(
             abs(omega[-1] - float(beta)) <= 1e-10,
             f"{path}: stiffest mode is not the center-of-mass mode at beta",
         )
-    return f"{path}: {n} modes labelled, orthonormal and ascending"
+        if os.path.exists(positions_path):
+            # a rerun of the pipeline from the written positions gives the written modes;
+            # each up to its sign, which rounding picks where two mirror ions share the
+            # largest amplitude (a LAPACK build may pick the other)
+            u = read_csv(positions_path)[2][:, 1]
+            _require(len(u) == n, f"{path}: {n} modes for the {len(u)} ions of {positions_path}")
+            spec = transverse_modes(IonChain(TrapConfig(n, float(beta)), u))
+            off = np.minimum(
+                np.max(np.abs(spec.mode_matrix - b), axis=0), np.max(np.abs(spec.mode_matrix + b), axis=0)
+            )
+            _require(
+                np.all(np.abs(spec.frequencies - omega) <= 1e-12 * omega) and np.all(off <= 1e-12),
+                f"{path}: modes are not those of the chain in {positions_path}",
+            )
+            messages.append(f"{path}: reproduced from {positions_path}")
+    return "; ".join(messages)
 
 
 def check_couplings(csv_path, json_path):
@@ -323,7 +339,7 @@ def check_gap_files(csv_path, json_path):
 # artifact -> (its checker, the companion files the checker also reads)
 _CHECKS = {
     "positions.csv": (check_positions,),
-    "modes.csv": (check_modes,),
+    "modes.csv": (check_modes, "positions.csv"),
     "couplings.csv": (check_couplings, "bond_graph.json"),
     "phase_table.json": (check_phase_table,),
     "scan2d.csv": (check_scan2d,),

@@ -27,6 +27,7 @@ from .errors import AmbiguousGround, NoConvergence
 
 _ENUM_CHUNK = 1 << 18
 _TILE_DOUBLES = 1 << 14  # energies held per product in ground_orders
+_BRACKET = 8  # ground_orders scores every 8th detuning of an interval against whole blocks
 _CLUSTER_RTOL = 1e-9  # relative width of the degenerate ground cluster
 _STACK_DOUBLES = 1 << 21  # matrix entries per stacked dense eigh (16 MiB)
 _DENSE_MAX_DIM = 1 << 9  # largest 2^N diagonalized densely; above it LOBPCG runs
@@ -280,7 +281,54 @@ def _mode_projections(n_ions, beta, lo):
 # Two chunks: up to N = 20 a whole table stays cached across calls.  Larger
 # tables are built a chunk at a time, once per ground_orders call, so the 0.8 GB
 # table of N = 24 is never held; the last two chunks read stay (60 MB at N = 21).
+# A call scores every 8th detuning of an interval, and its last, against every
+# column of a chunk, and the others only against the columns their bracket admits.
 _cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
+
+
+def _column_blocks(n_ions, beta):
+    """The projection table as (configurations, rows) blocks of at most _TILE_DOUBLES // 2 rows.
+
+    Chunk after chunk, each read once; a chunk splits into blocks of nearly
+    equal size, so a block holds one row only if its chunk does.
+    """
+    for lo in range(0, 1 << (n_ions - 1), _ENUM_CHUNK):
+        idx, p = _cached_projections(n_ions, beta, lo)
+        blocks = -(-len(p) // (_TILE_DOUBLES // 2))  # none if the chunk holds no canonical configuration
+        for i in range(blocks):
+            cut = slice(i * len(p) // blocks, (i + 1) * len(p) // blocks)
+            yield idx[cut], p[cut]
+
+
+def _pad(a):
+    """a, or its one row repeated: at least two rows."""
+    return a if len(a) > 1 else np.repeat(a, 2, axis=0)
+
+
+def _tile_energies(d, s, p):
+    """Energies d @ p.T - s of detuning rows d (row sums s) against projection rows p.
+
+    The product always has two rows and two columns at least: a lone row of
+    d or p is repeated.  numpy sends a one-row or one-column product to
+    gemv, which rounds most entries differently; in OpenBLAS's gemm each
+    entry has the same bits whatever the product's other rows and columns.
+    """
+    e = _pad(d) @ _pad(p).T
+    e = np.ascontiguousarray(e[: len(d), : len(p)])
+    e -= s[:, None]
+    return e
+
+
+def _score(rows, d, s, idx, p, bmin):
+    """Energies of the detuning rows against projection rows p, whose configurations are idx.
+
+    Each row's minimum goes to bmin.  Returns the energies, and the rows,
+    configurations and energies of the candidates in each row's tie window.
+    """
+    e = _tile_energies(d[rows], s[rows], p)
+    bmin[rows], w = _tile_winners(e)
+    r, c = np.divmod(w, len(p))
+    return e, (rows[r], idx[c], e.take(w))
 
 
 def ground_orders(n_ions, beta, mu_tildes):
@@ -288,44 +336,98 @@ def ground_orders(n_ions, beta, mu_tildes):
 
     The modes are orthonormal, so z . J(mu) . z = sum_k d_k [(z . b^k)^2 - 1]
     with d_k = 1 / (mu^2 - omega_k^2): the energies of a tile of detunings
-    are one product with a chunk of the (z . b^k)^2 table, which holds one
-    column per spin order (``_mode_projections``).  Each entry is what
-    classical_ground(coupling_from_trap(n_ions, beta, mu)) finds: the
-    canonical SpinOrder, or the AmbiguousGround it would raise (returned,
-    not raised).  The detunings are resolved at once (``resolve_detunings``;
-    the first bad one raises).  Each chunk is read once per call; inside it,
-    each tile of _TILE_DOUBLES energies keeps its row minima and the
-    candidates in their tie window (``_tile_winners``).  The window is
+    are one product with a block of the (z . b^k)^2 table, which holds one
+    column per spin order (``_mode_projections``, ``_tile_energies``).  Each
+    entry is what classical_ground(coupling_from_trap(n_ions, beta, mu))
+    finds: the canonical SpinOrder, or the AmbiguousGround it would raise
+    (returned, not raised).  The detunings are resolved at once
+    (``resolve_detunings``; the first bad one raises).  Each chunk is read
+    once per call; inside each block of it, every row keeps its minimum and
+    the candidates in its tie window (``_tile_winners``).  The window is
     monotone in E_min, so the candidates hold every final winner: after the
     last chunk they are filtered against each row's minimum, grouped by row
     and canonicalized together (``_orders_or_ties``).
+
+    The bound.  Sorted ascending, each interval's detunings are scored in
+    full at every _BRACKET-th one and at its last; each detuning in between
+    lies in a bracket [lo, hi] of two such rows, and is scored only against
+    the columns the bracket admits.  On one interval every d_k falls with
+    mu and every (z . b^k)^2 >= 0, so F_z = E_z + S, with S = sum_k d_k,
+    falls too.  For mu in [lo, hi] a block's minimum obeys
+    E_min(mu) + S(mu) <= E_min(lo) + S(lo), and a candidate z at mu obeys
+    E_z(hi) + S(hi) <= E_z(mu) + S(mu) <= E_min(mu) + S(mu) + window(mu).
+    So z is admitted if E_z(hi) <= E_min(lo) + S(lo) - S(hi) + window +
+    slack, where window = _TIE_RTOL * max(1, max(|E_min(lo)|, |E_min(hi)|)
+    + S(lo) - S(hi)) bounds every window in the bracket (E_min(mu) lies in
+    [E_min(hi) - (S(lo) - S(hi)), E_min(lo) + S(lo) - S(hi)]).  With E_min
+    the block's own minimum the admitted columns hold the block's minimum
+    and every candidate of each row inside, so those rows find exactly
+    what a full product finds.
+
+    The rounding slack.  Rounding is monotone, so the stored d_k fall with
+    mu too, and the argument holds exactly for the energies of the stored d
+    and (z . b^k)^2.  A computed energy is off from those by at most
+    (N + 1)^2 u sum_k |d_k| (u = eps / 2): a length-N dot product whose
+    squares sum to N, the row sum S and one subtraction.  Every |d_k| is
+    monotone on the interval, so sum_k |d_k(mu)| <= D = sum_k |d_k(lo)| +
+    sum_k |d_k(hi)| across the bracket.  The test rests on four computed
+    energies (z at mu and at hi, the minimizer at lo at lo and at mu), each
+    off by at most (N + 1)^2 u D, and on sums and a window that round by
+    less than 6 N u D: slack = 4 (N + 1)^2 eps D covers them all.
+
+    Every product has two rows and two columns at least (``_tile_energies``),
+    so each energy has the bits of the full product's entry, and a
+    detuning's answer does not depend on the other detunings of the call.
+    No product holds more than _TILE_DOUBLES energies.
     """
     _check_budget(n_ions)
     spec = chain_spectrum(n_ions, beta)
-    d = 1.0 / mode_denominators(spec, resolve_detunings(spec, mu_tildes))
-    if not len(d):
+    mu = resolve_detunings(spec, mu_tildes)
+    if not len(mu):
         return []
-    emin = np.full(len(d), np.inf)
-    rows, configs, energies = [], [], []
-    for lo in range(0, 1 << (n_ions - 1), _ENUM_CHUNK):
-        idx, p = _cached_projections(n_ions, beta, lo)
-        if not len(p):  # a small chunk may hold no canonical configuration
-            continue
-        tile = max(1, _TILE_DOUBLES // len(p))
-        chunk_min, flat = np.empty(len(d)), []
-        for start in range(0, len(d), tile):
-            dt = d[start : start + tile]
-            e = dt @ p.T
-            e -= dt.sum(axis=1)[:, None]
-            chunk_min[start : start + len(dt)], w = _tile_winners(e)
-            flat.append(w + start * len(p))
-            energies.append(e.take(w))
-        r, c = np.divmod(np.concatenate(flat), len(p))
-        rows.append(r)
-        configs.append(idx[c])
-        np.minimum(emin, chunk_min, out=emin)
-    rows, configs, energies = (np.concatenate(a) for a in (rows, configs, energies))
+    rank = np.argsort(mu, kind="stable")
+    mu = mu[rank]
+    d = 1.0 / mode_denominators(spec, mu)
+    s = d.sum(axis=1)
+    interval = np.searchsorted(spec.frequencies, mu)  # ascending: an interval's rows are one run
+    place = np.arange(len(mu))
+    is_full = ((place - np.searchsorted(interval, interval)) % _BRACKET == 0) | (
+        place == np.searchsorted(interval, interval, side="right") - 1
+    )
+    full, inner = np.flatnonzero(is_full), np.flatnonzero(~is_full)
+    closes = np.searchsorted(full, inner)  # inner row i lies between full[closes[i] - 1] and full[closes[i]]
+    # the brackets with rows inside, by the index in full of their hi row (not
+    # np.unique(closes), whose first call alone raises peak RSS by about 0.7 MiB)
+    j = 1 + np.flatnonzero(full[1:] - full[:-1] > 1)
+    lo, hi = full[j - 1], full[j]
+    rise = s[lo] - s[hi]
+    bulk = np.abs(d[lo]).sum(axis=1) + np.abs(d[hi]).sum(axis=1)
+    slack = 4 * (n_ions + 1) ** 2 * np.finfo(float).eps * bulk
+    emin = np.full(len(mu), np.inf)
+    found = []  # (rows, configurations, energies) of the candidates of each product
+    for idx, p in _column_blocks(n_ions, beta):
+        bmin = np.empty(len(mu))
+        tile = max(2, _TILE_DOUBLES // len(p))
+        starts = [*range(0, len(full), tile), len(full)]
+        # tile i closes brackets j[b[i] : b[i + 1]], which hold rows inner[r[i] : r[i + 1]]
+        b, r = np.searchsorted(j, starts).tolist(), np.searchsorted(closes, starts).tolist()
+        for t, t1, b0, b1, r0, r1 in zip(starts, starts[1:], b, b[1:], r, r[1:]):
+            e, winners = _score(full[t:t1], d, s, idx, p, bmin)
+            found.append(winners)
+            if b0 == b1:
+                continue
+            k = slice(b0, b1)
+            edge = np.maximum(np.abs(bmin[lo[k]]), np.abs(bmin[hi[k]])) + rise[k]
+            reach = bmin[lo[k]] + rise[k] + _TIE_RTOL * np.maximum(1.0, edge) + slack[k]
+            cols = np.flatnonzero(np.any(e[j[k] - t] <= reach[:, None], axis=0))
+            pc, ic = p[cols], idx[cols]
+            sub = max(2, _TILE_DOUBLES // len(cols))
+            for u in range(r0, r1, sub):
+                found.append(_score(inner[u : min(u + sub, r1)], d, s, ic, pc, bmin)[1])
+        np.minimum(emin, bmin, out=emin)
+    rows, configs, energies = (np.concatenate(x) for x in zip(*found))
     keep = np.flatnonzero(energies <= _tie_window(emin)[rows])
+    rows, emin = rank[rows], emin[np.argsort(rank)]  # back to the caller's order
     keep = keep[np.argsort(rows[keep], kind="stable")]  # grouped by row, configurations ascending
     return _orders_or_ties(emin, rows[keep], configs[keep], n_ions)
 

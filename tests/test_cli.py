@@ -38,6 +38,25 @@ def test_modes_orthogonality_via_check_flag(tmp_path, capsys):
     assert len(rows) == 7
 
 
+def test_check_flags_modes_not_of_the_written_positions(tmp_path, capsys):
+    """The softest frequency moved by 1e-9 relative: orthonormal and ascending still, not the chain's."""
+    out = str(tmp_path)
+    assert run("modes", "--n", "7", "--beta", "6", "--out", out) == 0
+    assert run("check", "--out", out) == 0
+    assert "reproduced from" in capsys.readouterr().out
+
+    def nudge(lines):
+        k, omega, *b = lines[-7].split(",")
+        return lines[:-7] + [",".join([k, repr(float(omega) * (1 + 1e-9)), *b])] + lines[-6:]
+
+    _edit_lines(os.path.join(out, "modes.csv"), nudge)
+    assert run("check", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "CheckFailure" in err and "modes.csv" in err and "positions.csv" in err
+    os.remove(os.path.join(out, "positions.csv"))  # the modes alone cannot tell
+    assert run("check", "--out", out) == 0
+
+
 def test_modes_unstable_chain_exits_3(tmp_path, capsys):
     assert run("modes", "--n", "2", "--beta", "0.9", "--out", str(tmp_path)) == 3
     assert "ZigzagInstability" in capsys.readouterr().err

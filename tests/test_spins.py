@@ -286,17 +286,62 @@ def test_mode_space_columns_are_one_per_order(chunk, monkeypatch):
         assert len(columns) == count
 
 
-def test_one_row_tiles_match_coupling_enumeration():
-    """N = 15: its 8256 orders fill a whole tile, so every detuning is a tile of its own."""
+def test_two_block_chunks_match_coupling_enumeration():
+    """N = 15: its 8256 orders score as two blocks of 4128 columns, in tiles of three detunings."""
     n = 15
-    assert len(mode_space_columns(n)) == 8256
-    assert spins._TILE_DOUBLES // 8256 == 1
+    assert [len(p) for _, p in spins._column_blocks(n, 10.0)] == [4128, 4128]
+    assert spins._TILE_DOUBLES // 4128 == 3
     transition, _, _ = fm_kink_interval(n)
     mid, width = transition.mu_tilde, transition.uncertainty
+    # with 13.5 the three detunings round the transition make one bracket of four rows
     mus = [k + 0.5 for k in range(1, n)] + [mid - width, mid, mid + width]
     found = ground_orders(n, 10.0, mus)
     assert [batched_ground(f) for f in found] == [scalar_ground(n, mu) for mu in mus]
     assert found[-3].bits == "0" * n and found[-1].bits == "0" * 8 + "1" * 7
+
+
+def answer(found):
+    """An order, or a tie's orders and row minimum: what a detuning's energies decide."""
+    return (found.orders, found.energy) if isinstance(found, AmbiguousGround) else found
+
+
+@pytest.mark.parametrize("tie_rtol", [1e-10, 1e-2])
+@pytest.mark.parametrize("n", [16, 19])
+def test_a_detuning_scores_alone_as_in_a_batch(n, tie_rtol, monkeypatch):
+    """A row's minimum and tie candidates do not depend on the other detunings of its call.
+
+    Alone, a detuning is scored against whole blocks; in a batch of
+    brackets 1e-6 wide most rows are scored against the few columns their
+    bracket admits.  The answers agree bit for bit only if the BLAS rounds
+    every entry of a product of two rows and two columns or more alike,
+    whatever the product's other rows and columns (OpenBLAS's gemm does).
+    A 1e-2 tie window holds several orders that win at neither end of a
+    bracket, which only the bound's window term admits.
+    """
+    monkeypatch.setattr(spins, "_TIE_RTOL", tie_rtol)
+    mus = [k + 0.5 + i * 1e-6 for k in (1, n - 2) for i in range(17)]
+    batch = ground_orders(n, 10.0, mus)
+    if tie_rtol > 1e-10:
+        assert any(isinstance(f, AmbiguousGround) and len(f.orders) > 2 for f in batch)
+    alone = [ground_orders(n, 10.0, [mu])[0] for mu in mus]
+    assert [answer(f) for f in alone] == [answer(f) for f in batch]
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_most_grid_rows_skip_the_whole_chunk(k, monkeypatch):
+    """N = 12, 1024 detunings on interval k: at most a quarter of the rows meet all 1056 columns."""
+    scored = []
+    tile_energies = spins._tile_energies
+
+    def counting(d, s, p):
+        scored.append((len(d), len(p)))
+        return tile_energies(d, s, p)
+
+    monkeypatch.setattr(spins, "_tile_energies", counting)
+    mus = k + (np.arange(1024) + 0.5) / 1024
+    ground_orders(12, 10.0, mus)
+    assert sum(rows for rows, _ in scored) == 1024  # each row once: N = 12 is one block
+    assert sum(rows for rows, cols in scored if cols == 1056) <= 256
 
 
 @pytest.mark.parametrize(
