@@ -95,7 +95,9 @@ def resolve_detunings(spectrum, rescaled):
     k = np.floor(np.where(on_mode, 1.5, r)).astype(np.int64)
     frac = r - k
     mu = w[k - 1] + frac * (w[k] - w[k - 1])
-    near = np.min(np.abs(mu[:, None] - w), axis=1) < 1e-6
+    # mu lies between modes k and k + 1 (up to rounding), so the nearest mode is one of
+    # them: no (detunings x modes) temporary
+    near = np.minimum(np.abs(mu - w[k - 1]), np.abs(mu - w[k])) < 1e-6
     bad = np.flatnonzero(outside | on_mode | near)
     if len(bad):
         i = bad[0]

@@ -12,6 +12,7 @@ parameter of the transition.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -92,79 +93,88 @@ class PhaseTable:
         return asdict(self)
 
 
-def _sidestep(n_ions, beta, mu, nudge, tie):
-    """(point, order) at the first of mu + nu, mu - nu, mu + 3 nu off the tie; else raise it."""
-    for shift in (nudge, -nudge, 3 * nudge):
-        (order,) = ground_orders(n_ions, beta, [mu + shift])
-        if not isinstance(order, AmbiguousGround):
-            return mu + shift, order
-    raise tie
+def _probe(mus, nudges):
+    """One lock-step probe: the ground order at each mu, an exact crossing sidestepped.
+
+    A generator step (see ``_lock_step``): it yields the detunings it needs
+    scored and receives their orders.  A tied mu is retried at mu + nu,
+    mu - nu and mu + 3 nu, all three in one more step, and takes the first
+    of them off the tie; a tie at all three is raised.  Returns the orders
+    and, by index, the point each sidestepped mu moved to.
+    """
+    orders = yield mus
+    tied = [i for i, o in enumerate(orders) if isinstance(o, AmbiguousGround)]
+    if not tied:
+        return orders, {}
+    tries = [[mus[i] + shift for shift in (nudges[i], -nudges[i], 3 * nudges[i])] for i in tied]
+    scored = iter((yield [mu for points in tries for mu in points]))
+    moved = {}
+    for i, points in zip(tied, tries):
+        off = [
+            (mu, o)
+            for mu, o in zip(points, itertools.islice(scored, 3))
+            if not isinstance(o, AmbiguousGround)
+        ]
+        if not off:
+            raise orders[i]
+        moved[i], orders[i] = off[0]
+    return orders, moved
 
 
-def _nudged_orders(n_ions, beta, mus, nudges):
-    """Ground order at each mu; an exact crossing is sidestepped (``_sidestep``)."""
-    orders = ground_orders(n_ions, beta, mus)
-    for i, tie in enumerate(orders):
-        if isinstance(tie, AmbiguousGround):
-            _, orders[i] = _sidestep(n_ions, beta, mus[i], nudges[i], tie)
-    return orders
+def _interval_steps(k, samples, tol):
+    """The lock step of interval (k, k+1), probed on a grid of ``samples`` points.
 
-
-def _interval_phases(n_ions, beta, k, samples, tol):
-    """Subintervals and transitions of (k, k+1), probed on a grid of ``samples`` points.
-
-    Neighbouring probes (mu -> order) whose orders differ are the brackets.
-    Each level sends the midpoints of all brackets wider than tol to
-    ``ground_orders`` in one call and keeps the halves that still change
-    order; a tied midpoint is sidestepped by 1e-3 of its bracket, as a tied
-    grid point is, and a bracket holding such a tie is an exact crossing.
-    Each subinterval takes the order of the probes it holds.  The grid
-    starts half a step inside the interval, so a change next to an edge can
-    escape it: a subinterval's midpoint whose order differs, and that no
-    bracket covers, lies inside a run of probes of one order and becomes a
-    probe of another round, until every midpoint agrees.  Each round adds a
-    bracket and moves none, and an interval holds finitely many order
-    changes, so the rounds end.  Orders are compared by their int
+    A generator of probe steps (``_probe``, driven by ``_lock_step``) that
+    returns the interval's IntervalPhases.  Neighbouring probes (mu -> order)
+    whose orders differ are the brackets.  Each level probes the midpoints
+    of all brackets wider than tol in one step and keeps the halves that
+    still change order; a tied midpoint is sidestepped by 1e-3 of its
+    bracket, as a tied grid point is, and a bracket holding such a tie is an
+    exact crossing.  Each subinterval takes the order of the probes it
+    holds.  The grid starts half a step inside the interval, so a change
+    next to an edge can escape it: a subinterval's midpoint whose order
+    differs, and that no bracket covers, lies inside a run of probes of one
+    order and becomes a probe of another round, until every midpoint agrees.
+    Each round adds a bracket and moves none, and an interval holds finitely
+    many order changes, so the rounds end.  Orders are compared by their int
     ``canonical`` code, which alone tells two orders of one chain apart.
     """
     step = 1.0 / samples
-    grid = [float(mu) for mu in k + (np.arange(samples) + 0.5) * step]
-    probes = dict(zip(grid, _nudged_orders(n_ions, beta, grid, [step * 1e-3] * samples)))
+    xs = (k + (np.arange(samples) + 0.5) * step).tolist()  # the probes' mu, ascending
+    found, _ = yield from _probe(xs, [step * 1e-3] * samples)  # and their orders
     ties = []  # tied bisection midpoints
     while True:
-        xs = sorted(probes)
-        brackets = [
-            (lo, probes[lo], hi, probes[hi])
-            for lo, hi in zip(xs, xs[1:])
-            if probes[lo].canonical != probes[hi].canonical
-        ]
+        changes = np.flatnonzero(np.diff([o.canonical for o in found])).tolist()
+        brackets = [(xs[i], found[i], xs[i + 1], found[i + 1]) for i in changes]
         while wide := [b for b in brackets if b[2] - b[0] > tol]:
             mids = [0.5 * (lo + hi) for lo, _, hi, _ in wide]
+            orders, moved = yield from _probe(mids, [1e-3 * (hi - lo) for lo, _, hi, _ in wide])
+            ties += [mids[i] for i in moved]
             halves = {}
-            for (lo, o_lo, hi, o_hi), mid, o in zip(wide, mids, ground_orders(n_ions, beta, mids)):
-                if isinstance(o, AmbiguousGround):
-                    ties.append(mid)
-                    mid, o = _sidestep(n_ions, beta, mid, 1e-3 * (hi - lo), o)
+            for i, ((lo, o_lo, hi, o_hi), o) in enumerate(zip(wide, orders)):
+                mid = moved.get(i, mids[i])
                 pair = ((lo, o_lo, mid, o), (mid, o, hi, o_hi))
                 halves[lo] = [h for h in pair if h[1].canonical != h[3].canonical]
             brackets = [h for b in brackets for h in halves.get(b[0], [b])]
-        for lo, o_lo, hi, o_hi in brackets:
-            probes[lo], probes[hi] = o_lo, o_hi
+        ends = {x: o for lo, o_lo, hi, o_hi in brackets for x, o in ((lo, o_lo), (hi, o_hi))}
         cuts = [float(k)] + [0.5 * (lo + hi) for lo, _, hi, _ in brackets] + [float(k + 1)]
         spans = list(zip(cuts[:-1], cuts[1:]))
-        span_orders = [probes[xs[0]]] + [o_hi for *_, o_hi in brackets]
+        span_orders = [found[0]] + [o_hi for *_, o_hi in brackets]
         # the stretch of each span that no bracket covers
         uncovered = zip([-np.inf] + [b[2] for b in brackets], [b[0] for b in brackets] + [np.inf])
         mids = [0.5 * (lo + hi) for lo, hi in spans]
-        mid_orders = _nudged_orders(n_ions, beta, mids, [(hi - lo) * 1e-3 for lo, hi in spans])
+        mid_orders, _ = yield from _probe(mids, [(hi - lo) * 1e-3 for lo, hi in spans])
         missed = {
             mid: o
             for mid, o, expected, (lo, hi) in zip(mids, mid_orders, span_orders, uncovered)
-            if o.canonical != expected.canonical and lo < mid < hi and mid not in probes
+            if o.canonical != expected.canonical and lo < mid < hi
+            and mid not in ends and mid not in xs
         }
         if not missed:
             break
-        probes.update(missed)
+        probes = {**dict(zip(xs, found)), **ends, **missed}  # the bracket ends are probes too
+        xs = sorted(probes)
+        found = [probes[x] for x in xs]
     transitions = [
         Transition(
             mu_tilde=0.5 * (lo + hi),
@@ -182,31 +192,69 @@ def _interval_phases(n_ions, beta, k, samples, tol):
     return IntervalPhases(lower_mode=k, subintervals=subintervals, transitions=transitions)
 
 
+def _lock_step(n_ions, beta, steps):
+    """Run interval lock steps (``_interval_steps``) side by side; their results in order.
+
+    Each round scores the detunings every unfinished interval asks for in
+    one ``ground_orders`` call, so a table costs about as many calls as its
+    busiest interval makes steps.  A detuning's order does not depend on
+    its batch-mates, so every interval finds what it finds alone.  An
+    AmbiguousGround that ends an interval is raised once every interval
+    before it has finished: the first interval's, as running them one after
+    another would raise.
+    """
+    asked = {i: next(g) for i, g in enumerate(steps)}  # every lock step asks for its grid first
+    results, tie = [None] * len(steps), None
+    while asked:
+        found = iter(ground_orders(n_ions, beta, list(itertools.chain.from_iterable(asked.values()))))
+        for i, mus in list(asked.items()):
+            orders = list(itertools.islice(found, len(mus)))
+            try:
+                asked[i] = steps[i].send(orders)
+            except StopIteration as done:
+                results[i] = done.value
+                del asked[i]
+            except AmbiguousGround as exc:
+                tie = exc
+                asked = {j: m for j, m in asked.items() if j < i}
+                break
+    if tie is not None:
+        raise tie
+    return results
+
+
+def _interval_phases(n_ions, beta, k, samples, tol):
+    """Subintervals and transitions of (k, k+1): its lock step (``_interval_steps``) run alone."""
+    (iv,) = _lock_step(n_ions, beta, [_interval_steps(k, samples, tol)])
+    return iv
+
+
 def phase_table(n_ions, beta=10.0, samples_per_interval=64):
     """Zero-field phase table: spin orders tiling every inter-mode interval.
 
     Each interval (k, k+1) is sampled on a uniform grid, and all its order
-    changes are bisected in lock step down to _TABLE_TOL, one
-    ``spins.ground_orders`` call (mode space, a tile of detunings per
-    product) per level; a subinterval's midpoint that shows a change the grid
-    missed starts another round (``_interval_phases``), so each transition
-    joins the orders of its two subintervals.  An exact crossing hit along
-    the way is sidestepped and its transition marked ``exact_crossing=True``,
-    and one that every sidestep still ties is raised (``AmbiguousGround``).
+    changes are bisected down to _TABLE_TOL; a subinterval's midpoint that
+    shows a change the grid missed starts another round
+    (``_interval_steps``), so each transition joins the orders of its two
+    subintervals.  The N - 1 intervals run in one lock step
+    (``_lock_step``): one ``spins.ground_orders`` call (mode space, a tile
+    of detunings per product) scores every grid, then each bisection level
+    of every interval, each level's sidesteps and each midpoint round share
+    one call.  An exact crossing hit along the way is sidestepped and its
+    transition marked ``exact_crossing=True``, and one that every sidestep
+    still ties is raised (``AmbiguousGround``, the lowest interval's).
     """
     if n_ions < 3:
         raise ValueError("phase tables need at least 3 ions")
     if samples_per_interval < 16:
         raise ValueError("need at least 16 samples per interval")
-    intervals = [
-        _interval_phases(n_ions, beta, k, samples_per_interval, _TABLE_TOL) for k in range(1, n_ions)
-    ]
+    steps = [_interval_steps(k, samples_per_interval, _TABLE_TOL) for k in range(1, n_ions)]
     return PhaseTable(
         n_ions=n_ions,
         beta=float(beta),
         samples_per_interval=samples_per_interval,
         refine_tol=_TABLE_TOL,
-        intervals=intervals,
+        intervals=_lock_step(n_ions, beta, steps),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanczos
-from .couplings import chain_spectrum, mode_denominators, resolve_detunings
+from .couplings import chain_spectrum, resolve_detunings
 from .errors import AmbiguousGround, NoConvergence
 
 _ENUM_CHUNK = 1 << 18
@@ -278,22 +278,26 @@ def _mode_projections(n_ions, beta, lo):
     return idx, p
 
 
-# Two chunks: up to N = 20 a whole table stays cached across calls.  Larger
-# tables are built a chunk at a time, once per ground_orders call, so the 0.8 GB
-# table of N = 24 is never held; the last two chunks read stay (60 MB at N = 21).
-# A call scores every 8th detuning of an interval, and its last, against every
-# column of a chunk, and the others only against the columns their bracket admits.
+# Two chunks: up to N = 20 a whole table stays cached across calls.  A larger
+# table would only evict itself, since each ground_orders call reads every
+# chunk: it is built a chunk at a time at each call and nothing of it stays
+# resident between calls, so the 0.8 GB table of N = 24 is never held.  A call
+# scores every 8th detuning of an interval, and its last, against every column
+# of a chunk, and the others only against the columns their bracket admits.
 _cached_projections = functools.lru_cache(maxsize=2)(_mode_projections)
 
 
 def _column_blocks(n_ions, beta):
     """The projection table as (configurations, rows) blocks of at most _TILE_DOUBLES // 2 rows.
 
-    Chunk after chunk, each read once; a chunk splits into blocks of nearly
-    equal size, so a block holds one row only if its chunk does.
+    Chunk after chunk, each read once, from the cache when the whole table
+    fits in it; a chunk splits into blocks of nearly equal size, so a block
+    holds one row only if its chunk does.
     """
-    for lo in range(0, 1 << (n_ions - 1), _ENUM_CHUNK):
-        idx, p = _cached_projections(n_ions, beta, lo)
+    chunks = range(0, 1 << (n_ions - 1), _ENUM_CHUNK)
+    cached = len(chunks) <= _cached_projections.cache_parameters()["maxsize"]
+    for lo in chunks:
+        idx, p = (_cached_projections if cached else _mode_projections)(n_ions, beta, lo)
         blocks = -(-len(p) // (_TILE_DOUBLES // 2))  # none if the chunk holds no canonical configuration
         for i in range(blocks):
             cut = slice(i * len(p) // blocks, (i + 1) * len(p) // blocks)
@@ -319,16 +323,43 @@ def _tile_energies(d, s, p):
     return e
 
 
-def _score(rows, d, s, idx, p, bmin):
+def _mode_weights(mu, w2):
+    """d_k = 1 / (mu^2 - omega_k^2), one row per resolved detuning mu; w2 holds the omega_k^2.
+
+    The bits of ``couplings.mode_denominators``, without its resonance check:
+    a resolved detuning lies 1e-6 or more off every mode.
+    """
+    mu = mu[:, None]
+    d = mu * mu - w2
+    return np.divide(1.0, d, out=d)
+
+
+def _score(rows, mu, w2, idx, p, bmin):
     """Energies of the detuning rows against projection rows p, whose configurations are idx.
 
-    Each row's minimum goes to bmin.  Returns the energies, and the rows,
-    configurations and energies of the candidates in each row's tie window.
+    The rows index the sorted detunings mu; their d_k are built here, a tile
+    at a time.  Each row's minimum goes to bmin.  Returns the energies, and
+    the rows, configurations and energies of the candidates in each row's
+    tie window.
     """
-    e = _tile_energies(d[rows], s[rows], p)
+    d = _mode_weights(mu[rows], w2)
+    e = _tile_energies(d, d.sum(axis=1), p)
     bmin[rows], w = _tile_winners(e)
     r, c = np.divmod(w, len(p))
     return e, (rows[r], idx[c], e.take(w))
+
+
+def _bracket_rows(interval):
+    """The full and inner rows of detunings sorted ascending, given each one's interval.
+
+    Each interval's every _BRACKET-th row and its last are full; the rows
+    between two full ones are inner.
+    """
+    place = np.arange(len(interval))
+    is_full = ((place - np.searchsorted(interval, interval)) % _BRACKET == 0) | (
+        place == np.searchsorted(interval, interval, side="right") - 1
+    )
+    return np.flatnonzero(is_full), np.flatnonzero(~is_full)
 
 
 def ground_orders(n_ions, beta, mu_tildes):
@@ -346,7 +377,9 @@ def ground_orders(n_ions, beta, mu_tildes):
     the candidates in its tie window (``_tile_winners``).  The window is
     monotone in E_min, so the candidates hold every final winner: after the
     last chunk they are filtered against each row's minimum, grouped by row
-    and canonicalized together (``_orders_or_ties``).
+    and canonicalized together (``_orders_or_ties``).  A tile's d_k are
+    built with it (``_score``), so a call of many detunings, such as a
+    whole phase table's grid, never holds a (detunings x modes) array.
 
     The bound.  Sorted ascending, each interval's detunings are scored in
     full at every _BRACKET-th one and at its last; each detuning in between
@@ -386,22 +419,30 @@ def ground_orders(n_ions, beta, mu_tildes):
     if not len(mu):
         return []
     rank = np.argsort(mu, kind="stable")
-    mu = mu[rank]
-    d = 1.0 / mode_denominators(spec, mu)
-    s = d.sum(axis=1)
-    interval = np.searchsorted(spec.frequencies, mu)  # ascending: an interval's rows are one run
-    place = np.arange(len(mu))
-    is_full = ((place - np.searchsorted(interval, interval)) % _BRACKET == 0) | (
-        place == np.searchsorted(interval, interval, side="right") - 1
-    )
-    full, inner = np.flatnonzero(is_full), np.flatnonzero(~is_full)
+    emin, rows, configs = _winners(n_ions, beta, spec, mu[rank])
+    rows = rank[rows]  # back to the caller's order
+    group = np.argsort(rows, kind="stable")  # grouped by row, configurations ascending
+    return _orders_or_ties(emin[np.argsort(rank)], rows[group], configs[group], n_ions)
+
+
+def _winners(n_ions, beta, spec, mu):
+    """The scoring pass of ``ground_orders`` on detunings sorted ascending.
+
+    Returns each row's minimum and the rows and configurations of the
+    winners in its tie window, each row's in ascending configuration order.
+    Only these outlive the call: the bracket and candidate arrays, several
+    per detuning, are freed on return.
+    """
+    full, inner = _bracket_rows(np.searchsorted(spec.frequencies, mu))
     closes = np.searchsorted(full, inner)  # inner row i lies between full[closes[i] - 1] and full[closes[i]]
     # the brackets with rows inside, by the index in full of their hi row (not
     # np.unique(closes), whose first call alone raises peak RSS by about 0.7 MiB)
     j = 1 + np.flatnonzero(full[1:] - full[:-1] > 1)
     lo, hi = full[j - 1], full[j]
-    rise = s[lo] - s[hi]
-    bulk = np.abs(d[lo]).sum(axis=1) + np.abs(d[hi]).sum(axis=1)
+    w2 = np.square(spec.frequencies)
+    d_lo, d_hi = _mode_weights(mu[lo], w2), _mode_weights(mu[hi], w2)
+    rise = d_lo.sum(axis=1) - d_hi.sum(axis=1)
+    bulk = np.abs(d_lo).sum(axis=1) + np.abs(d_hi).sum(axis=1)
     slack = 4 * (n_ions + 1) ** 2 * np.finfo(float).eps * bulk
     emin = np.full(len(mu), np.inf)
     found = []  # (rows, configurations, energies) of the candidates of each product
@@ -412,7 +453,7 @@ def ground_orders(n_ions, beta, mu_tildes):
         # tile i closes brackets j[b[i] : b[i + 1]], which hold rows inner[r[i] : r[i + 1]]
         b, r = np.searchsorted(j, starts).tolist(), np.searchsorted(closes, starts).tolist()
         for t, t1, b0, b1, r0, r1 in zip(starts, starts[1:], b, b[1:], r, r[1:]):
-            e, winners = _score(full[t:t1], d, s, idx, p, bmin)
+            e, winners = _score(full[t:t1], mu, w2, idx, p, bmin)
             found.append(winners)
             if b0 == b1:
                 continue
@@ -423,13 +464,11 @@ def ground_orders(n_ions, beta, mu_tildes):
             pc, ic = p[cols], idx[cols]
             sub = max(2, _TILE_DOUBLES // len(cols))
             for u in range(r0, r1, sub):
-                found.append(_score(inner[u : min(u + sub, r1)], d, s, ic, pc, bmin)[1])
+                found.append(_score(inner[u : min(u + sub, r1)], mu, w2, ic, pc, bmin)[1])
         np.minimum(emin, bmin, out=emin)
     rows, configs, energies = (np.concatenate(x) for x in zip(*found))
     keep = np.flatnonzero(energies <= _tie_window(emin)[rows])
-    rows, emin = rank[rows], emin[np.argsort(rank)]  # back to the caller's order
-    keep = keep[np.argsort(rows[keep], kind="stable")]  # grouped by row, configurations ascending
-    return _orders_or_ties(emin, rows[keep], configs[keep], n_ions)
+    return emin, rows[keep], configs[keep]
 
 
 def field_scale(coupling):

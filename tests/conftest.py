@@ -47,3 +47,16 @@ def without_fm_kink_transition(monkeypatch):
     phases.fm_kink_interval.cache_clear()
     yield
     phases.fm_kink_interval.cache_clear()
+
+
+@pytest.fixture
+def enum_chunk(monkeypatch):
+    """Sets spins._ENUM_CHUNK; the projection cache, whose keys omit the chunk, is emptied around it."""
+    from ionspins import spins
+
+    def set_chunk(chunk):
+        spins._cached_projections.cache_clear()
+        monkeypatch.setattr(spins, "_ENUM_CHUNK", chunk)
+
+    yield set_chunk
+    spins._cached_projections.cache_clear()

@@ -170,6 +170,27 @@ def test_tied_bisection_midpoint_is_sidestepped(monkeypatch):
     assert abs(t.mu_tilde - cross) <= table.refine_tol
 
 
+def test_table_raises_the_tie_of_the_lowest_interval(monkeypatch):
+    """(2, 3) ties at its grid, (1, 2) only at its first bisection midpoint: (1, 2)'s tie is raised."""
+    left, right = phases.ground_orders(3, 10.0, [1.1, 1.9])
+
+    def two_ties(n_ions, beta, mus):
+        found = []
+        for mu in mus:
+            if abs(mu - 1.5) < 1e-3:  # the midpoint 1.5 and its three sidesteps
+                found.append(AmbiguousGround([left, right], 1.0))
+            elif mu < 2.0:
+                found.append(left if mu < 1.5 else right)
+            else:
+                found.append(AmbiguousGround([left, right], 2.0))
+        return found
+
+    monkeypatch.setattr(phases, "ground_orders", two_ties)
+    with pytest.raises(AmbiguousGround) as tie:
+        phase_table(3, 10.0, 16)
+    assert tie.value.energy == 1.0
+
+
 def test_order_changes_of_an_interval_bisect_in_lock_step(monkeypatch):
     """Two changes share every bisection level: 1 grid call, 16 levels, 1 midpoint round."""
     outer, inner = phases.ground_orders(3, 10.0, [1.1, 1.9])
@@ -190,7 +211,41 @@ def test_order_changes_of_an_interval_bisect_in_lock_step(monkeypatch):
     assert calls == [16] + [2] * 16 + [3]
 
 
-@pytest.mark.parametrize("n", [13, 15])
+def test_phase_table_bisects_every_interval_in_lock_step(monkeypatch):
+    """All intervals share each call: about as many calls as the busiest interval makes steps."""
+    calls = []
+
+    def counting(n_ions, beta, mus):
+        calls.append(len(mus))
+        return spins.ground_orders(n_ions, beta, mus)
+
+    monkeypatch.setattr(phases, "ground_orders", counting)
+    phase_table(12, 10.0, 1024)
+    assert calls[0] == 11 * 1024  # every interval's grid in one call
+    assert len(calls) <= 14
+
+
+def test_table_of_more_chunks_than_the_cache_holds(monkeypatch, enum_chunk):
+    """256-row chunks give N = 12 eight, as N = 24 has 32: each call builds each chunk once, none cached."""
+    reference = phase_table(12, 10.0, 1024).to_dict()
+    enum_chunk(256)
+    builds, calls = [], []
+    build = spins._mode_projections
+
+    def counting_call(n_ions, beta, mus):
+        calls.append(len(mus))
+        return spins.ground_orders(n_ions, beta, mus)
+
+    monkeypatch.setattr(
+        spins, "_mode_projections", lambda n, beta, lo: builds.append(lo) or build(n, beta, lo)
+    )
+    monkeypatch.setattr(phases, "ground_orders", counting_call)
+    assert phase_table(12, 10.0, 1024).to_dict() == reference
+    assert len(builds) <= 8 * len(calls)
+    assert spins._cached_projections.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [13, 15, 17, 19])
 def test_degeneracy_law_holds_on_every_subinterval(n):
     """Criterion 04's {2,4} law and reflection rule, past its N <= 9 sample."""
     for iv in phase_table(n, 10.0, 64).intervals:

@@ -254,18 +254,6 @@ def test_mode_space_grounds_match_coupling_enumeration(n, monkeypatch):
     assert [f.orders for f in wide] == [scalar_ground(n, mu) for mu in transitions]
 
 
-@pytest.fixture
-def enum_chunk(monkeypatch):
-    """Sets spins._ENUM_CHUNK; the projection cache, whose keys omit the chunk, is emptied around it."""
-
-    def set_chunk(chunk):
-        spins._cached_projections.cache_clear()
-        monkeypatch.setattr(spins, "_ENUM_CHUNK", chunk)
-
-    yield set_chunk
-    spins._cached_projections.cache_clear()
-
-
 def mode_space_columns(n):
     """The configurations of ground_orders' energy columns, chunk after chunk."""
     chunks = range(0, 1 << (n - 1), spins._ENUM_CHUNK)
@@ -407,13 +395,22 @@ def test_multi_chunk_enumeration_matches_one_chunk(n, enum_chunk):
     assert orders_c == orders
 
 
-def test_each_chunk_is_built_once_per_call(enum_chunk):
-    """N = 9 in 32-row chunks: 8 chunks, more than the cache's 2, and 1024 detunings in one call."""
+def test_each_chunk_is_built_once_per_call(enum_chunk, monkeypatch):
+    """N = 9 in 32-row chunks: 8 chunks, more than the cache's 2, and 1024 detunings in one call.
+
+    A table the cache cannot hold bypasses it: each chunk is built once, and none stays cached.
+    """
     mus = [k + (i + 0.5) / 128 for k in range(1, 9) for i in range(128)]
     one_chunk = [batched_ground(f) for f in ground_orders(9, 10.0, mus)]
     enum_chunk(1 << 5)
+    builds = []
+    build = spins._mode_projections
+    monkeypatch.setattr(
+        spins, "_mode_projections", lambda n, beta, lo: builds.append(lo) or build(n, beta, lo)
+    )
     assert [batched_ground(f) for f in ground_orders(9, 10.0, mus)] == one_chunk
-    assert spins._cached_projections.cache_info().misses == 8
+    assert builds == list(range(0, 256, 32))
+    assert spins._cached_projections.cache_info().currsize == 0
 
 
 def test_empty_batch_has_no_orders():
