@@ -16,12 +16,22 @@ one vector per row, so every product over the dimension runs along
 contiguous rows; the operator is applied to whole (b, dim) row blocks.  The
 Gram matrix of the new [X, P] is carried forward from the previous step's
 Gram matrix in coefficient space, so each step forms only the rows of W.
-The block holds _GUARDS vectors beyond the k wanted pairs, which resolves
-(near-)degenerate multiplets up to the block size.  The guards ride in X
-only, as in soft locking (Knyazev, Argentati, Lashuk & Ovtchinnikov, SIAM
-J. Sci. Comput. 29, 2007): they are improved by every Rayleigh-Ritz step
-but draw no W or P rows.  The fixed-seed start block makes runs
+The block holds _GUARDS vectors beyond the k pairs it returns, which
+resolves (near-)degenerate multiplets up to the block size.  A solve may
+ask only the lowest few of its k pairs to converge; the rest then ride
+along as guards too, widening the block and so speeding up the ones it
+waits for.  The guards ride in X only, as in soft locking (Knyazev,
+Argentati, Lashuk & Ovtchinnikov, SIAM J. Sci. Comput. 29, 2007): they are
+improved by every Rayleigh-Ritz step but draw no W or P rows.  The fixed-seed start block makes runs
 reproducible bit for bit.
+
+A solve can be constrained to the orthogonal complement of given orthonormal
+rows, as in the constrained LOBPCG of the same paper: the start block and
+every W are projected against them, so the solve returns the lowest pairs
+of the operator on that complement.  With the converged eigenvectors of a
+first solve as the constraint, a second solve extends the first to the
+next levels without finding its pairs again; it can start from the first
+solve's unconverged pairs, which already lie close to those levels.
 
 The module keeps the name ``lanczos`` and the solver the name
 ``lowest_eigenpairs``: ``spins`` reports its results as method="lanczos",
@@ -46,15 +56,16 @@ _DROP = 1e-10
 _REORTH = 1e-2
 
 
-def lowest_eigenpairs(matvec, k, *, diag):
+def lowest_eigenpairs(matvec, k, *, diag, converge=None, constraint=None, start=None):
     """Return (eigenvalues, eigenvectors) for the k lowest eigenpairs, ascending.
 
-    The eigenvectors are the columns of a (dim, k) array.  Only the k wanted
-    pairs must converge, each to the relative bound _TOL; the guard vectors
-    beyond them stay in the block X but add no search directions, and are
-    never waited for.  When the dimension len(diag) is below five block
-    widths the operator is formed as matvec(I) and diagonalized densely
-    instead.
+    The eigenvectors are the columns of a (dim, k) array.  Only the lowest
+    ``converge`` pairs must converge, each to the relative bound _TOL; the
+    vectors beyond them stay in the block X but add no search directions,
+    and are never waited for.  When the dimension len(diag) is below five
+    block widths the operator is formed on an orthonormal basis of the space
+    the solve may use (the identity when there is no constraint) and
+    diagonalized densely instead.
 
     Args:
         matvec: callable applying the symmetric operator to a (b, dim) block
@@ -65,23 +76,48 @@ def lowest_eigenpairs(matvec, k, *, diag):
             by max(diag - sigma_i, 1) with sigma_i = min(theta_i, min(diag)),
             so the shift follows the Ritz value only once it lies below the
             whole diagonal, and the preconditioner stays positive.
+        converge: how many of the k pairs, lowest first, must converge
+            (default k); the others are returned as the last Ritz pairs,
+            approximations that cost no operator rows.
+        constraint: None, or a (c, dim) array of orthonormal rows; the start
+            block and every W are projected against them, so the pairs
+            returned are the k lowest of the operator on their orthogonal
+            complement.  Rows that span an invariant subspace, such as
+            converged eigenvectors, leave the other pairs of the operator
+            unchanged, and the solve finds the k lowest of those.
+        start: None, or rows that begin the start block in place of its first
+            random rows (at most k + _GUARDS rows are used); they need not be
+            orthonormal, nor orthogonal to the constraint.
 
     Raises NoConvergence, with the best residual, after _MAX_ITER steps or
     once the residuals add no direction to the basis.
     """
     dim = len(diag)
-    if k < 1 or k > dim:
-        raise ValueError(f"k must lie in [1, {dim}]")
+    constraint = np.empty((0, dim)) if constraint is None else constraint
+    fixed = len(constraint)
+    if k < 1 or k > dim - fixed:
+        raise ValueError(f"k must lie in [1, {dim - fixed}]")
+    converge = k if converge is None else converge
+    if converge < 1 or converge > k:
+        raise ValueError(f"converge must lie in [1, {k}]")
     block = k + _GUARDS
     if dim < 5 * block:
-        evals, vecs = np.linalg.eigh(matvec(np.eye(dim)))
-        return evals[:k], vecs[:, :k]
+        q = _orthonormalize(np.eye(dim), constraint)  # dim - fixed rows
+        evals, vecs = np.linalg.eigh(q @ matvec(q).T)
+        return evals[:k], q.T @ vecs[:, :k]
     d_min = np.min(diag)
     rng = np.random.default_rng(_SEED)
-    # rows [0, m) of s hold the orthonormal basis [X, P, W], of a_s its image
-    s, a_s = np.empty((3 * block, dim)), np.empty((3 * block, dim))
+    # rows [0, fixed) of held are the constraint, the rows after them the
+    # orthonormal basis [X, P, W]: s views them, so its rows [0, m) hold the
+    # basis, and rows [0, m) of a_s its image
+    held = np.empty((fixed + 3 * block, dim))
+    held[:fixed] = constraint
+    s, a_s = held[fixed:], np.empty((3 * block, dim))
     m = block
-    s[:m] = _orthonormalize(rng.standard_normal((dim, block)).T, s[:0])
+    u = rng.standard_normal((dim, block)).T
+    if start is not None:
+        u[: min(len(start), block)] = start[:block]
+    s[:m] = _orthonormalize(u, held[:fixed])
     a_s[:m] = matvec(s[:m])
     gram = s[:m] @ a_s[:m].T
     best = np.inf
@@ -104,12 +140,12 @@ def lowest_eigenpairs(matvec, k, *, diag):
         resid = np.linalg.norm(r, axis=1)
         # the guards ride in X only: they draw no W and no P rows
         active = resid > _TOL * np.maximum(1.0, np.abs(theta))
-        active[k:] = False
-        best = min(best, float(np.max(resid[:k])))
+        active[converge:] = False
+        best = min(best, float(np.max(resid[:converge])))
         if not active.any():
             return theta[:k], x[:k].T
         shift = np.minimum(theta[active], d_min)
-        w = _orthonormalize(r[active] / np.maximum(diag - shift[:, None], 1.0), s[:m])
+        w = _orthonormalize(r[active] / np.maximum(diag - shift[:, None], 1.0), held[: fixed + m])
         if len(w) == 0:
             raise NoConvergence(
                 f"LOBPCG stopped after {step + 1} steps: residuals add no new direction; "

@@ -67,10 +67,51 @@ def test_small_space_is_exact(rng):
     assert np.max(np.abs(evals - np.linalg.eigvalsh(a))) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [15, 300])
+def test_constrained_solve_returns_the_next_levels(dim, rng):
+    # dim 15 is below five block widths: the dense fallback honours the constraint too
+    a = random_symmetric(rng, dim)
+    reference = np.linalg.eigvalsh(a)
+    first, x = lowest_eigenpairs(dense_operator(a), 2, diag=np.diag(a))
+    apply, seen = recorded(dense_operator(a))
+    evals, vecs = lowest_eigenpairs(apply, 2, diag=np.diag(a), constraint=x.T)
+    assert np.max(np.abs(np.concatenate([first, evals]) - reference[:4])) <= 1e-9
+    assert np.linalg.norm(x.T @ vecs) <= 1e-12
+    # LOBPCG applies the operator only to blocks orthogonal to the constraint
+    for block in seen if dim == 300 else ():
+        assert np.linalg.norm(block @ x) <= 1e-12
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(dense_operator(a), dim - 1, diag=np.diag(a), constraint=x.T)
+
+
+def test_partial_convergence_and_warm_start(rng):
+    a = random_symmetric(rng, 300)
+    reference, exact = np.linalg.eigh(a)
+    apply, seen = recorded(dense_operator(a))
+    evals, vecs = lowest_eigenpairs(apply, 6, diag=np.diag(a), converge=4)
+    # the block is as wide as for 6 pairs, but only the lowest 4 draw W rows
+    assert len(seen[0]) == 6 + lanczos._GUARDS
+    assert max(len(block) for block in seen[1:]) <= 4
+    assert np.max(np.abs(evals[:4] - reference[:4])) <= 1e-9
+    # the other two are Ritz values, upper bounds of their levels
+    assert np.all(evals[4:] >= reference[4:6] - 1e-9)
+    # a start block of exact eigenvectors converges before any W row; rows
+    # beyond the block width (2 + _GUARDS) are not used
+    apply, seen = recorded(dense_operator(a))
+    more, _ = lowest_eigenpairs(
+        apply, 2, diag=np.diag(a), constraint=vecs[:, :4].T, start=exact[:, 4:14].T
+    )
+    assert len(seen) == 1
+    assert np.max(np.abs(more - reference[4:6])) <= 1e-9
+
+
 def test_validation_and_budget(rng, monkeypatch):
     a = random_symmetric(rng, 40)
     with pytest.raises(ValueError):
         lowest_eigenpairs(dense_operator(a), 0, diag=np.diag(a))
+    for converge in (0, 3):
+        with pytest.raises(ValueError):
+            lowest_eigenpairs(dense_operator(a), 2, diag=np.diag(a), converge=converge)
     # an unreachable tolerance runs to the iteration cap and reports its best residual
     monkeypatch.setattr(lanczos, "_MAX_ITER", 50)
     monkeypatch.setattr(lanczos, "_TOL", 1e-30)

@@ -599,6 +599,23 @@ def detunings(rng, n, count):
     return found
 
 
+@pytest.mark.parametrize("n", [3, 12, 21, 24])
+def test_signs_equal_the_int64_mask(n):
+    """The +-1 matrix, masked in int8, equals the int64 form, so census tables keep their digests."""
+    if n <= 12:
+        indices = np.arange(1 << n, dtype=np.int64)
+    else:
+        # both ends of the full basis and a random sample between them
+        rng = np.random.default_rng(n)
+        edges = np.arange(1 << 12, dtype=np.int64)
+        indices = np.concatenate([edges, (1 << n) - 1 - edges, rng.integers(0, 1 << n, 1 << 12)])
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    expected = 1.0 - 2.0 * ((indices[:, None] >> shifts) & 1)
+    got = spins._signs(indices, n)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
 def test_classical_energies_flip_symmetric_bit_for_bit():
     # the flip sectors reuse diag[:half] for both halves of the basis
     rng = np.random.default_rng(0xD1A6)
@@ -615,7 +632,9 @@ def test_flip_sectors_match_dense_oracle(force_solver):
         k = min(6, 1 << n)
         for mu in detunings(rng, n, 2):
             j = coupling_from_trap(n, 10.0, mu)
-            for b in (0.0, 0.01, 0.3, 1.5):
+            # at B = 5 one sector holds E0 alone and the other the one-magnon band:
+            # the uneven split that extends a sector, densely at small N
+            for b in (0.0, 0.01, 0.3, 1.5, 5.0):
                 force_solver("dense")
                 dense = lowest_eigenpairs(j, b, k=k)
                 force_solver("lanczos")
@@ -675,11 +694,16 @@ N13_FM_SIDE_LEVELS = [
 ]
 
 
-def test_krylov_converges_at_n13_fm_side(force_solver, monkeypatch):
+@pytest.fixture
+def sector_solves(monkeypatch):
+    """Records each flip-sector solve as (k, converge, constrained, rows of each block application)."""
     solve = spins.lanczos.lowest_eigenpairs
-    applied = []
+    solves = []
 
     def counted(matvec, k, **kwargs):
+        applied = []
+        solves.append((k, kwargs.get("converge", k), kwargs.get("constraint") is not None, applied))
+
         def apply(v):
             applied.append(len(v))
             return matvec(v)
@@ -687,16 +711,47 @@ def test_krylov_converges_at_n13_fm_side(force_solver, monkeypatch):
         return solve(apply, k, **kwargs)
 
     monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", counted)
+    return solves
+
+
+def test_krylov_converges_at_n13_fm_side(force_solver, sector_solves):
     j = coupling_from_trap(13, 10.0, 11.045520732179284)
     force_solver("lanczos")
     krylov = lowest_eigenpairs(j, 1.5, k=6)
     assert krylov.method == "lanczos"
     expected = np.array(N13_FM_SIDE_LEVELS)
     assert np.max(np.abs(krylov.eigenvalues - expected) / np.abs(expected)) <= 1e-8
-    # both flip sectors took 180 block applications of 758 rows in all when these
+    # the levels split 3 + 3 between the sectors: two solves of 6 levels, of
+    # which k // 2 + 1 = 4 must converge, and no extension
+    solves = [(k, converge, constrained) for k, converge, constrained, _ in sector_solves]
+    assert solves == [(6, 4, False), (6, 4, False)]
+    applied = [rows for *_, block in sector_solves for rows in block]
+    # both flip sectors took 147 block applications of 479 rows in all when these
     # bounds were set: a cheaper step must not cost more steps or more rows
-    assert len(applied) <= 200
-    assert sum(applied) <= 850
+    assert len(applied) <= 162
+    assert sum(applied) <= 527
+
+
+def test_uneven_split_extends_one_sector(force_solver, sector_solves):
+    """N = 11, mu~ = 10.05, B = 5: E0 alone in (+), the one-magnon band in (-).
+
+    The (-) sector's 4 converged levels all lie below the 6th merged level,
+    so it is extended by a constrained solve for the one level left (E0 and
+    those 4 are among the 6 lowest), and the levels match the sector-dense
+    oracle.
+    """
+    j = coupling_from_trap(11, 10.0, 10.05)
+    force_solver("lanczos")
+    krylov = lowest_eigenpairs(j, 5.0, k=6)
+    solves = [(k, converge, constrained) for k, converge, constrained, _ in sector_solves]
+    assert solves == [(6, 4, False), (6, 4, False), (1, 1, True)]
+    op = spins._SpinOperator(j)
+    eye = np.eye(1 << 10)
+    b_abs = 5.0 * spins.field_scale(j)
+    plus, minus = (np.linalg.eigvalsh(op.sector_matvec(eye, b_abs, sign)) for sign in (1.0, -1.0))
+    assert plus[1] > minus[4]  # one level of (+) and five of (-)
+    oracle = np.sort(np.concatenate([plus, minus]))[:6]
+    assert np.max(np.abs(krylov.eigenvalues - oracle)) <= 1e-8
 
 
 def test_zero_field_runs_no_solver(monkeypatch, force_solver):
@@ -917,6 +972,16 @@ def cluster_oracle(res, basis):
     projection = sum(sum(v[s, i] ** 2 for s in basis) for i in members) / len(members)
     pol = sum(v[:, i] @ x_total @ v[:, i] / n for i in members) / len(members)
     return projection, pol
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_level_polarizations_match_flipped_copies(n):
+    """The pair sums of ``_level_polarizations`` against sum_p v . flip_p(v), one copy per bit."""
+    rng = np.random.default_rng(0x9017 + n)
+    vecs = rng.standard_normal((1 << n, 2, 6))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    oracle = sum(np.sum(vecs * spins._flip(vecs, p), axis=0) for p in range(n)) / n
+    assert np.max(np.abs(spins._level_polarizations(vecs, n) - oracle)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
