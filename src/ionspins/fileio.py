@@ -283,9 +283,13 @@ def check_scan2d(path):
     )
     both = np.isfinite(e0) & np.isfinite(e1)
     _require(np.all(e0[both] <= e1[both]), f"{path}: E0 above E1")
-    n_mu = len(set(mu.tolist()))
-    n_b = len(set(b.tolist()))
-    _require(len(rows) == n_mu * n_b, f"{path}: incomplete grid")
+    # every (mu_tilde, B) pair of the grid once, row-major, as scan2d writes it
+    mu_values, b_values = np.unique(mu), np.unique(b)
+    _require(
+        np.array_equal(mu, np.repeat(mu_values, len(b_values)))
+        and np.array_equal(b, np.tile(b_values, len(mu_values))),
+        f"{path}: rows are not the full (mu_tilde, B_over_Jbar) grid",
+    )
     return f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"
 
 

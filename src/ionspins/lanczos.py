@@ -22,16 +22,15 @@ ask only the lowest few of its k pairs to converge; the rest then ride
 along as guards too, widening the block and so speeding up the ones it
 waits for.  The guards ride in X only, as in soft locking (Knyazev,
 Argentati, Lashuk & Ovtchinnikov, SIAM J. Sci. Comput. 29, 2007): they are
-improved by every Rayleigh-Ritz step but draw no W or P rows.  The fixed-seed start block makes runs
-reproducible bit for bit.
+improved by every Rayleigh-Ritz step but draw no W or P rows.  The
+fixed-seed start block makes runs reproducible bit for bit.
 
-A solve can be constrained to the orthogonal complement of given orthonormal
-rows, as in the constrained LOBPCG of the same paper: the start block and
-every W are projected against them, so the solve returns the lowest pairs
-of the operator on that complement.  With the converged eigenvectors of a
-first solve as the constraint, a second solve extends the first to the
-next levels without finding its pairs again; it can start from the first
-solve's unconverged pairs, which already lie close to those levels.
+A solve can begin from given rows instead of random ones.  Restarted from
+the vectors of an earlier solve of the same operator, the pairs that solve
+converged meet the bound again at the first Rayleigh-Ritz step and draw no
+W or P rows while they hold it: asking for more levels costs mainly the
+rows of the levels the first solve left unconverged, plus one product of
+the start block.
 
 The module keeps the name ``lanczos`` and the solver the name
 ``lowest_eigenpairs``: ``spins`` reports its results as method="lanczos",
@@ -56,16 +55,15 @@ _DROP = 1e-10
 _REORTH = 1e-2
 
 
-def lowest_eigenpairs(matvec, k, *, diag, converge=None, constraint=None, start=None):
+def lowest_eigenpairs(matvec, k, *, diag, converge=None, start=None):
     """Return (eigenvalues, eigenvectors) for the k lowest eigenpairs, ascending.
 
     The eigenvectors are the columns of a (dim, k) array.  Only the lowest
     ``converge`` pairs must converge, each to the relative bound _TOL; the
     vectors beyond them stay in the block X but add no search directions,
     and are never waited for.  When the dimension len(diag) is below five
-    block widths the operator is formed on an orthonormal basis of the space
-    the solve may use (the identity when there is no constraint) and
-    diagonalized densely instead.
+    block widths the operator is formed as matvec(I) and diagonalized
+    densely instead.
 
     Args:
         matvec: callable applying the symmetric operator to a (b, dim) block
@@ -79,45 +77,34 @@ def lowest_eigenpairs(matvec, k, *, diag, converge=None, constraint=None, start=
         converge: how many of the k pairs, lowest first, must converge
             (default k); the others are returned as the last Ritz pairs,
             approximations that cost no operator rows.
-        constraint: None, or a (c, dim) array of orthonormal rows; the start
-            block and every W are projected against them, so the pairs
-            returned are the k lowest of the operator on their orthogonal
-            complement.  Rows that span an invariant subspace, such as
-            converged eigenvectors, leave the other pairs of the operator
-            unchanged, and the solve finds the k lowest of those.
         start: None, or rows that begin the start block in place of its first
             random rows (at most k + _GUARDS rows are used); they need not be
-            orthonormal, nor orthogonal to the constraint.
+            orthonormal.  Converged eigenvectors among them draw no W or P
+            rows while they stay converged; the dense fallback does not
+            read them.
 
     Raises NoConvergence, with the best residual, after _MAX_ITER steps or
     once the residuals add no direction to the basis.
     """
     dim = len(diag)
-    constraint = np.empty((0, dim)) if constraint is None else constraint
-    fixed = len(constraint)
-    if k < 1 or k > dim - fixed:
-        raise ValueError(f"k must lie in [1, {dim - fixed}]")
+    if k < 1 or k > dim:
+        raise ValueError(f"k must lie in [1, {dim}]")
     converge = k if converge is None else converge
     if converge < 1 or converge > k:
         raise ValueError(f"converge must lie in [1, {k}]")
     block = k + _GUARDS
     if dim < 5 * block:
-        q = _orthonormalize(np.eye(dim), constraint)  # dim - fixed rows
-        evals, vecs = np.linalg.eigh(q @ matvec(q).T)
-        return evals[:k], q.T @ vecs[:, :k]
+        evals, vecs = np.linalg.eigh(matvec(np.eye(dim)))
+        return evals[:k], vecs[:, :k]
     d_min = np.min(diag)
     rng = np.random.default_rng(_SEED)
-    # rows [0, fixed) of held are the constraint, the rows after them the
-    # orthonormal basis [X, P, W]: s views them, so its rows [0, m) hold the
-    # basis, and rows [0, m) of a_s its image
-    held = np.empty((fixed + 3 * block, dim))
-    held[:fixed] = constraint
-    s, a_s = held[fixed:], np.empty((3 * block, dim))
+    # rows [0, m) of s hold the orthonormal basis [X, P, W], of a_s its image
+    s, a_s = np.empty((3 * block, dim)), np.empty((3 * block, dim))
     m = block
     u = rng.standard_normal((dim, block)).T
     if start is not None:
         u[: min(len(start), block)] = start[:block]
-    s[:m] = _orthonormalize(u, held[:fixed])
+    s[:m] = _orthonormalize(u, s[:0])
     a_s[:m] = matvec(s[:m])
     gram = s[:m] @ a_s[:m].T
     best = np.inf
@@ -145,7 +132,7 @@ def lowest_eigenpairs(matvec, k, *, diag, converge=None, constraint=None, start=
         if not active.any():
             return theta[:k], x[:k].T
         shift = np.minimum(theta[active], d_min)
-        w = _orthonormalize(r[active] / np.maximum(diag - shift[:, None], 1.0), held[: fixed + m])
+        w = _orthonormalize(r[active] / np.maximum(diag - shift[:, None], 1.0), s[:m])
         if len(w) == 0:
             raise NoConvergence(
                 f"LOBPCG stopped after {step + 1} steps: residuals add no new direction; "

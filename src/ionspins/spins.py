@@ -585,7 +585,7 @@ def lowest_eigenpairs(coupling, b_field, k=4):
     their basis vectors, and the result reports method="diagonal".  The
     iterative path solves the two sectors of the global flip in the half
     basis (dimension 2^(N-1)), k // 2 + 1 converged levels each and, when
-    the levels split unevenly, a constrained extension of one sector
+    the levels split unevenly, a restart of one sector for more levels
     (``_flip_sector_eigenpairs``); it embeds their vectors in the full space
     and keeps the k lowest of the merged levels.
     Residuals ||Hv - Ev|| of the full-space operator are verified against
@@ -611,9 +611,9 @@ def field_spectra(coupling, b_fields, k=4):
     in stacks of one ``np.linalg.eigh`` call each (at most _STACK_DOUBLES
     entries per stack); the LOBPCG path solves one field at a time, two or
     three sector solves per field (``_flip_sector_eigenpairs``: a sector
-    holding more than k // 2 + 1 of the k lowest levels is extended by a
-    solve constrained to the complement of its converged vectors).  One residual
-    check covers every solved pair of every field.
+    holding more than k // 2 + 1 of the k lowest levels is solved again for
+    more, restarted from its own vectors).  One residual check covers every
+    solved pair of every field.
     """
     n = coupling.n_ions
     _check_budget(n)
@@ -681,15 +681,16 @@ def _flip_sector_eigenpairs(op, b_abs, k):
     Each sector first solves for its min(k, half) lowest levels (half is its
     dimension), of which only m = min(k // 2 + 1, half) must converge: the
     others widen the block to that of a k-level solve, but draw no operator
-    rows.  A sector is complete when it holds all of its min(k,
-    half) levels, or when its m-th level is at or above the k-th lowest of
-    the merged converged levels: the levels it left out lie above its m-th,
-    so none of them can enter the k lowest.  The 2m > k merged levels leave
-    at most one sector incomplete.  Its m levels, and the other sector's
-    levels below its m-th, are all among the k lowest; it is extended by one
-    more solve for the levels that can fill the rest, constrained to the
-    orthogonal complement of its m converged vectors and started from its
-    unconverged ones.
+    rows.  A sector is complete when it holds all of its min(k, half)
+    levels, or when its m-th level is at or above the k-th lowest of the
+    merged converged levels: the levels it left out lie above its m-th, so
+    none of them can enter the k lowest.  The 2m > k merged levels leave at
+    most one sector incomplete.  Its m levels, and the other sector's levels
+    below its m-th, are all among the k lowest; it is solved once more, for
+    as many of its lowest levels as can fill the rest, restarted from the
+    first solve's vectors.  Its m converged ones meet the bound at the
+    restart's first step and seldom draw a row after it, so the second
+    solve pays mainly for the levels the first left unconverged.
     """
     half = len(op.diag) // 2
     want, m = min(k, half), min(k // 2 + 1, half)
@@ -699,17 +700,12 @@ def _flip_sector_eigenpairs(op, b_abs, k):
     solves = [(e[:m], x[:, :m]) for e, x in firsts]
     if m < want:
         kth = np.sort(np.concatenate([e for e, _ in solves]))[k - 1]
-        for i, (e, x) in enumerate(solves):
+        for i, (e, _) in enumerate(solves):
             if e[-1] < kth:
                 below = int(np.sum(solves[1 - i][0] < e[-1]))
-                more, y = lanczos.lowest_eigenpairs(
-                    matvecs[i],
-                    min(want, k - below) - m,
-                    diag=op.diag[:half],
-                    constraint=x.T,
-                    start=firsts[i][1][:, m:].T,
+                solves[i] = lanczos.lowest_eigenpairs(
+                    matvecs[i], min(want, k - below), diag=op.diag[:half], start=firsts[i][1].T
                 )
-                solves[i] = np.concatenate([e, more]), np.hstack([x, y])
     evals = np.concatenate([e for e, _ in solves])
     vecs = [np.concatenate([x, sign * x[::-1]]) / np.sqrt(2.0) for sign, (_, x) in zip(signs, solves)]
     keep = np.argsort(evals, kind="stable")[:k]

@@ -25,12 +25,11 @@ def force_solver(monkeypatch):
 
     "lanczos" solves each global-flip sector with ``lanczos.lowest_eigenpairs``,
     first with a block for k levels of which k // 2 + 1 must converge, then,
-    in a sector that holds more of the k lowest, for the rest under a
-    constraint to the complement of its converged vectors.  The solver
-    diagonalizes a sector densely below five block widths (levels + 2
-    vectors each): at k = 6 that is every N <= 6 for the first solves and
-    N <= 4 for a 1-level extension, so there it means sector-dense (the
-    constraint honoured), not LOBPCG.
+    in a sector that holds more of the k lowest, once more for all the
+    levels it can contribute, restarted from its first solve's vectors.  The
+    solver diagonalizes a sector densely below five block widths (levels + 2
+    vectors each): at k = 6 that is every N <= 6, for the restart too, so
+    there it means sector-dense, not LOBPCG.
     """
     from ionspins import spins
 

@@ -253,13 +253,13 @@ def test_config_file_and_flag_precedence(tmp_path):
         assert json.load(fh)["n_ions"] == 3
 
 
-@pytest.mark.parametrize("word, code", [("on", 2), ("maybe", 2), ("Yes", 2), ("no", 2)])
-def test_config_check_accepts_only_switch_words(tmp_path, word, code):
-    # check is no setting: every command verifies what it writes, so no word is read
+@pytest.mark.parametrize("word", ["on", "maybe", "Yes", "no"])
+def test_config_file_with_check_key_is_rejected(tmp_path, word):
+    # check is no setting: every command verifies what it writes, so whatever the word, exit 2
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n=3\ncheck={word}\n")
     out = tmp_path / "out"
-    assert run("modes", "--config", str(cfg), "--out", str(out)) == code
+    assert run("modes", "--config", str(cfg), "--out", str(out)) == 2
     assert not out.exists()
 
 
@@ -609,13 +609,17 @@ def _doubled_positions_text():
         ("phase_table.json", _phase_table_text("000", 3)),
         ("phase_table.json", _phase_table_text("111", 2)),  # the global flip of 000
         ("positions.csv", _doubled_positions_text()),  # no longer an equilibrium
+        # 3 x 2 distinct values in 6 rows, but the (1.5, 0.3) row is a copy of the (1.2, 0) row
+        ("scan2d.csv", SCAN2D_HEADER + "".join(
+            f"{mu},{b},1,0,-1,0\n" for mu in (1.2, 1.5, 1.8) for b in (0, 0.3)
+        ).replace("1.5,0.3,", "1.2,0,")),
     ],
     ids=[
         "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
         "scan2d-not-a-number", "positions-long-row", "couplings-long-row", "scan2d-long-row",
         "gap-long-row", "couplings-fractional-label", "positions-labels", "modes-labels",
         "gap-non-positive-field", "gap-mu-star-outside", "phase-table-degeneracy",
-        "phase-table-flipped-order", "positions-off-equilibrium",
+        "phase-table-flipped-order", "positions-off-equilibrium", "scan2d-off-the-grid",
     ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):

@@ -68,20 +68,21 @@ def test_small_space_is_exact(rng):
 
 
 @pytest.mark.parametrize("dim", [15, 300])
-def test_constrained_solve_returns_the_next_levels(dim, rng):
-    # dim 15 is below five block widths: the dense fallback honours the constraint too
+def test_restart_from_a_partial_solve_returns_more_levels(dim, rng):
+    # dim 15 is below five block widths: both solves take the dense fallback
     a = random_symmetric(rng, dim)
     reference = np.linalg.eigvalsh(a)
-    first, x = lowest_eigenpairs(dense_operator(a), 2, diag=np.diag(a))
+    first, x = lowest_eigenpairs(dense_operator(a), 6, diag=np.diag(a), converge=4)
     apply, seen = recorded(dense_operator(a))
-    evals, vecs = lowest_eigenpairs(apply, 2, diag=np.diag(a), constraint=x.T)
-    assert np.max(np.abs(np.concatenate([first, evals]) - reference[:4])) <= 1e-9
-    assert np.linalg.norm(x.T @ vecs) <= 1e-12
-    # LOBPCG applies the operator only to blocks orthogonal to the constraint
-    for block in seen if dim == 300 else ():
-        assert np.linalg.norm(block @ x) <= 1e-12
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(dense_operator(a), dim - 1, diag=np.diag(a), constraint=x.T)
+    evals, vecs = lowest_eigenpairs(apply, 6, diag=np.diag(a), start=x.T)
+    assert np.max(np.abs(evals - reference[:6])) <= 1e-9
+    assert np.max(np.abs(evals[:4] - first[:4])) <= 1e-9
+    resid = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
+    assert np.all(resid <= 1e-9 * np.maximum(1.0, np.abs(evals)))
+    if dim == 300:
+        # after the start block's product only the 2 levels left unconverged draw W rows
+        assert len(seen[0]) == 6 + lanczos._GUARDS
+        assert max(len(block) for block in seen[1:]) <= 2
 
 
 def test_partial_convergence_and_warm_start(rng):
@@ -95,12 +96,10 @@ def test_partial_convergence_and_warm_start(rng):
     assert np.max(np.abs(evals[:4] - reference[:4])) <= 1e-9
     # the other two are Ritz values, upper bounds of their levels
     assert np.all(evals[4:] >= reference[4:6] - 1e-9)
-    # a start block of exact eigenvectors converges before any W row; rows
-    # beyond the block width (2 + _GUARDS) are not used
+    # a start block of exact eigenvectors converges before any W row, to the
+    # levels it spans; rows beyond the block width (2 + _GUARDS) are not used
     apply, seen = recorded(dense_operator(a))
-    more, _ = lowest_eigenpairs(
-        apply, 2, diag=np.diag(a), constraint=vecs[:, :4].T, start=exact[:, 4:14].T
-    )
+    more, _ = lowest_eigenpairs(apply, 2, diag=np.diag(a), start=exact[:, 4:14].T)
     assert len(seen) == 1
     assert np.max(np.abs(more - reference[4:6])) <= 1e-9
 

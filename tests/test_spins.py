@@ -332,6 +332,26 @@ def test_most_grid_rows_skip_the_whole_chunk(k, monkeypatch):
     assert sum(rows for rows, cols in scored if cols == 1056) <= 256
 
 
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_bound_slack_covers_rounding(n, monkeypatch):
+    """With no tie window and zero projections, one ulp decides which columns a bracket admits.
+
+    Every energy is then -S(mu) to the last bit, and the bound admits a
+    column only through the rounding slack: E(hi) <= E_min(lo) + S(lo) -
+    S(hi) holds exactly in real arithmetic, but not always as computed.
+    Random brackets are needed; uniform 64- and 256-sample grids happen to
+    round on the safe side.
+    """
+    monkeypatch.setattr(spins, "_TIE_RTOL", 0.0)
+    block = (np.array([0, 1]), np.zeros((2, n)))
+    monkeypatch.setattr(spins, "_column_blocks", lambda n_ions, beta: iter([block]))
+    rng = np.random.default_rng(1)
+    brackets = [rng.integers(1, n) + np.sort(rng.uniform(0.02, 0.98, 17)) for _ in range(200)]
+    bounded = [[answer(f) for f in ground_orders(n, 10.0, mus)] for mus in brackets]
+    monkeypatch.setattr(spins, "_BRACKET", 1)  # every row scored in full
+    assert bounded == [[answer(f) for f in ground_orders(n, 10.0, mus)] for mus in brackets]
+
+
 @pytest.mark.parametrize(
     "n, chunk", [pytest.param(9, None, id="9"), pytest.param(15, None, id="15"), (9, 1 << 5), (15, 1 << 5)]
 )
@@ -633,7 +653,7 @@ def test_flip_sectors_match_dense_oracle(force_solver):
         for mu in detunings(rng, n, 2):
             j = coupling_from_trap(n, 10.0, mu)
             # at B = 5 one sector holds E0 alone and the other the one-magnon band:
-            # the uneven split that extends a sector, densely at small N
+            # the uneven split that restarts a sector, densely at small N
             for b in (0.0, 0.01, 0.3, 1.5, 5.0):
                 force_solver("dense")
                 dense = lowest_eigenpairs(j, b, k=k)
@@ -696,13 +716,13 @@ N13_FM_SIDE_LEVELS = [
 
 @pytest.fixture
 def sector_solves(monkeypatch):
-    """Records each flip-sector solve as (k, converge, constrained, rows of each block application)."""
+    """Records each flip-sector solve as (k, converge, restarted, rows of each block application)."""
     solve = spins.lanczos.lowest_eigenpairs
     solves = []
 
     def counted(matvec, k, **kwargs):
         applied = []
-        solves.append((k, kwargs.get("converge", k), kwargs.get("constraint") is not None, applied))
+        solves.append((k, kwargs.get("converge", k), kwargs.get("start") is not None, applied))
 
         def apply(v):
             applied.append(len(v))
@@ -722,8 +742,8 @@ def test_krylov_converges_at_n13_fm_side(force_solver, sector_solves):
     expected = np.array(N13_FM_SIDE_LEVELS)
     assert np.max(np.abs(krylov.eigenvalues - expected) / np.abs(expected)) <= 1e-8
     # the levels split 3 + 3 between the sectors: two solves of 6 levels, of
-    # which k // 2 + 1 = 4 must converge, and no extension
-    solves = [(k, converge, constrained) for k, converge, constrained, _ in sector_solves]
+    # which k // 2 + 1 = 4 must converge, and no restart
+    solves = [(k, converge, restarted) for k, converge, restarted, _ in sector_solves]
     assert solves == [(6, 4, False), (6, 4, False)]
     applied = [rows for *_, block in sector_solves for rows in block]
     # both flip sectors took 147 block applications of 479 rows in all when these
@@ -736,15 +756,20 @@ def test_uneven_split_extends_one_sector(force_solver, sector_solves):
     """N = 11, mu~ = 10.05, B = 5: E0 alone in (+), the one-magnon band in (-).
 
     The (-) sector's 4 converged levels all lie below the 6th merged level,
-    so it is extended by a constrained solve for the one level left (E0 and
-    those 4 are among the 6 lowest), and the levels match the sector-dense
-    oracle.
+    so it is solved again for 5 levels, which with E0 from (+) are the 6
+    lowest, restarted from its first solve's vectors; the levels match the
+    sector-dense oracle.
     """
     j = coupling_from_trap(11, 10.0, 10.05)
     force_solver("lanczos")
     krylov = lowest_eigenpairs(j, 5.0, k=6)
-    solves = [(k, converge, constrained) for k, converge, constrained, _ in sector_solves]
-    assert solves == [(6, 4, False), (6, 4, False), (1, 1, True)]
+    solves = [(k, converge, restarted) for k, converge, restarted, _ in sector_solves]
+    assert solves == [(6, 4, False), (6, 4, False), (5, 5, True)]
+    # the three solves took 248 block applications of 600 rows in all when
+    # these bounds were set
+    applied = [rows for *_, block in sector_solves for rows in block]
+    assert len(applied) <= 273
+    assert sum(applied) <= 660
     op = spins._SpinOperator(j)
     eye = np.eye(1 << 10)
     b_abs = 5.0 * spins.field_scale(j)
@@ -752,6 +777,40 @@ def test_uneven_split_extends_one_sector(force_solver, sector_solves):
     assert plus[1] > minus[4]  # one level of (+) and five of (-)
     oracle = np.sort(np.concatenate([plus, minus]))[:6]
     assert np.max(np.abs(krylov.eigenvalues - oracle)) <= 1e-8
+
+
+# E0...E5 at N = 13, mu~ = 11.045520732179284, B = 5 Jbar, from a first solve
+# per sector plus a solve of one more (-) level constrained to the complement
+# of that sector's 4 converged vectors
+N13_FM_SIDE_B5_LEVELS = [
+    -79.99715184552483,
+    -73.15927890216258,
+    -70.93503006627586,
+    -69.69496403396609,
+    -69.55832133114232,
+    -69.35804156739985,
+]
+
+
+def test_restart_cost_at_n13_fm_side(force_solver, sector_solves):
+    """The costliest restart of the krylov columns: N = 13 FM side at B = 5."""
+    j = coupling_from_trap(13, 10.0, 11.045520732179284)
+    force_solver("lanczos")
+    krylov = lowest_eigenpairs(j, 5.0, k=6)
+    expected = np.array(N13_FM_SIDE_B5_LEVELS)
+    assert np.max(np.abs(krylov.eigenvalues - expected) / np.abs(expected)) <= 1e-8
+    solves = [(k, converge, restarted) for k, converge, restarted, _ in sector_solves]
+    assert solves == [(6, 4, False), (6, 4, False), (5, 5, True)]
+    # the three solves took 410 block applications of 949 rows in all when
+    # these bounds were set, the restart 92 of 99 rows: after the product of
+    # its start block, W holds one row a step (two at one step), not the
+    # rows of the 4 levels the first solve converged
+    applied = [rows for *_, block in sector_solves for rows in block]
+    assert len(applied) <= 451
+    assert sum(applied) <= 1045
+    restart = sector_solves[2][3]
+    assert restart[0] == 5 + spins.lanczos._GUARDS
+    assert max(restart[1:]) <= 2
 
 
 def test_zero_field_runs_no_solver(monkeypatch, force_solver):
