@@ -171,15 +171,7 @@ def cmd_scan2d(cfg):
             ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
             np.column_stack([v.ravel() for v in values]),
         ),
-        "scan2d.json": {
-            "n_ions": grid.n_ions,
-            "beta": grid.beta,
-            "mu_values": [float(x) for x in grid.mu_values],
-            "b_over_jbar_values": [float(x) for x in grid.b_values],
-            "order_parameter": [[fileio.fmt(v) for v in row] for row in grid.order_parameter],
-            "polarization": [[fileio.fmt(v) for v in row] for row in grid.polarization],
-            "failures": grid.failures,
-        },
+        "scan2d.json": {"failures": grid.failures},
     })
     n_points = grid.order_parameter.size
     if len(grid.failures) > 0.01 * n_points:
@@ -190,9 +182,10 @@ def cmd_gap(cfg):
     if (cfg.n is not None) == bool(cfg.n_list):
         raise ValueError("gap needs exactly one of --n and --n-list")
     if cfg.n_list:
-        n_values = [int(x) for x in cfg.n_list.split(",") if x.strip()]
-        if not n_values:
-            raise ValueError(f"--n-list {cfg.n_list!r} names no ion count")
+        entries = cfg.n_list.split(",")
+        if not all(x.strip() for x in entries):
+            raise ValueError(f"--n-list {cfg.n_list!r} has an empty entry")
+        n_values = [int(x) for x in entries]
         if len(set(n_values)) != len(n_values):
             raise ValueError(f"--n-list {cfg.n_list!r} names an ion count twice")
     else:

@@ -24,11 +24,6 @@ from .errors import CheckFailure
 from .phases import linear_fit, power_law_fit
 
 
-def fmt(x):
-    """17-significant-digit decimal form (round-trips IEEE doubles)."""
-    return format(float(x), ".17g")
-
-
 def _header(config):
     """The run settings a file records, sorted by key; not ``out``, which says where it went."""
     return {k: v for k, v in sorted(config.items()) if k != "out"}
@@ -181,15 +176,23 @@ def check_couplings(csv_path, json_path):
             abs(doc["jbar"] - jbar) <= 1e-12 * max(1.0, jbar),
             f"{json_path}: header Jbar does not match the written matrix",
         )
+        edges = doc["edges"]
         _require(
-            len(doc["edges"]) == n * (n - 1) // 2, f"{json_path}: wrong edge count"
+            sorted((e["m"], e["n"]) for e in edges) == list(zip(m + 1, p + 1)),
+            f"{json_path}: edges are not each pair m<n once",
         )
-        weights = [e["weight"] for e in doc["edges"]]
+        for e in edges:
+            jv = j[e["m"] - 1, e["n"] - 1]
+            _require(
+                (e["j"], e["weight"], e["sign"]) == (jv, abs(jv), "FM" if jv < 0 else "AFM"),
+                f"{json_path}: edge ({e['m']},{e['n']}) is not the {csv_path} coupling",
+            )
+        weights = [e["weight"] for e in edges]
         _require(
             all(a >= b for a, b in zip(weights, weights[1:])),
             f"{json_path}: edges not sorted by descending magnitude",
         )
-        messages.append(f"{json_path}: Jbar and edge ordering consistent")
+        messages.append(f"{json_path}: Jbar and every edge those of {csv_path}, edges by magnitude")
     return "; ".join(messages)
 
 
@@ -266,7 +269,7 @@ def check_phase_table(path):
     return f"{path}: tiling contiguous, orders canonical, adjacent orders distinct"
 
 
-def check_scan2d(path):
+def check_scan2d(path, json_path):
     _, cols, rows = read_csv(path)
     _require(
         cols == ["mu_tilde", "B_over_Jbar", "order_parameter", "polarization", "E0", "E1"],
@@ -290,7 +293,17 @@ def check_scan2d(path):
         and np.array_equal(b, np.tile(b_values, len(mu_values))),
         f"{path}: rows are not the full (mu_tilde, B_over_Jbar) grid",
     )
-    return f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"
+    messages = [f"{path}: {len(rows)} grid rows within bounds, E0 <= E1"]
+    if os.path.exists(json_path):
+        with open(json_path) as fh:
+            failed = sorted((i, l) for i, l, _ in json.load(fh)["failures"])
+        # row r of the row-major grid is the point (i, l) = divmod(r, len(B))
+        _require(
+            failed == [divmod(r, len(b_values)) for r in np.flatnonzero(~finite).tolist()],
+            f"{json_path}: failures are not the rows of {path} without an order parameter, once each",
+        )
+        messages.append(f"{json_path}: {len(failed)} failures, the unsolved rows of {path}")
+    return "; ".join(messages)
 
 
 def check_gap_files(csv_path, json_path):
@@ -346,7 +359,7 @@ _CHECKS = {
     "modes.csv": (check_modes, "positions.csv"),
     "couplings.csv": (check_couplings, "bond_graph.json"),
     "phase_table.json": (check_phase_table,),
-    "scan2d.csv": (check_scan2d,),
+    "scan2d.csv": (check_scan2d, "scan2d.json"),
     "gap_scaling.csv": (check_gap_files, "alpha_fit.json"),
 }
 

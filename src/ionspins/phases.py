@@ -343,7 +343,8 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64)):
     its fields solved in one call and their observables computed in another
     (``_scan_column``).  Per-point solver failures, and every point of a
     resonant column, are recorded in ``failures`` as messages and the grid
-    entries left as NaN.
+    entries left as NaN.  A range too narrow for its samples to increase
+    strictly is a ValueError, raised before any solve.
     """
     if n_ions % 2 == 0:
         raise ValueError("the kink subspace (hence the order parameter) needs odd N")
@@ -351,6 +352,9 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64)):
         raise ValueError(f"resolution needs at least 1 point per axis, got {resolution!r}")
     mu_values = np.linspace(mu_range[0], mu_range[1], resolution[0])
     b_values = np.linspace(b_range[0], b_range[1], resolution[1])
+    for name, axis in (("detuning", mu_values), ("field", b_values)):
+        if not np.all(np.diff(axis) > 0):
+            raise ValueError(f"the {name} range is too narrow for {len(axis)} distinct samples")
     fields = [float(b) for b in b_values]
     values = np.empty((4, len(mu_values), len(b_values)))
     failures = []

@@ -152,8 +152,39 @@ def test_scan2d_files_and_check(tmp_path):
     mu, b = rows[:, 0].reshape(5, 3), rows[:, 1].reshape(5, 3)
     assert np.all(mu == mu[:, :1]) and np.all(np.diff(mu[:, 0]) > 0)
     assert np.all(np.diff(b, axis=1) > 0)
-    assert os.path.exists(os.path.join(out, "scan2d.json"))
+    with open(os.path.join(out, "scan2d.json")) as fh:
+        doc = json.load(fh)
+    # the run's settings and its failure log; the grid values are the CSV's alone
+    assert sorted(doc) == ["config", "failures"] and doc["failures"] == []
     assert run("check", "--out", out) == 0
+
+
+def test_scan2d_failure_log_is_the_unsolved_rows(tmp_path, capsys):
+    out = str(tmp_path)
+    # the mu~ = 4 column sits on a phonon mode: 2 of 6 points fail
+    argv = ("scan2d", "--n", "5", "--mu-range", "3.5:4.5", "--b-range", "0:1", "--samples", "3x2")
+    assert run(*argv, "--out", out) == 3
+    assert "2 of 6 grid points failed" in capsys.readouterr().err
+    _, _, rows = read_csv(os.path.join(out, "scan2d.csv"))
+    assert np.flatnonzero(np.isnan(rows[:, 2])).tolist() == [2, 3]
+    with open(os.path.join(out, "scan2d.json")) as fh:
+        failures = json.load(fh)["failures"]
+    assert [(i, l) for i, l, _ in failures] == [(1, 0), (1, 1)]
+    assert all(msg.startswith("ResonanceError: ") for _, _, msg in failures)
+    assert run("check", "--out", out) == 0
+    assert "scan2d.json: 2 failures" in capsys.readouterr().out
+
+
+def test_scan2d_range_too_narrow_to_sample_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid point was solved")
+
+    monkeypatch.setattr(phases, "field_spectra", no_solve)
+    # the 4 samples of a 2-ulp range cannot all differ
+    argv = ("scan2d", "--n", "3", "--mu-range", "1.5:1.5000000000000004", "--b-range", "0:0.3")
+    assert run(*argv, "--samples", "4x2", "--out", str(tmp_path)) == 2
+    assert "detuning range is too narrow" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_scan2d_requires_ranges(tmp_path):
@@ -195,9 +226,15 @@ def test_gap_needs_exactly_one_of_n_and_n_list(tmp_path, capsys, counts):
     assert not os.listdir(tmp_path)
 
 
-def test_gap_empty_n_list_exits_2(tmp_path):
-    assert run("gap", "--n-list", ",", "--out", str(tmp_path)) == 2
-    assert not os.path.exists(os.path.join(str(tmp_path), "gap_scaling.csv"))
+def test_gap_empty_n_list_exits_2(tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("fit_alpha ran")
+
+    monkeypatch.setattr(cli, "fit_alpha", no_fit)
+    for n_list in (",", "3,,5"):
+        assert run("gap", "--n-list", n_list, "--out", str(tmp_path)) == 2
+        assert "has an empty entry" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 def test_gap_repeated_n_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
@@ -584,6 +621,36 @@ def _doubled_positions_text():
     return "n,u\n" + "".join(f"{n},{x!r}\n" for n, x in enumerate(u.tolist(), 1))
 
 
+def _scan2d_files(failures):
+    """A 3 x 2 ``scan2d.csv`` whose mu~ = 4 rows (i = 1) are unsolved, and ``failures`` as its log."""
+    csv = SCAN2D_HEADER + "".join(
+        f"{mu},{b},{'nan,nan,nan,nan' if mu == 4 else '1,0,-1,0'}\n"
+        for mu in (3.5, 4, 4.5)
+        for b in (0, 1)
+    )
+    log = [[i, l, "ResonanceError: on a mode"] for i, l in failures]
+    return {"scan2d.csv": csv, "scan2d.json": json.dumps({"failures": log})}
+
+
+def _bond_graph_files(edit=lambda edges: None):
+    """N = 3 couplings and their bond graph, ``edit`` applied to its edges."""
+    edges = [
+        {"m": 1, "n": 2, "weight": 0.5, "sign": "FM", "j": -0.5},
+        {"m": 2, "n": 3, "weight": 0.5, "sign": "FM", "j": -0.5},
+        {"m": 1, "n": 3, "weight": 0.25, "sign": "AFM", "j": 0.25},
+    ]
+    edit(edges)
+    doc = {"jbar": math.sqrt(1.125 / 6), "edges": edges}
+    csv = "m,n,j\n1,2,-0.5\n1,3,0.25\n2,3,-0.5\n"
+    return {"couplings.csv": csv, "bond_graph.json": json.dumps(doc)}
+
+
+def test_check_accepts_the_unedited_companions(tmp_path):
+    for name, text in {**_scan2d_files([(1, 0), (1, 1)]), **_bond_graph_files()}.items():
+        (tmp_path / name).write_text(text)
+    assert run("check", "--out", str(tmp_path)) == 0
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -613,6 +680,14 @@ def _doubled_positions_text():
         ("scan2d.csv", SCAN2D_HEADER + "".join(
             f"{mu},{b},1,0,-1,0\n" for mu in (1.2, 1.5, 1.8) for b in (0, 0.3)
         ).replace("1.5,0.3,", "1.2,0,")),
+        # a failure log that is not the unsolved rows (1, 0) and (1, 1), once each
+        ("scan2d.json", _scan2d_files([(1, 0)])),
+        ("scan2d.json", _scan2d_files([(1, 0), (1, 1), (2, 1)])),
+        ("scan2d.json", _scan2d_files([(1, 0), (1, 1), (1, 1)])),
+        ("scan2d.json", _scan2d_files([(1, 0), (0, 3)])),  # row 0*2 + 3 is (1, 1)
+        # an edge that is not its couplings.csv pair
+        ("bond_graph.json", _bond_graph_files(lambda edges: edges[2].update(j=-0.25, sign="FM"))),
+        ("bond_graph.json", _bond_graph_files(lambda edges: edges[1].update(m=1, n=3))),
     ],
     ids=[
         "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
@@ -620,10 +695,14 @@ def _doubled_positions_text():
         "gap-long-row", "couplings-fractional-label", "positions-labels", "modes-labels",
         "gap-non-positive-field", "gap-mu-star-outside", "phase-table-degeneracy",
         "phase-table-flipped-order", "positions-off-equilibrium", "scan2d-off-the-grid",
+        "scan2d-failure-dropped", "scan2d-failure-of-a-solved-row", "scan2d-failure-twice",
+        "scan2d-failure-outside-the-grid", "bond-graph-edge-negated", "bond-graph-pair-twice",
     ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):
-    (tmp_path / name).write_text(text)
+    # a dict holds the artifact and its companion files
+    for path, content in (text if isinstance(text, dict) else {name: text}).items():
+        (tmp_path / path).write_text(content)
     assert run("check", "--out", str(tmp_path)) == 3
     err = capsys.readouterr().err
     assert "CheckFailure" in err and name in err

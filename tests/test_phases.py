@@ -565,3 +565,24 @@ def test_width_correlates_with_gap():
     rw, rg = ranks(widths), ranks(gaps)
     rho = np.corrcoef(rw, rg)[0, 1]
     assert rho > 0.9
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_width_is_the_two_level_width_of_the_gap(n):
+    """Near mu*, the ground state mixes FM and one kink: width ~ 4 gap / (sqrt(3) |s|).
+
+    s is the detuning slope of E_kink - E_FM at the zero-field transition.
+    Measured ratios: 0.9925, 0.9959, 0.9977 at N = 5 and 0.9706, 0.9710,
+    0.9815 at N = 7 for the three fields.
+    """
+    mu = fm_kink_interval(n)[0].mu_tilde
+
+    def splitting(mu):
+        coupling = coupling_from_trap(n, 10.0, mu)
+        kink, fm = int(spins.kink_basis(n)[0]), int(spins.fm_basis(n)[0])
+        return spins.classical_energy(coupling, kink) - spins.classical_energy(coupling, fm)
+
+    slope = (splitting(mu + 1e-5) - splitting(mu - 1e-5)) / 2e-5
+    for b in (0.05, 0.02, 0.01):
+        predicted = 4.0 * min_gap(n, 10.0, b).gap / (np.sqrt(3.0) * abs(slope))
+        assert abs(transition_width(n, 10.0, b) / predicted - 1.0) <= 0.05
