@@ -1,35 +1,26 @@
 """Coupling graphs and classical ground orders for a seven-ion chain at the
-two reference detunings on either side of the aligned/kink order change."""
+two reference detunings on either side of the aligned/kink order change.
+
+Each detuning runs ``ionspins couplings`` into OUT/mu{mu}."""
 
 import argparse
 import os
-from dataclasses import asdict
 
-from ionspins import fileio
-from ionspins.cli import exit_code
-from ionspins.couplings import bond_graph, coupling_from_trap
+from ionspins.cli import exit_code, run_command
+from ionspins.couplings import bond_graph
 from ionspins.spins import classical_ground
 
 
 def bond_graphs(args):
-    os.makedirs(args.out, exist_ok=True)
-    for mu in (float(x) for x in args.detunings.split(",")):
-        coupling = coupling_from_trap(args.n, args.beta, mu)
+    for mu in args.detunings.split(","):
+        out = os.path.join(args.out, f"mu{float(mu):g}")
+        coupling = run_command(
+            ["couplings", "--n", str(args.n), "--beta", str(args.beta), "--mu-tilde", mu, "--out", out]
+        )
         ground = classical_ground(coupling)
-        edges = bond_graph(coupling)
-        path = os.path.join(args.out, f"bonds_mu{mu:g}.json")
-        fileio.write_json(path, {
-            "n_ions": args.n,
-            "beta": args.beta,
-            "mu_tilde": mu,
-            "jbar": coupling.jbar,
-            "ground_order": ground.order.bits,
-            "degeneracy": ground.order.degeneracy,
-            "ground_energy": ground.energy,
-            "edges": [asdict(e) for e in edges],
-        }, vars(args))
-        print(f"{path}: order {ground.order.bits} (x{ground.order.degeneracy}), "
-              f"strongest edge ({edges[0].m},{edges[0].n}) {edges[0].sign}")
+        strongest = bond_graph(coupling)[0]
+        print(f"{out}: order {ground.order.bits} (x{ground.order.degeneracy}), E0 {ground.energy:.6g}, "
+              f"strongest edge ({strongest.m},{strongest.n}) {strongest.sign}")
 
 
 def main():

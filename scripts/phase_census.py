@@ -1,29 +1,24 @@
 """Zero-field phase census: spin orders tiling every inter-mode interval for a
-list of chain sizes, with the even/odd-interval symmetry summary."""
+list of chain sizes, with the even/odd-interval symmetry summary.
+
+Each N runs ``ionspins phase-table`` into OUT/n{N}."""
 
 import argparse
 import os
-from dataclasses import asdict
 
-from ionspins import fileio
-from ionspins.cli import exit_code
-from ionspins.phases import even_odd_symmetry_report, phase_table
+from ionspins.cli import exit_code, run_command
+from ionspins.phases import even_odd_symmetry_report
 
 
 def census(args):
-    os.makedirs(args.out, exist_ok=True)
     for n in (int(x) for x in args.n_list.split(",")):
-        table = phase_table(n, args.beta, samples_per_interval=args.samples)
-        reports = even_odd_symmetry_report(table)
-        payload = {
-            **table.to_dict(),
-            "transition_count": table.transition_count,
-            "interval_reports": [asdict(r) for r in reports],
-        }
-        path = os.path.join(args.out, f"phases_n{n}.json")
-        fileio.write_json(path, payload, vars(args))
-        flagged = [r.lower_mode for r in reports if r.flagged]
-        print(f"{path}: {table.transition_count} transitions; flagged intervals: {flagged or 'none'}")
+        out = os.path.join(args.out, f"n{n}")
+        table = run_command([
+            "phase-table", "--n", str(n), "--beta", str(args.beta), "--samples", str(args.samples),
+            "--out", out,
+        ])
+        flagged = [r.lower_mode for r in even_odd_symmetry_report(table) if r.flagged]
+        print(f"{out}: {table.transition_count} transitions; flagged intervals: {flagged or 'none'}")
 
 
 def main():

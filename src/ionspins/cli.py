@@ -10,9 +10,9 @@ can be reproduced byte for byte.  Each command re-verifies the files it wrote
 before it returns (``fileio.check_directory``); ``check`` re-verifies every
 artifact in --out.
 
-Exit codes (``exit_code``, which the scripts in scripts/ share too): 0
-success, 2 invalid request (any ValueError or OSError), 3 valid request
-without a trustworthy result (any ``errors.NumericalFailure``).
+Exit codes (``exit_code``, shared by the scripts in scripts/, which drive
+``run_command``): 0 success, 2 invalid request (any ValueError or OSError),
+3 valid request without a trustworthy result (any ``errors.NumericalFailure``).
 """
 
 from __future__ import annotations
@@ -148,6 +148,7 @@ def cmd_couplings(cfg):
             "edges": [asdict(e) for e in bond_graph(coupling)],
         },
     })
+    return coupling
 
 
 def cmd_phase_table(cfg):
@@ -155,6 +156,7 @@ def cmd_phase_table(cfg):
     _write(cfg, {
         "phase_table.json": {"table": table.to_dict(), "transition_count": table.transition_count}
     })
+    return table
 
 
 def cmd_scan2d(cfg):
@@ -282,9 +284,12 @@ def exit_code(prog, run, *args):
 
 
 def run_command(argv=None):
-    """Run one ``ionspins`` command line; errors propagate (``main`` maps them to exit codes)."""
+    """Run one ``ionspins`` command line; errors propagate (``main`` maps them to exit codes).
+
+    Returns the ``PhaseTable`` of ``phase-table``, the ``CouplingMatrix`` of ``couplings``, else None.
+    """
     cfg = _resolve(_build_parser().parse_args(argv))
-    _COMMANDS[cfg.command].run(cfg)
+    return _COMMANDS[cfg.command].run(cfg)
 
 
 def main(argv=None):

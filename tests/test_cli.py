@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from ionspins import cli, phases, spins
 from ionspins.chain import TrapConfig, equilibrium_positions
 from ionspins.cli import main
+from ionspins.couplings import CouplingMatrix, bond_graph, coupling_from_trap
 from ionspins.fileio import read_csv
 
 
@@ -102,6 +104,18 @@ def test_couplings_bond_graph_top_edges(tmp_path):
     assert top3.get((1, 7)) == "AFM"
     assert len(doc["edges"]) == 21
     assert doc["jbar"] > 0
+
+
+def test_run_command_returns_what_it_computed(tmp_path):
+    out = str(tmp_path)
+    table = cli.run_command(["phase-table", "--n", "3", "--samples", "16", "--out", out])
+    assert isinstance(table, phases.PhaseTable)
+    with open(os.path.join(out, "phase_table.json")) as fh:
+        assert json.load(fh)["table"] == json.loads(json.dumps(table.to_dict()))
+    coupling = cli.run_command(["couplings", "--n", "5", "--mu-tilde", "3.4", "--out", out])
+    assert isinstance(coupling, CouplingMatrix)
+    assert np.array_equal(coupling.j, coupling_from_trap(5, 10.0, 3.4).j)
+    assert cli.run_command(["modes", "--n", "3", "--out", out]) is None
 
 
 def test_couplings_on_mode_exits_2(tmp_path):
@@ -632,6 +646,16 @@ def _scan2d_files(failures):
     return {"scan2d.csv": csv, "scan2d.json": json.dumps({"failures": log})}
 
 
+def _coupling_files(scale):
+    """The files ``couplings --n 5 --mu-tilde 3.4`` writes, with every j, |j| and Jbar times ``scale``."""
+    coupling = CouplingMatrix.from_matrix(scale * coupling_from_trap(5, 10.0, 3.4).j)
+    m, p = np.triu_indices(5, 1)
+    rows = "".join(f"{a + 1},{b + 1},{x!r}\n" for a, b, x in zip(m, p, coupling.j[m, p].tolist()))
+    doc = {"jbar": coupling.jbar, "edges": [asdict(e) for e in bond_graph(coupling)]}
+    csv = "# beta=10.0\n# mu_tilde=3.4\n# n=5\nm,n,j\n" + rows
+    return {"couplings.csv": csv, "bond_graph.json": json.dumps(doc)}
+
+
 def _bond_graph_files(edit=lambda edges: None):
     """N = 3 couplings and their bond graph, ``edit`` applied to its edges."""
     edges = [
@@ -649,6 +673,13 @@ def test_check_accepts_the_unedited_companions(tmp_path):
     for name, text in {**_scan2d_files([(1, 0), (1, 1)]), **_bond_graph_files()}.items():
         (tmp_path / name).write_text(text)
     assert run("check", "--out", str(tmp_path)) == 0
+
+
+def test_check_reproduces_couplings_from_their_header(tmp_path, capsys):
+    for name, text in _coupling_files(1.0).items():
+        (tmp_path / name).write_text(text)
+    assert run("check", "--out", str(tmp_path)) == 0
+    assert "couplings.csv: reproduced from its header" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -688,6 +719,12 @@ def test_check_accepts_the_unedited_companions(tmp_path):
         # an edge that is not its couplings.csv pair
         ("bond_graph.json", _bond_graph_files(lambda edges: edges[2].update(j=-0.25, sign="FM"))),
         ("bond_graph.json", _bond_graph_files(lambda edges: edges[1].update(m=1, n=3))),
+        # ties in |j| out of (m, n) order
+        ("bond_graph.json", _bond_graph_files(lambda edges: edges.insert(0, edges.pop(1)))),
+        ("phase_table.json", _phase_table_text("100", 4)),  # the reflection of 001
+        ("phase_table.json", _phase_table_text("010", 4)),  # a palindrome: orbit size 2
+        # couplings and bond graph scaled alike: not the chain the header names
+        ("couplings.csv", _coupling_files(1.5)),
     ],
     ids=[
         "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
@@ -697,6 +734,8 @@ def test_check_accepts_the_unedited_companions(tmp_path):
         "phase-table-flipped-order", "positions-off-equilibrium", "scan2d-off-the-grid",
         "scan2d-failure-dropped", "scan2d-failure-of-a-solved-row", "scan2d-failure-twice",
         "scan2d-failure-outside-the-grid", "bond-graph-edge-negated", "bond-graph-pair-twice",
+        "bond-graph-tie-out-of-order", "phase-table-reflected-order",
+        "phase-table-palindrome-degeneracy", "couplings-not-the-header-chain",
     ],
 )
 def test_check_malformed_artifact_exits_3(tmp_path, capsys, name, text):

@@ -1,5 +1,6 @@
-"""Smoke tests of the experiment scripts in scripts/: each runs and writes its files,
-and an invalid request exits 2 with the one-line message the CLI prints."""
+"""Smoke tests of the experiment scripts in scripts/: each runs the CLI, every directory
+it writes passes ``check``, and an invalid request exits 2 with the one-line message the
+CLI prints."""
 
 import importlib.util
 import json
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from ionspins.fileio import read_csv
+from ionspins.fileio import check_directory, read_csv
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -22,37 +23,42 @@ def run_script(monkeypatch, name, *args):
     return module.main()
 
 
-def test_phase_census(tmp_path, monkeypatch):
-    assert run_script(monkeypatch, "phase_census", "--n-list", "3,5", "--samples", "16", "--out", str(tmp_path)) == 0
-    assert sorted(os.listdir(tmp_path)) == ["phases_n3.json", "phases_n5.json"]
-    for n in (3, 5):
-        doc = json.loads((tmp_path / f"phases_n{n}.json").read_text())
-        assert doc["config"] == {"beta": 10.0, "n_list": "3,5", "samples": 16}
-        assert doc["n_ions"] == n and doc["samples_per_interval"] == 16
-        assert len(doc["intervals"]) == len(doc["interval_reports"]) == n - 1
-        assert doc["transition_count"] == sum(len(iv["transitions"]) for iv in doc["intervals"])
-        assert [r["lower_mode"] for r in doc["interval_reports"]] == list(range(1, n))
-        assert [r["n_transitions"] for r in doc["interval_reports"]] == [
-            len(iv["transitions"]) for iv in doc["intervals"]
-        ]
+def test_phase_census(tmp_path, monkeypatch, capsys):
+    args = ("--n-list", "3,5", "--samples", "16", "--out", str(tmp_path))
+    assert run_script(monkeypatch, "phase_census", *args) == 0
+    assert sorted(os.listdir(tmp_path)) == ["n3", "n5"]
+    lines = capsys.readouterr().out.splitlines()
+    for n, line in zip((3, 5), lines, strict=True):
+        out = tmp_path / f"n{n}"
+        assert os.listdir(out) == ["phase_table.json"]
+        check_directory(out)
+        doc = json.loads((out / "phase_table.json").read_text())
+        assert doc["config"] == {"beta": 10.0, "command": "phase-table", "n": n, "samples": "16"}
+        assert line == f"{out}: {doc['transition_count']} transitions; flagged intervals: none"
 
 
 def test_order_maps(tmp_path, monkeypatch):
     assert run_script(monkeypatch, "order_maps", "--n", "3", "--samples", "4x3", "--out", str(tmp_path)) == 0
     assert sorted(os.listdir(tmp_path)) == ["scan2d.csv", "scan2d.json"]
+    check_directory(tmp_path)
     _, _, rows = read_csv(tmp_path / "scan2d.csv")
     assert len(rows) == 12
 
 
-def test_bond_graphs(tmp_path, monkeypatch):
+def test_bond_graphs(tmp_path, monkeypatch, capsys):
     assert run_script(monkeypatch, "bond_graphs", "--out", str(tmp_path)) == 0
-    assert sorted(os.listdir(tmp_path)) == ["bonds_mu5.1.json", "bonds_mu5.3.json"]
-    for mu, order in (("5.1", "0000000"), ("5.3", "0000111")):
-        doc = json.loads((tmp_path / f"bonds_mu{mu}.json").read_text())
-        assert doc["config"]["detunings"] == "5.1,5.3"
-        assert doc["ground_order"] == order
-        assert len(doc["edges"]) == 21
-        assert sorted(doc["edges"][0]) == ["j", "m", "n", "sign", "weight"]
+    assert sorted(os.listdir(tmp_path)) == ["mu5.1", "mu5.3"]
+    lines = capsys.readouterr().out.splitlines()
+    orders = (("5.1", "0000000 (x2)"), ("5.3", "0000111 (x4)"))
+    for (mu, order), line in zip(orders, lines, strict=True):
+        out = tmp_path / f"mu{mu}"
+        assert sorted(os.listdir(out)) == ["bond_graph.json", "couplings.csv"]
+        check_directory(out)
+        doc = json.loads((out / "bond_graph.json").read_text())
+        assert doc["config"] == {"beta": 10.0, "command": "couplings", "mu_tilde": float(mu), "n": 7}
+        first = doc["edges"][0]
+        assert line.startswith(f"{out}: order {order}, E0 ")
+        assert line.endswith(f"strongest edge ({first['m']},{first['n']}) {first['sign']}")
 
 
 @pytest.mark.parametrize(
