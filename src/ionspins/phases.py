@@ -197,8 +197,8 @@ def _lock_step(n_ions, beta, steps):
 
     Each round scores the detunings every unfinished interval asks for in
     one ``ground_orders`` call, so a table costs about as many calls as its
-    busiest interval makes steps.  A detuning's order does not depend on
-    its batch-mates, so every interval finds what it finds alone.  An
+    busiest interval makes steps.  ``ground_orders`` answers a detuning
+    alike in any batch, so every interval finds what it finds alone.  An
     AmbiguousGround that ends an interval is raised once every interval
     before it has finished: the first interval's, as running them one after
     another would raise.

@@ -213,10 +213,10 @@ def _tie_window(emin):
     return emin + _TIE_RTOL * np.maximum(1.0, np.abs(emin))
 
 
-def _tile_winners(e):
-    """Row minima of an energy tile (a column per configuration), the winners' flat indices."""
+def _tile_winners(e, slack):
+    """Row minima of an energy tile (a column per configuration), the flat indices in each row's window + slack."""
     emin = e.min(axis=1)
-    return emin, np.flatnonzero(e <= _tie_window(emin)[:, None])
+    return emin, np.flatnonzero(e <= (_tie_window(emin) + slack)[:, None])
 
 
 def _orders_or_ties(emin, rows, configs, n_ions):
@@ -255,11 +255,11 @@ def classical_ground(coupling):
     Returns the canonical order, energy and the full minimizing orbit.
     Raises AmbiguousGround when configurations from distinct orders tie within
     _TIE_RTOL * max(1, |E_min|) - the signature of an exact level crossing.
-    The order is selected as ``ground_orders`` selects it, on one row.
+    The order is selected as ``ground_orders`` selects it, on one row, no slack.
     """
     n = coupling.n_ions
     _check_budget(n)
-    emin, winners = _tile_winners(classical_energies(coupling)[None, :])
+    emin, winners = _tile_winners(classical_energies(coupling)[None, :], 0.0)
     # one row: a winner's flat index is its configuration
     (order,) = _orders_or_ties(emin, np.zeros_like(winners), winners, n)
     if isinstance(order, AmbiguousGround):
@@ -296,8 +296,7 @@ def _column_blocks(n_ions, beta):
     """The projection table as (configurations, rows) blocks of at most _TILE_DOUBLES // 2 rows.
 
     Chunk after chunk, each read once, from the cache when the whole table
-    fits in it; a chunk splits into blocks of nearly equal size, so a block
-    holds one row only if its chunk does.
+    fits in it; a chunk splits into blocks of nearly equal size.
     """
     chunks = range(0, 1 << (n_ions - 1), _ENUM_CHUNK)
     cached = len(chunks) <= _cached_projections.cache_parameters()["maxsize"]
@@ -307,25 +306,6 @@ def _column_blocks(n_ions, beta):
         for i in range(blocks):
             cut = slice(i * len(p) // blocks, (i + 1) * len(p) // blocks)
             yield idx[cut], p[cut]
-
-
-def _pad(a):
-    """a, or its one row repeated: at least two rows."""
-    return a if len(a) > 1 else np.repeat(a, 2, axis=0)
-
-
-def _tile_energies(d, s, p):
-    """Energies d @ p.T - s of detuning rows d (row sums s) against projection rows p.
-
-    The product always has two rows and two columns at least: a lone row of
-    d or p is repeated.  numpy sends a one-row or one-column product to
-    gemv, which rounds most entries differently; in OpenBLAS's gemm each
-    entry has the same bits whatever the product's other rows and columns.
-    """
-    e = _pad(d) @ _pad(p).T
-    e = np.ascontiguousarray(e[: len(d), : len(p)])
-    e -= s[:, None]
-    return e
 
 
 def _mode_weights(mu, w2):
@@ -339,19 +319,30 @@ def _mode_weights(mu, w2):
     return np.divide(1.0, d, out=d)
 
 
-def _score(rows, mu, w2, idx, p, bmin):
+def _score(rows, mu, w2, idx, p, bmin, slack):
     """Energies of the detuning rows against projection rows p, whose configurations are idx.
 
     The rows index the sorted detunings mu; their d_k are built here, a tile
     at a time.  Each row's minimum goes to bmin.  Returns the energies, and
     the rows, configurations and energies of the candidates in each row's
-    tie window.
+    tie window widened by its slack.
     """
     d = _mode_weights(mu[rows], w2)
-    e = _tile_energies(d, d.sum(axis=1), p)
-    bmin[rows], w = _tile_winners(e)
+    e = d @ p.T - d.sum(axis=1)[:, None]
+    bmin[rows], w = _tile_winners(e, slack[rows])
     r, c = np.divmod(w, len(p))
     return e, (rows[r], idx[c], e.take(w))
+
+
+def _rescore(configs, mu, w2, b):
+    """Energy of each configuration at its detuning (entry by entry), in one fixed elementwise order.
+
+    p_k = sum_n z_n b_nk over the mode matrix b in ion order, then sum_k d_k (p_k^2 - 1) in mode order.
+    """
+    z = _signs(configs, len(b))
+    p = sum(z[:, n, None] * b[n] for n in range(len(b)))
+    terms = _mode_weights(mu, w2) * (p * p - 1.0)
+    return sum(terms[:, k] for k in range(len(b)))
 
 
 def _bracket_rows(interval):
@@ -371,52 +362,52 @@ def ground_orders(n_ions, beta, mu_tildes):
     """Zero-field ground order of the trapped chain at each rescaled detuning.
 
     The modes are orthonormal, so z . J(mu) . z = sum_k d_k [(z . b^k)^2 - 1]
-    with d_k = 1 / (mu^2 - omega_k^2): the energies of a tile of detunings
-    are one product with a block of the (z . b^k)^2 table, which holds one
-    column per spin order (``_mode_projections``, ``_tile_energies``).  Each
-    entry is what classical_ground(coupling_from_trap(n_ions, beta, mu))
-    finds: the canonical SpinOrder, or the AmbiguousGround it would raise
-    (returned, not raised).  The detunings are resolved at once
-    (``resolve_detunings``; the first bad one raises).  Each chunk is read
-    once per call; inside each block of it, every row keeps its minimum and
-    the candidates in its tie window (``_tile_winners``).  The window is
-    monotone in E_min, so the candidates hold every final winner: after the
-    last chunk they are filtered against each row's minimum, grouped by row
-    and canonicalized together (``_orders_or_ties``).  A tile's d_k are
-    built with it (``_score``), so a call of many detunings, such as a
-    whole phase table's grid, never holds a (detunings x modes) array.
+    with d_k = 1 / (mu^2 - omega_k^2): a tile of detunings is scored against
+    a block p of the (z . b^k)^2 table, one column per spin order
+    (``_mode_projections``), in one product d @ p.T - S, S = sum_k d_k.
+    Each entry is what classical_ground(coupling_from_trap(n_ions, beta, mu))
+    finds: the canonical SpinOrder, or the AmbiguousGround it would raise.
+    The detunings are resolved at once (``resolve_detunings``; the first bad
+    one raises).  Each chunk is read once per call; in each block every row
+    keeps its minimum and the candidates in its tie window plus its slack
+    (``_tile_winners``), a window monotone in E_min, so after the last chunk
+    they are filtered against each row's minimum.  A row left with two or
+    more is rescored (``_rescore``), whose energies give its minimum and tie
+    window; the winners are canonicalized together (``_orders_or_ties``).  A
+    tile's d_k are built with it (``_score``): no (detunings x modes) array
+    is held, and no product holds more than _TILE_DOUBLES energies.
+
+    The slack.  Let u = eps / 2 and, for mu between modes k and k + 1,
+    m = min(mu^2 - omega_k^2, omega_{k+1}^2 - mu^2): every |d_k| <= 1 / m.
+    A product's energy is off from the exact one of the stored d_k and
+    (z . b^k)^2 by at most (N + 1)^2 u sum_k |d_k| <= (N + 1)^2 u N / m =
+    delta (a length-N dot product whose squares sum to N, S, one
+    subtraction), a rescore's ordered sum by less.  Against the exact
+    modes, the rounded z . b^k and their squares add P = (2 (N - 1) N^(3/2)
+    + N) u / m < delta to either, so the two energies of one configuration
+    differ by less than 2 (delta + P) < 4 delta.  The slack 8 delta =
+    4 (N + 1)^2 eps N / m covers twice that and the windows' rounding: the
+    candidates hold the rescored tie window, and a lone candidate has no
+    rival in it.  Each row finds what a rescore of every configuration
+    finds, which neither the BLAS nor the call's other detunings decide.
 
     The bound.  Sorted ascending, each interval's detunings are scored in
-    full at every _BRACKET-th one and at its last; each detuning in between
-    lies in a bracket [lo, hi] of two such rows, and is scored only against
-    the columns the bracket admits.  On one interval every d_k falls with
-    mu and every (z . b^k)^2 >= 0, so F_z = E_z + S, with S = sum_k d_k,
-    falls too.  For mu in [lo, hi] a block's minimum obeys
-    E_min(mu) + S(mu) <= E_min(lo) + S(lo), and a candidate z at mu obeys
-    E_z(hi) + S(hi) <= E_z(mu) + S(mu) <= E_min(mu) + S(mu) + window(mu).
-    So z is admitted if E_z(hi) <= E_min(lo) + S(lo) - S(hi) + window +
-    slack, where window = _TIE_RTOL * max(1, max(|E_min(lo)|, |E_min(hi)|)
-    + S(lo) - S(hi)) bounds every window in the bracket (E_min(mu) lies in
-    [E_min(hi) - (S(lo) - S(hi)), E_min(lo) + S(lo) - S(hi)]).  With E_min
-    the block's own minimum the admitted columns hold the block's minimum
-    and every candidate of each row inside, so those rows find exactly
-    what a full product finds.
-
-    The rounding slack.  Rounding is monotone, so the stored d_k fall with
-    mu too, and the argument holds exactly for the energies of the stored d
-    and (z . b^k)^2.  A computed energy is off from those by at most
-    (N + 1)^2 u sum_k |d_k| (u = eps / 2): a length-N dot product whose
-    squares sum to N, the row sum S and one subtraction.  Every |d_k| is
-    monotone on the interval, so sum_k |d_k(mu)| <= D = sum_k |d_k(lo)| +
-    sum_k |d_k(hi)| across the bracket.  The test rests on four computed
-    energies (z at mu and at hi, the minimizer at lo at lo and at mu), each
-    off by at most (N + 1)^2 u D, and on sums and a window that round by
-    less than 6 N u D: slack = 4 (N + 1)^2 eps D covers them all.
-
-    Every product has two rows and two columns at least (``_tile_energies``),
-    so each energy has the bits of the full product's entry, and a
-    detuning's answer does not depend on the other detunings of the call.
-    No product holds more than _TILE_DOUBLES energies.
+    full at every _BRACKET-th one and at its last; one in between, in a
+    bracket [lo, hi] of two such rows, meets only the columns it admits.
+    On one interval every d_k falls with mu and (z . b^k)^2 >= 0, so
+    F_z = E_z + S falls too: for mu in [lo, hi], E_min(mu) + S(mu) <=
+    E_min(lo) + S(lo) for a block's minimum, and E_z(hi) + S(hi) <= E_z(mu)
+    + S(mu) <= E_min(mu) + S(mu) + window(mu) + slack(mu) for a candidate.
+    So the block's minimum and every candidate pass E_z(hi) <= E_min(lo) +
+    S(lo) - S(hi) + window + 2 slack, with slack the larger of lo's and
+    hi's (m is least at an end) and window = _TIE_RTOL * max(1,
+    max(|E_min(lo)|, |E_min(hi)|) + S(lo) - S(hi)), which bounds every
+    window in the bracket (E_min(mu) lies in [E_min(hi) - (S(lo) - S(hi)),
+    E_min(lo) + S(lo) - S(hi)]).  Rounding is monotone, so the stored d_k
+    fall with mu too.  The test rests on four computed energies (z at mu
+    and at hi, the minimizer at lo at lo and at mu), each off by at most
+    the bracket's delta, and on sums and a window that round by less than
+    12 N^2 u / m: one slack covers them, the other the candidates' slack.
     """
     _check_budget(n_ions)
     spec = chain_spectrum(n_ions, beta)
@@ -434,46 +425,55 @@ def _winners(n_ions, beta, spec, mu):
     """The scoring pass of ``ground_orders`` on detunings sorted ascending.
 
     Returns each row's minimum and the rows and configurations of the
-    winners in its tie window, each row's in ascending configuration order.
-    Only these outlive the call: the bracket and candidate arrays, several
-    per detuning, are freed on return.
+    winners in its tie window (its rescore's, for a row of two candidates or
+    more), each row's in ascending order.  Only these outlive the call: the
+    bracket and candidate arrays, several per detuning, are freed on return.
     """
-    full, inner = _bracket_rows(np.searchsorted(spec.frequencies, mu))
+    interval = np.searchsorted(spec.frequencies, mu)  # mu lies between modes interval and interval + 1
+    full, inner = _bracket_rows(interval)
     closes = np.searchsorted(full, inner)  # inner row i lies between full[closes[i] - 1] and full[closes[i]]
     # the brackets with rows inside, by the index in full of their hi row (not
     # np.unique(closes), whose first call alone raises peak RSS by about 0.7 MiB)
     j = 1 + np.flatnonzero(full[1:] - full[:-1] > 1)
     lo, hi = full[j - 1], full[j]
     w2 = np.square(spec.frequencies)
-    d_lo, d_hi = _mode_weights(mu[lo], w2), _mode_weights(mu[hi], w2)
-    rise = d_lo.sum(axis=1) - d_hi.sum(axis=1)
-    bulk = np.abs(d_lo).sum(axis=1) + np.abs(d_hi).sum(axis=1)
-    slack = 4 * (n_ions + 1) ** 2 * np.finfo(float).eps * bulk
+    rise = _mode_weights(mu[lo], w2).sum(axis=1) - _mode_weights(mu[hi], w2).sum(axis=1)
+    room = np.minimum(mu * mu - w2[interval - 1], w2[interval] - mu * mu)  # m of the ground_orders docstring
+    slack = 4 * (n_ions + 1) ** 2 * np.finfo(float).eps * n_ions / room
+    spare = 2 * np.maximum(slack[lo], slack[hi])  # a bracket's: the bound's own rounding and its rows' slack
     emin = np.full(len(mu), np.inf)
     found = []  # (rows, configurations, energies) of the candidates of each product
     for idx, p in _column_blocks(n_ions, beta):
         bmin = np.empty(len(mu))
-        tile = max(2, _TILE_DOUBLES // len(p))
+        tile = _TILE_DOUBLES // len(p)
         starts = [*range(0, len(full), tile), len(full)]
         # tile i closes brackets j[b[i] : b[i + 1]], which hold rows inner[r[i] : r[i + 1]]
         b, r = np.searchsorted(j, starts).tolist(), np.searchsorted(closes, starts).tolist()
         for t, t1, b0, b1, r0, r1 in zip(starts, starts[1:], b, b[1:], r, r[1:]):
-            e, winners = _score(full[t:t1], mu, w2, idx, p, bmin)
+            e, winners = _score(full[t:t1], mu, w2, idx, p, bmin, slack)
             found.append(winners)
             if b0 == b1:
                 continue
             k = slice(b0, b1)
             edge = np.maximum(np.abs(bmin[lo[k]]), np.abs(bmin[hi[k]])) + rise[k]
-            reach = bmin[lo[k]] + rise[k] + _TIE_RTOL * np.maximum(1.0, edge) + slack[k]
+            reach = bmin[lo[k]] + rise[k] + _TIE_RTOL * np.maximum(1.0, edge) + spare[k]
             cols = np.flatnonzero(np.any(e[j[k] - t] <= reach[:, None], axis=0))
             pc, ic = p[cols], idx[cols]
-            sub = max(2, _TILE_DOUBLES // len(cols))
+            sub = _TILE_DOUBLES // len(cols)
             for u in range(r0, r1, sub):
-                found.append(_score(inner[u : min(u + sub, r1)], mu, w2, ic, pc, bmin)[1])
+                found.append(_score(inner[u : min(u + sub, r1)], mu, w2, ic, pc, bmin, slack)[1])
         np.minimum(emin, bmin, out=emin)
     rows, configs, energies = (np.concatenate(x) for x in zip(*found))
-    keep = np.flatnonzero(energies <= _tie_window(emin)[rows])
-    return emin, rows[keep], configs[keep]
+    keep = energies <= (_tie_window(emin) + slack)[rows]
+    rows, configs = rows[keep], configs[keep]
+    again = np.flatnonzero(np.bincount(rows, minlength=len(mu))[rows] > 1)  # rows of two candidates or more
+    if len(again):
+        e, r = _rescore(configs[again], mu[rows[again]], w2, spec.mode_matrix), rows[again]
+        emin[r] = np.inf
+        np.minimum.at(emin, r, e)
+        drop = again[e > _tie_window(emin)[r]]
+        rows, configs = np.delete(rows, drop), np.delete(configs, drop)
+    return emin, rows, configs
 
 
 def field_scale(coupling):

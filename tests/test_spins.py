@@ -300,11 +300,11 @@ def test_a_detuning_scores_alone_as_in_a_batch(n, tie_rtol, monkeypatch):
 
     Alone, a detuning is scored against whole blocks; in a batch of
     brackets 1e-6 wide most rows are scored against the few columns their
-    bracket admits.  The answers agree bit for bit only if the BLAS rounds
-    every entry of a product of two rows and two columns or more alike,
-    whatever the product's other rows and columns (OpenBLAS's gemm does).
-    A 1e-2 tie window holds several orders that win at neither end of a
-    bracket, which only the bound's window term admits.
+    bracket admits, in products of other shapes, which round differently.
+    The answers agree bit for bit because a row whose slack-widened window
+    holds two candidates or more is rescored in one fixed order.  A 1e-2
+    tie window holds several orders that win at neither end of a bracket,
+    which only the bound's window term admits; half the rows are rescored.
     """
     monkeypatch.setattr(spins, "_TIE_RTOL", tie_rtol)
     mus = [k + 0.5 + i * 1e-6 for k in (1, n - 2) for i in range(17)]
@@ -319,13 +319,13 @@ def test_a_detuning_scores_alone_as_in_a_batch(n, tie_rtol, monkeypatch):
 def test_most_grid_rows_skip_the_whole_chunk(k, monkeypatch):
     """N = 12, 1024 detunings on interval k: at most a quarter of the rows meet all 1056 columns."""
     scored = []
-    tile_energies = spins._tile_energies
+    score = spins._score
 
-    def counting(d, s, p):
-        scored.append((len(d), len(p)))
-        return tile_energies(d, s, p)
+    def counting(rows, mu, w2, idx, p, *rest):
+        scored.append((len(rows), len(p)))
+        return score(rows, mu, w2, idx, p, *rest)
 
-    monkeypatch.setattr(spins, "_tile_energies", counting)
+    monkeypatch.setattr(spins, "_score", counting)
     mus = k + (np.arange(1024) + 0.5) / 1024
     ground_orders(12, 10.0, mus)
     assert sum(rows for rows, _ in scored) == 1024  # each row once: N = 12 is one block
@@ -350,6 +350,32 @@ def test_bound_slack_covers_rounding(n, monkeypatch):
     bounded = [[answer(f) for f in ground_orders(n, 10.0, mus)] for mus in brackets]
     monkeypatch.setattr(spins, "_BRACKET", 1)  # every row scored in full
     assert bounded == [[answer(f) for f in ground_orders(n, 10.0, mus)] for mus in brackets]
+
+
+@pytest.mark.parametrize("n", [5, 9, 16])
+def test_candidate_slack_covers_rounding(n, monkeypatch):
+    """A configuration the product scores within the slack of a row's minimum is rescored.
+
+    The block pairs the ground configuration, with its own (z . b^k)^2 row,
+    with another order whose row the product scores 2 (N + 1)^2 eps
+    sum_k |d_k| lower: four times the rounding bound of either energy, and
+    less than the slack.  With no tie window only the slack keeps the ground
+    configuration a candidate, and the rescore, which reads the
+    configurations and not the block, finds the ground order again.
+    """
+    mu_tilde = n - 0.5
+    ground = classical_ground(coupling_from_trap(n, 10.0, mu_tilde)).order
+    spec = chain_spectrum(n, 10.0)
+    mu = resolve_detuning(spec, mu_tilde).resolved
+    d = 1.0 / (mu * mu - spec.frequencies**2)  # d[0] > 0: mu lies above the lowest mode
+    row = (spins._signs(np.array([ground.canonical]), n) @ spec.mode_matrix) ** 2
+    rival = row.copy()
+    rival[0, 0] -= 2 * (n + 1) ** 2 * np.finfo(float).eps * np.abs(d).sum() / d[0]
+    other = 1 if ground.canonical == 0 else 0  # ion N down, or all up: another order
+    block = (np.array([ground.canonical, other]), np.concatenate([row, rival]))
+    monkeypatch.setattr(spins, "_TIE_RTOL", 0.0)
+    monkeypatch.setattr(spins, "_column_blocks", lambda n_ions, beta: iter([block]))
+    assert ground_orders(n, 10.0, [mu_tilde]) == [ground]
 
 
 @pytest.mark.parametrize(
