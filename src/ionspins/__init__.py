@@ -27,10 +27,8 @@ from .couplings import (
 from .errors import (
     AmbiguousGround,
     CheckFailure,
-    ConvergenceError,
     DegenerateModes,
     NoConvergence,
-    NoInteriorMinimum,
     NumericalFailure,
     ResonanceError,
     TransitionLost,

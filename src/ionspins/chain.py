@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateModes, ZigzagInstability
+from .errors import DegenerateModes, NoConvergence, ZigzagInstability
 
 _MAX_ITER = 200  # damped Newton steps of equilibrium_positions
 _TOL = 1e-12  # gradient max-norm at which equilibrium_positions stops
@@ -103,7 +103,7 @@ def equilibrium_positions(config):
     max-norm decreases, which preserves the ion ordering.  Stops once that
     max-norm is at most _TOL.
 
-    Raises ConvergenceError (with the best residual) after _MAX_ITER steps.
+    Raises NoConvergence (with the best residual) after _MAX_ITER steps.
     """
     n = config.n_ions
     u = 2.0 * (np.arange(1, n + 1) - 0.5 * (n + 1))
@@ -122,9 +122,9 @@ def equilibrium_positions(config):
                     break
             scale *= 0.5
         else:
-            raise ConvergenceError(f"damped Newton stalled at residual {res:.3e}")
+            raise NoConvergence(f"damped Newton stalled at residual {res:.3e}")
         u, g = trial, g_trial
-    raise ConvergenceError(
+    raise NoConvergence(
         f"no convergence after {_MAX_ITER} iterations; residual {np.max(np.abs(g)):.3e}"
     )
 
@@ -154,8 +154,9 @@ def mode_spectrum(a):
     Frequencies are sorted ascending; each eigenvector is sign-fixed so its
     largest-magnitude entry is positive (ties broken by lowest index).
     Raises ValueError for a matrix that is not finite, square and exactly
-    symmetric, ZigzagInstability for a non-positive eigenvalue and
-    DegenerateModes when two eigenvalues agree within 1e-9.
+    symmetric, ZigzagInstability for a non-positive eigenvalue,
+    DegenerateModes when two eigenvalues agree within 1e-9 and NoConvergence
+    when an eigenpair residual exceeds 1e-10 times the largest eigenvalue.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -175,7 +176,7 @@ def mode_spectrum(a):
     vecs = vecs * np.where(vecs[pivot, cols] < 0.0, -1.0, 1.0)
     resid = np.linalg.norm(a @ vecs - vecs * evals, axis=0)
     if not np.all(resid <= 1e-10 * evals[-1]):  # a NaN residual fails
-        raise ConvergenceError(f"eigenpair residual {np.max(resid):.3e} above bound")
+        raise NoConvergence(f"eigenpair residual {np.max(resid):.3e} above bound")
     return ModeSpectrum(frequencies=np.sqrt(evals), mode_matrix=vecs)
 
 

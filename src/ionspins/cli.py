@@ -28,7 +28,7 @@ import numpy as np
 from . import fileio
 from .chain import TrapConfig, equilibrium_positions, transverse_modes
 from .couplings import bond_graph, coupling_from_trap
-from .errors import NoConvergence, NumericalFailure
+from .errors import NumericalFailure
 from .phases import fit_alpha, linear_fit, phase_table, scan_2d
 
 
@@ -177,7 +177,7 @@ def cmd_scan2d(cfg):
     })
     n_points = grid.order_parameter.size
     if len(grid.failures) > 0.01 * n_points:
-        raise NoConvergence(f"{len(grid.failures)} of {n_points} grid points failed")
+        raise NumericalFailure(f"{len(grid.failures)} of {n_points} grid points failed")
 
 
 def cmd_gap(cfg):

@@ -1,7 +1,9 @@
 """Every exception the library raises on purpose, under two roots.
 
 ``ValueError`` (CLI exit 2): the request is invalid.  ``NumericalFailure``
-(CLI exit 3): the request was valid but gave no trustworthy result.
+(CLI exit 3): the request was valid but gave no trustworthy result.  Each
+cause a caller has to tell apart has one class.  A scan records a failed
+point per field; a whole detuning column fails only on a resonance.
 """
 
 class NumericalFailure(RuntimeError):
@@ -10,10 +12,6 @@ class NumericalFailure(RuntimeError):
 
 class ResonanceError(ValueError):
     """Detuning sits on (or too close to) a phonon mode, where J_mn diverges."""
-
-
-class ConvergenceError(NumericalFailure):
-    """Newton iteration failed to reach the requested gradient norm."""
 
 
 class ZigzagInstability(NumericalFailure):
@@ -25,7 +23,7 @@ class DegenerateModes(NumericalFailure):
 
 
 class NoConvergence(NumericalFailure):
-    """Eigensolver failed to meet the residual bound within its iteration cap."""
+    """An iterative solve or an eigendecomposition missed its convergence or residual bound."""
 
 
 class AmbiguousGround(NumericalFailure):
@@ -42,14 +40,11 @@ class TransitionLost(NumericalFailure):
     """No sharp FM/kink transition inside the bracket at the requested field.
 
     Raised when the order parameter is no longer saturated (|OP| > 0.5 with
-    opposite signs) at the two bracket ends: the transition line has
-    terminated into the polarized crossover at this field, or the zero-field
-    interval (N-2, N-1) shows no FM->kink order change.
+    opposite signs) at the two bracket ends (the transition line has
+    terminated into the polarized crossover at this field), when the
+    zero-field interval (N-2, N-1) shows no FM->kink order change, or when
+    the gap along the fixed-field scan has no interior minimum.
     """
-
-
-class NoInteriorMinimum(NumericalFailure):
-    """The scanned bracket shows no interior gap minimum."""
 
 
 class CheckFailure(NumericalFailure):

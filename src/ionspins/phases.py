@@ -19,13 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .couplings import coupling_from_trap
-from .errors import (
-    AmbiguousGround,
-    NoConvergence,
-    NoInteriorMinimum,
-    ResonanceError,
-    TransitionLost,
-)
+from .errors import AmbiguousGround, NoConvergence, ResonanceError, TransitionLost
 from .spins import (
     cluster_averages,
     field_spectra,
@@ -313,15 +307,17 @@ def _scan_column(n_ions, beta, mu, b_fields):
 
     Returns their (4, len(b_fields)) array and the {field index: exception}
     of the points that failed, whose entries are NaN.  Every field is solved
-    in one ``field_spectra`` call on one coupling, and the observables of all
-    solved fields come from one ``cluster_averages`` call.  A failure of the
-    whole column (a resonant mu) fails every point with the same exception.
+    in one ``field_spectra`` call on one coupling, which returns each field's
+    NoConvergence, and the observables of all solved fields come from one
+    ``cluster_averages`` call.  A whole column fails only on a resonance: a
+    resonant mu fails every point with the same ResonanceError.  Any other
+    failure of the coupling (a stalled chain equilibrium, say) propagates.
     The exceptions carry no traceback, so no solver frame outlives the call.
     """
     values = np.full((4, len(b_fields)), np.nan)
     try:
         spectra = field_spectra(coupling_from_trap(n_ions, beta, mu), b_fields, k=min(6, 1 << n_ions))
-    except (ResonanceError, NoConvergence) as exc:
+    except ResonanceError as exc:
         return values, dict.fromkeys(range(len(b_fields)), exc.with_traceback(None))
     failed = {l: res for l, res in enumerate(spectra) if isinstance(res, NoConvergence)}
     solved = [l for l in range(len(spectra)) if l not in failed]
@@ -457,10 +453,10 @@ def _minimize_gap_scan(n_ions, beta, b_abs, lo, hi):
         lo_new = max(lo_cap, lo - span) if i_min == 0 else lo
         hi_new = hi if i_min == 0 else min(hi_cap, hi + span)
         if (lo_new, hi_new) == (lo, hi):
-            raise NoInteriorMinimum("bracket shows no interior gap minimum")
+            raise TransitionLost("bracket shows no interior gap minimum")
         lo, hi = lo_new, hi_new
     else:
-        raise NoInteriorMinimum("bracket shows no interior gap minimum")
+        raise TransitionLost("bracket shows no interior gap minimum")
 
     a, c = order[i_min - 1], order[i_min + 1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -580,7 +576,7 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
     for b in np.sort(b_over_njbar):
         try:
             points.append(min_gap(n_ions, beta, float(b)))
-        except (TransitionLost, NoInteriorMinimum):
+        except TransitionLost:
             skipped.append(float(b))
     if len(points) < 5:
         raise TransitionLost(

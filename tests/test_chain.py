@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ionspins import chain
 from ionspins.chain import (
-    ConvergenceError,
     DegenerateModes,
     IonChain,
     TrapConfig,
@@ -22,6 +21,7 @@ from ionspins.chain import (
     zigzag_stability,
 )
 from ionspins.couplings import coupling_from_trap
+from ionspins.errors import NoConvergence
 
 # frozen output of the coordinate-descent oracle below (7 ions, run to 1e-15)
 CD_POSITIONS_N7 = np.array(
@@ -135,10 +135,10 @@ def test_equilibrium_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         TrapConfig(5, aspect_ratio=-2.0)
     monkeypatch.setattr(chain, "_TOL", 1e-300)  # below a few ulps of the positions
-    with pytest.raises(ConvergenceError, match="stalled"):
+    with pytest.raises(NoConvergence, match="stalled"):
         equilibrium_positions(TrapConfig(5))
     monkeypatch.setattr(chain, "_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError, match="after 2 iterations"):
+    with pytest.raises(NoConvergence, match="after 2 iterations"):
         equilibrium_positions(TrapConfig(9))
 
 
@@ -156,6 +156,12 @@ def test_mode_spectrum_rejects_non_finite_matrix(bad):
         mode_spectrum(np.diag([bad, 4.0, 9.0]))
 
 
+def test_mode_spectrum_rejects_non_symmetric_matrix():
+    for a in ([[4.0, 1.0], [0.0, 9.0]], np.ones((2, 3))):
+        with pytest.raises(ValueError, match="square and exactly symmetric"):
+            mode_spectrum(a)
+
+
 def test_mode_spectrum_residual_check_fails_on_nan(monkeypatch):
     eigh = np.linalg.eigh
 
@@ -164,7 +170,7 @@ def test_mode_spectrum_residual_check_fails_on_nan(monkeypatch):
         return evals, np.full_like(vecs, np.nan)
 
     monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
-    with pytest.raises(ConvergenceError, match="residual nan"):
+    with pytest.raises(NoConvergence, match="residual nan"):
         mode_spectrum(np.diag([1.0, 4.0, 9.0]))
 
 

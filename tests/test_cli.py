@@ -201,9 +201,11 @@ def test_scan2d_range_too_narrow_to_sample_exits_2_before_any_solve(tmp_path, ca
     assert not os.listdir(tmp_path)
 
 
-def test_scan2d_requires_ranges(tmp_path):
+def test_scan2d_requires_ranges(tmp_path, capsys):
     assert run("scan2d", "--n", "5", "--out", str(tmp_path)) == 2
     assert run("scan2d", "--n", "5", "--mu-range", "oops", "--b-range", "0:1", "--out", str(tmp_path)) == 2
+    assert run("scan2d", "--n", "5", "--mu-range", "3.4:3.1", "--b-range", "0:1", "--out", str(tmp_path)) == 2
+    assert "needs hi > lo" in capsys.readouterr().err
 
 
 def test_scan2d_non_finite_range_is_configuration_error(tmp_path, capsys):
@@ -325,10 +327,13 @@ def test_scan2d_past_the_eigensolve_budget_exits_2(tmp_path, capsys, monkeypatch
     assert not os.listdir(tmp_path)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key=1\n")
     assert run("modes", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    cfg.write_text("n 5\n")
+    assert run("modes", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "line without '='" in capsys.readouterr().err
 
 
 def test_header_carries_resolved_config(tmp_path):
@@ -423,8 +428,8 @@ def test_phase_table_tol_inside_tie_window_exits_3(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize(
     "size",
-    [("--samples", "0x3"), ("--samples", "3x0")],
-    ids=["samples", "fields"],
+    [("--samples", "0x3"), ("--samples", "3x0"), ("--samples", "2x2x2")],
+    ids=["samples", "fields", "three-axes"],
 )
 def test_scan2d_bad_sizes_exit_2(tmp_path, size):
     argv = ("scan2d", "--n", "5", "--mu-range", "3.05:3.45", "--b-range", "0:1")
@@ -687,6 +692,7 @@ def test_check_reproduces_couplings_from_their_header(tmp_path, capsys):
     [
         ("phase_table.json", "{}\n"),  # KeyError
         ("positions.csv", "n,u\n1\n"),  # IndexError
+        ("positions.csv", "# n_ions=2\n"),  # no column line
         ("phase_table.json", "not json\n"),  # JSONDecodeError
         ("phase_table.json", "[]\n"),  # AttributeError
         ("phase_table.json", '{"table": 5}\n'),  # TypeError
@@ -727,7 +733,7 @@ def test_check_reproduces_couplings_from_their_header(tmp_path, capsys):
         ("couplings.csv", _coupling_files(1.5)),
     ],
     ids=[
-        "missing-key", "short-row", "not-json", "json-list", "wrong-type", "scan2d-short-row",
+        "missing-key", "short-row", "no-column-line", "not-json", "json-list", "wrong-type", "scan2d-short-row",
         "scan2d-not-a-number", "positions-long-row", "couplings-long-row", "scan2d-long-row",
         "gap-long-row", "couplings-fractional-label", "positions-labels", "modes-labels",
         "gap-non-positive-field", "gap-mu-star-outside", "phase-table-degeneracy",

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ionspins.chain import ModeSpectrum
 from ionspins.couplings import (
     CouplingMatrix,
+    DetuningSpec,
     ResonanceError,
     bond_graph,
     chain_spectrum,
@@ -43,6 +44,9 @@ def test_integer_detuning_is_resonant():
     for mode in (1.0, 3.0):  # the end modes resonate too
         with pytest.raises(ResonanceError, match=f"mode {mode:.0f}"):
             resolve_detuning(spec, mode)
+    # a resolved detuning built by hand on mode 2 skips resolve_detuning's check
+    with pytest.raises(ResonanceError, match="coupling diverges"):
+        coupling_matrix(spec, DetuningSpec(2.0, spec.frequencies[1]))
 
 
 def test_out_of_range_detuning_rejected():
@@ -161,3 +165,5 @@ def test_from_matrix_zeroes_diagonal_and_computes_scale():
     assert c.jbar == pytest.approx(1.0)
     single = CouplingMatrix.from_matrix([[0.0]])
     assert single.jbar == 0.0
+    with pytest.raises(ValueError, match="square"):
+        CouplingMatrix.from_matrix(np.ones((2, 3)))

@@ -8,13 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from ionspins import phases, spins
+from ionspins import chain, couplings, phases, spins
 from ionspins.cli import main as cli_main
 from ionspins.couplings import coupling_from_trap
 from ionspins.errors import AmbiguousGround, NoConvergence, ResonanceError
 from ionspins.fileio import read_csv
 from ionspins.phases import (
-    NoInteriorMinimum,
     TransitionLost,
     even_odd_symmetry_report,
     fit_alpha,
@@ -347,20 +346,28 @@ def test_scan_failures_keep_no_solver_frames(monkeypatch, n_fields):
 
     refs = []
 
-    def failing_solve(*args, **kwargs):
-        held = Sentinel()  # a local of the failing frame, like a Krylov basis
+    def resonant_coupling(*args):
+        held = Sentinel()  # a local of the failing frame, like a mode matrix
         refs.append(weakref.ref(held))
-        raise NoConvergence("basis cap reached")
+        raise ResonanceError("detuning resonant with a mode; coupling diverges")
 
-    monkeypatch.setattr(phases, "field_spectra", failing_solve)
+    monkeypatch.setattr(phases, "coupling_from_trap", resonant_coupling)
     gc.disable()
     try:
-        # one solve per detuning column; its failure fails every field of the column
+        # one coupling per detuning column; a resonance fails every field of the column
         grid = scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, n_fields))
         assert len(grid.failures) == 2 * n_fields and len(refs) == 2
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_newton_stall_inside_a_scan_ends_it(monkeypatch):
+    """A chain that finds no equilibrium is not a failed column: the scan raises."""
+    couplings.chain_spectrum.cache_clear()
+    monkeypatch.setattr(chain, "_TOL", 1e-300)  # below a few ulps of the positions
+    with pytest.raises(NoConvergence, match="stalled"):
+        scan_2d(5, 10.0, (3.1, 3.4), (0.1, 0.5), resolution=(2, 2))
 
 
 def test_scan_rejects_even_chains():
@@ -513,9 +520,8 @@ def test_transition_line_tilts_with_field():
 def test_gap_scan_reports_missing_interior_minimum(lo, hi):
     """A bracket at either end of (3, 4) cannot expand past the interval caps."""
     _, _, b_abs = phases._fixed_field(5, 10.0, 0.05)
-    with pytest.raises(NoInteriorMinimum) as excinfo:
+    with pytest.raises(TransitionLost, match="no interior gap minimum"):
         phases._minimize_gap_scan(5, 10.0, b_abs, lo, hi)
-    assert excinfo.type is NoInteriorMinimum
 
 
 @pytest.mark.parametrize("mu_min", [3.05, 3.55], ids=["below", "above"])
@@ -591,14 +597,14 @@ def test_fit_alpha_rejects_non_positive_samples_before_solving(bad, monkeypatch)
 def one_field_loses_transition(monkeypatch, request):
     """min_gap finds a sharp transition at every field outside (0.025, 0.035).
 
-    Inside it raises the exception passed as the fixture's parameter, by
-    default TransitionLost.
+    Inside it raises TransitionLost with the message passed as the fixture's
+    parameter, by default that of unsaturated bracket ends.
     """
-    lost = getattr(request, "param", TransitionLost)
+    message = getattr(request, "param", "order parameter not saturated across the bracket")
 
     def fake_min_gap(n_ions, beta, b):
         if 0.025 < b < 0.035:
-            raise lost("transition ended at this field")
+            raise TransitionLost(message)
         return phases.GapPoint(n_ions, beta, b, b, 3.5, b**2)
 
     monkeypatch.setattr(phases, "min_gap", fake_min_gap)
@@ -612,7 +618,10 @@ def test_fit_alpha_with_too_few_sharp_fields_is_transition_lost(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "one_field_loses_transition", [TransitionLost, NoInteriorMinimum], indirect=True
+    "one_field_loses_transition",
+    ["order parameter not saturated across the bracket", "bracket shows no interior gap minimum"],
+    ids=["not_saturated", "no_interior_minimum"],
+    indirect=True,
 )
 def test_fit_alpha_records_skipped_fields(one_field_loses_transition):
     fit = fit_alpha(5, 10.0, [0.01, 0.02, 0.03, 0.04, 0.05, 0.06])

@@ -486,6 +486,67 @@ def test_mode_space_grounds_reject_invalid_detunings():
     assert str(batch.value) == str(alone.value)
 
 
+def branch_and_bound_ground(n, mu_tilde, incumbent):
+    """The canonical orders in the tie window of the classical minimum, by branch and bound.
+
+    Independent of the chunked enumeration: breadth first over ions 1 ... N
+    with ion 1 up, the frontier as arrays.  A node fixes ions 1 ... i, so
+    z . b^k lies in [c_k - rho_k, c_k + rho_k] with rho_k = sum_{m > i}
+    |b_mk|, and with E = sum_k d_k (z . b^k)^2 - S each term d_k (z . b^k)^2
+    is at least d_k times the squared distance from 0 to that interval
+    (d_k > 0) or its farther end squared (d_k < 0).  A node whose bound
+    passes the incumbent (the energy of some configuration) by more than a
+    slack of 1e-9 N sum_k |d_k| >= 1e-9 max |E| holds no leaf of the
+    minimum's tie window.  At a leaf rho = 0 and the bound is the energy.
+    """
+    spec = chain_spectrum(n, 10.0)
+    b = spec.mode_matrix
+    mu = resolve_detuning(spec, mu_tilde).resolved
+    d = 1.0 / (mu * mu - spec.frequencies**2)
+    rho = np.vstack([np.cumsum(np.abs(b[::-1]), axis=0)[::-1][1:], np.zeros(n)])
+    cut = incumbent + 1e-9 * max(1.0, n * np.abs(d).sum())
+    configs, c = np.zeros(1, dtype=np.int64), b[:1]
+    for i in range(1, n):
+        configs = np.concatenate([2 * configs, 2 * configs + 1])  # ion i + 1 up, then down
+        c = np.concatenate([c + b[i], c - b[i]])
+        near, far = np.maximum(np.abs(c) - rho[i], 0.0), np.abs(c) + rho[i]
+        bound = np.where(d > 0, d * near**2, d * far**2).sum(axis=1) - d.sum()
+        keep = bound <= cut
+        configs, c, bound = configs[keep], c[keep], bound[keep]
+    emin = bound.min()
+    window = configs[bound <= emin + spins._TIE_RTOL * max(1.0, abs(emin))]
+    return {canonicalize(int(s), n).canonical for s in window}
+
+
+def assert_ground_orders_match_branch_and_bound(n, mus):
+    """ground_orders against the branch and bound, whose incumbent is the returned order's energy."""
+    spec = chain_spectrum(n, 10.0)
+    found = ground_orders(n, 10.0, mus)
+    mismatches = []
+    for mu_tilde, f in zip(mus, found):
+        orders = f.orders if isinstance(f, AmbiguousGround) else (f,)
+        z = 1.0 - 2.0 * ((orders[0].canonical >> np.arange(n - 1, -1, -1)) & 1)
+        mu = resolve_detuning(spec, mu_tilde).resolved
+        d = 1.0 / (mu * mu - spec.frequencies**2)
+        incumbent = float(d @ (z @ spec.mode_matrix) ** 2 - d.sum())
+        if branch_and_bound_ground(n, mu_tilde, incumbent) != {o.canonical for o in orders}:
+            mismatches.append(mu_tilde)
+    assert mismatches == []
+    return found
+
+
+@pytest.mark.parametrize("n", [20, 21, 22])
+def test_ground_orders_match_branch_and_bound(n):
+    """Above N = 19, 16 random detunings kept 2e-3 or more off the modes."""
+    assert_ground_orders_match_branch_and_bound(n, detunings(np.random.default_rng(n), n, 16))
+
+
+def test_ground_orders_match_branch_and_bound_across_a_transition():
+    """N = 21, 64 detunings inside (19, 20): one order change, and the bracket bound's inner rows."""
+    found = assert_ground_orders_match_branch_and_bound(21, list(np.linspace(19, 20, 66)[1:-1]))
+    assert sum(a != b for a, b in zip(found, found[1:])) == 1
+
+
 # --- Hamiltonian application and eigensolvers ---------------------------------
 
 
@@ -965,6 +1026,13 @@ def test_field_spectra_return_a_krylov_failure_for_its_field_only(
     for i in (0, 2):
         expected = lowest_eigenpairs(coupling_n7_51, (0.2, 0.5, 0.9)[i], k=4)
         assert_same_spectrum(spectra[i], expected)
+
+    def always_fails(matvec, k, **kwargs):
+        raise NoConvergence("basis cap reached")
+
+    monkeypatch.setattr(spins.lanczos, "lowest_eigenpairs", always_fails)
+    spectra = field_spectra(coupling_n7_51, [0.2, 0.9], k=4)  # every field fails
+    assert [type(s) for s in spectra] == [NoConvergence, NoConvergence]
 
 
 def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch, force_solver):
