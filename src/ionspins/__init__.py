@@ -18,11 +18,9 @@ from .chain import (
 from .couplings import (
     Bond,
     CouplingMatrix,
-    DetuningSpec,
     bond_graph,
     coupling_from_trap,
     coupling_matrix,
-    resolve_detuning,
 )
 from .errors import (
     AmbiguousGround,

@@ -139,12 +139,7 @@ def cmd_couplings(cfg):
     _write(cfg, {
         "couplings.csv": (["m", "n", "j"], np.column_stack((m + 1, p + 1, coupling.j[m, p]))),
         "bond_graph.json": {
-            "n_ions": cfg.n,
-            "beta": cfg.beta,
-            "mu_tilde": coupling.detuning.rescaled,
-            "mu": coupling.detuning.resolved,
             "jbar": coupling.jbar,
-            "nodes": list(range(1, cfg.n + 1)),
             "edges": [asdict(e) for e in bond_graph(coupling)],
         },
     })

@@ -25,14 +25,6 @@ from .errors import ResonanceError
 
 
 @dataclass(frozen=True)
-class DetuningSpec:
-    """A rescaled detuning together with its resolved value in units of wz."""
-
-    rescaled: float
-    resolved: float
-
-
-@dataclass(frozen=True)
 class Bond:
     """One weighted edge of the coupling graph (ion labels are 1-based)."""
 
@@ -49,21 +41,20 @@ class CouplingMatrix:
 
     j: np.ndarray
     jbar: float
-    detuning: DetuningSpec | None = None
 
     @property
     def n_ions(self):
         return self.j.shape[0]
 
     @classmethod
-    def from_matrix(cls, j, detuning=None):
+    def from_matrix(cls, j):
         """Wrap a raw square matrix: symmetrize, zero the diagonal, compute Jbar."""
         j = np.array(j, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError("coupling matrix must be square")
         j = 0.5 * (j + j.T)
         np.fill_diagonal(j, 0.0)
-        return cls(j=j, jbar=rms_coupling(j), detuning=detuning)
+        return cls(j=j, jbar=rms_coupling(j))
 
 
 def rms_coupling(j):
@@ -110,13 +101,6 @@ def resolve_detunings(spectrum, rescaled):
     return mu
 
 
-def resolve_detuning(spectrum, rescaled):
-    """Map one rescaled detuning onto a physical one (``resolve_detunings`` of one entry)."""
-    rescaled = float(rescaled)
-    (mu,) = resolve_detunings(spectrum, [rescaled])
-    return DetuningSpec(rescaled=rescaled, resolved=float(mu))
-
-
 def mode_denominators(spectrum, mu):
     """mu^2 - omega_k^2 for a resolved detuning, or one row per entry of an array of them."""
     w = np.asarray(spectrum.frequencies, dtype=float)
@@ -127,11 +111,11 @@ def mode_denominators(spectrum, mu):
     return denom
 
 
-def coupling_matrix(spectrum, detuning):
-    """Evaluate J_mn from a mode spectrum at a resolved detuning."""
+def coupling_matrix(spectrum, mu):
+    """Evaluate J_mn from a mode spectrum at a resolved detuning mu (units of wz)."""
     b = spectrum.mode_matrix
-    j = (b / mode_denominators(spectrum, detuning.resolved)) @ b.T
-    return CouplingMatrix.from_matrix(j, detuning=detuning)
+    j = (b / mode_denominators(spectrum, mu)) @ b.T
+    return CouplingMatrix.from_matrix(j)
 
 
 def bond_graph(coupling):
@@ -157,5 +141,5 @@ def chain_spectrum(n_ions, beta=10.0):
 def coupling_from_trap(n_ions, beta, mu_tilde):
     """Full pipeline: trap geometry -> modes -> coupling matrix at mu_tilde."""
     spec = chain_spectrum(n_ions, beta)
-    det = resolve_detuning(spec, mu_tilde)
-    return coupling_matrix(spec, det)
+    (mu,) = resolve_detunings(spec, [float(mu_tilde)])
+    return coupling_matrix(spec, mu)

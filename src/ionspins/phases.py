@@ -37,7 +37,6 @@ _TABLE_TOL = 1e-6  # bisection width of the phase table's order changes
 _GAP_COARSE = 25  # coarse probes of a gap bracket
 _GAP_REL_TOL = 1e-11  # golden-section stop, relative to the detuning
 _WIDTH_EDGE = 0.5  # |order parameter| at the edges of the transition width
-_WIDTH_MAX_HALVINGS = 70
 
 
 @dataclass(frozen=True)
@@ -613,7 +612,7 @@ def transition_width(n_ions, beta, b_over_njbar):
 
     def crossing(target, lo, hi):
         # the order parameter decreases with mu; find mu where it equals target
-        for _ in range(_WIDTH_MAX_HALVINGS):
+        while True:
             mid = 0.5 * (lo + hi)
             if _fixed_field_op(n_ions, beta, mid, b_abs) > target:
                 lo = mid

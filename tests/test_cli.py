@@ -100,6 +100,7 @@ def test_couplings_bond_graph_top_edges(tmp_path):
     assert run("couplings", "--n", "7", "--mu-tilde", "5.1", "--out", out) == 0
     with open(os.path.join(out, "bond_graph.json")) as fh:
         doc = json.load(fh)
+    assert sorted(doc) == ["config", "edges", "jbar"]
     top3 = {(e["m"], e["n"]): e["sign"] for e in doc["edges"][:3]}
     assert top3.get((1, 7)) == "AFM"
     assert len(doc["edges"]) == 21
@@ -296,14 +297,14 @@ def test_config_file_and_flag_precedence(tmp_path):
     out1 = tmp_path / "a"
     assert run("couplings", "--config", str(cfg), "--out", str(out1)) == 0
     with open(out1 / "bond_graph.json") as fh:
-        assert json.load(fh)["n_ions"] == 5
+        assert json.load(fh)["config"]["n"] == 5
     out2 = tmp_path / "b"
     assert (
         run("couplings", "--config", str(cfg), "--n", "3", "--mu-tilde", "1.5", "--out", str(out2))
         == 0
     )
     with open(out2 / "bond_graph.json") as fh:
-        assert json.load(fh)["n_ions"] == 3
+        assert json.load(fh)["config"]["n"] == 3
 
 
 @pytest.mark.parametrize("word", ["on", "maybe", "Yes", "no"])

@@ -10,55 +10,54 @@ from hypothesis import given, settings, strategies as st
 from ionspins.chain import ModeSpectrum
 from ionspins.couplings import (
     CouplingMatrix,
-    DetuningSpec,
     ResonanceError,
     bond_graph,
     chain_spectrum,
     coupling_from_trap,
     coupling_matrix,
-    resolve_detuning,
+    resolve_detunings,
     rms_coupling,
 )
 
 
 def test_resolved_detuning_interpolates_between_modes():
     spec = chain_spectrum(3, 10.0)
-    det = resolve_detuning(spec, 2.75)
+    (mu,) = resolve_detunings(spec, [2.75])
     w = spec.frequencies
-    assert det.resolved == pytest.approx(w[1] + 0.75 * (w[2] - w[1]), abs=1e-15)
-    assert w[1] < det.resolved < w[2]
+    assert mu == pytest.approx(w[1] + 0.75 * (w[2] - w[1]), abs=1e-15)
+    assert w[1] < mu < w[2]
 
 
 def test_two_ion_midpoint_detuning():
     spec = chain_spectrum(2, 10.0)
-    det = resolve_detuning(spec, 1.5)
-    assert det.resolved == pytest.approx(0.5 * (math.sqrt(99.0) + 10.0), abs=1e-12)
+    (mu,) = resolve_detunings(spec, [1.5])
+    assert mu == pytest.approx(0.5 * (math.sqrt(99.0) + 10.0), abs=1e-12)
 
 
 def test_integer_detuning_is_resonant():
     spec = chain_spectrum(3, 10.0)
     with pytest.raises(ResonanceError):
-        resolve_detuning(spec, 3.0)
+        resolve_detunings(spec, [3.0])
     with pytest.raises(ResonanceError):
-        resolve_detuning(spec, 2.0 + 5e-7)
+        resolve_detunings(spec, [2.0 + 5e-7])
     for mode in (1.0, 3.0):  # the end modes resonate too
         with pytest.raises(ResonanceError, match=f"mode {mode:.0f}"):
-            resolve_detuning(spec, mode)
-    # a resolved detuning built by hand on mode 2 skips resolve_detuning's check
+            resolve_detunings(spec, [mode])
+    # a resolved detuning taken by hand on mode 2 skips resolve_detunings' check
     with pytest.raises(ResonanceError, match="coupling diverges"):
-        coupling_matrix(spec, DetuningSpec(2.0, spec.frequencies[1]))
+        coupling_matrix(spec, spec.frequencies[1])
 
 
 def test_out_of_range_detuning_rejected():
     spec = chain_spectrum(3, 10.0)
     with pytest.raises(ValueError):
-        resolve_detuning(spec, 0.5)
+        resolve_detunings(spec, [0.5])
     with pytest.raises(ValueError):
-        resolve_detuning(spec, 3.2)
+        resolve_detunings(spec, [3.2])
     # an integer past the last mode is out of range, not on a mode
     for rescaled in (0.0, 4.0, 7.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="outside the open interval") as exc:
-            resolve_detuning(spec, rescaled)
+            resolve_detunings(spec, [rescaled])
         assert not isinstance(exc.value, ResonanceError)
 
 
@@ -66,9 +65,9 @@ def test_two_ion_coupling_closed_form():
     beta = 10.0
     spec = chain_spectrum(2, beta)
     for rescaled in (1.25, 1.5, 1.75):
-        det = resolve_detuning(spec, rescaled)
-        c = coupling_matrix(spec, det)
-        mu2 = det.resolved**2
+        (mu,) = resolve_detunings(spec, [rescaled])
+        c = coupling_matrix(spec, mu)
+        mu2 = mu**2
         expected = 0.5 * (1.0 / (mu2 - beta**2) - 1.0 / (mu2 - beta**2 + 1.0))
         assert c.j[0, 1] == pytest.approx(expected, abs=1e-14)
         assert c.j[0, 1] < 0.0  # aligned coupling between the two modes
@@ -93,11 +92,10 @@ def test_aligned_bonds_weaken_at_higher_detuning(coupling_n7_51, coupling_n7_53)
 def test_coupling_matches_compensated_summation_oracle():
     """Entrywise mode sum recomputed term by term with math.fsum."""
     spec = chain_spectrum(5, 10.0)
-    det = resolve_detuning(spec, 3.4)
-    c = coupling_matrix(spec, det)
+    (mu,) = resolve_detunings(spec, [3.4])
+    c = coupling_matrix(spec, mu)
     w = spec.frequencies
     b = spec.mode_matrix
-    mu = det.resolved
     for m in range(5):
         for n in range(5):
             if m == n:
@@ -113,12 +111,12 @@ def test_coupling_matches_compensated_summation_oracle():
 @given(flips=st.lists(st.sampled_from([-1.0, 1.0]), min_size=5, max_size=5))
 def test_coupling_invariant_under_eigenvector_sign_gauge(flips):
     spec = chain_spectrum(5, 10.0)
-    det = resolve_detuning(spec, 2.6)
-    reference = coupling_matrix(spec, det).j
+    (mu,) = resolve_detunings(spec, [2.6])
+    reference = coupling_matrix(spec, mu).j
     flipped = ModeSpectrum(
         frequencies=spec.frequencies, mode_matrix=spec.mode_matrix * np.array(flips)
     )
-    assert np.array_equal(coupling_matrix(flipped, det).j, reference)
+    assert np.array_equal(coupling_matrix(flipped, mu).j, reference)
 
 
 @pytest.mark.parametrize("n,mu", [(4, 2.3), (7, 5.1), (9, 3.7)])

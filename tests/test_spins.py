@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionspins import spins
-from ionspins.couplings import CouplingMatrix, chain_spectrum, coupling_from_trap, resolve_detuning
+from ionspins.couplings import CouplingMatrix, chain_spectrum, coupling_from_trap, resolve_detunings
 from ionspins.errors import NoConvergence, ResonanceError
 from ionspins.phases import fm_kink_interval, phase_table
 from ionspins.spins import (
@@ -366,7 +366,7 @@ def test_candidate_slack_covers_rounding(n, monkeypatch):
     mu_tilde = n - 0.5
     ground = classical_ground(coupling_from_trap(n, 10.0, mu_tilde)).order
     spec = chain_spectrum(n, 10.0)
-    mu = resolve_detuning(spec, mu_tilde).resolved
+    (mu,) = resolve_detunings(spec, [mu_tilde])
     d = 1.0 / (mu * mu - spec.frequencies**2)  # d[0] > 0: mu lies above the lowest mode
     row = (spins._signs(np.array([ground.canonical]), n) @ spec.mode_matrix) ** 2
     rival = row.copy()
@@ -480,7 +480,7 @@ def test_mode_space_grounds_reject_invalid_detunings():
     assert not isinstance(exc.value, ResonanceError)
     # 1e-5 past mode 4 resolves within 1e-6 wz of it: the modes near the top are 0.05 wz apart
     with pytest.raises(ResonanceError, match="within 1e-6 of a mode frequency") as alone:
-        resolve_detuning(spec, 4.00001)
+        resolve_detunings(spec, [4.00001])
     with pytest.raises(ResonanceError) as batch:
         ground_orders(5, 10.0, [3.5, 4.00001, 0.5, 4.0])
     assert str(batch.value) == str(alone.value)
@@ -501,7 +501,7 @@ def branch_and_bound_ground(n, mu_tilde, incumbent):
     """
     spec = chain_spectrum(n, 10.0)
     b = spec.mode_matrix
-    mu = resolve_detuning(spec, mu_tilde).resolved
+    (mu,) = resolve_detunings(spec, [mu_tilde])
     d = 1.0 / (mu * mu - spec.frequencies**2)
     rho = np.vstack([np.cumsum(np.abs(b[::-1]), axis=0)[::-1][1:], np.zeros(n)])
     cut = incumbent + 1e-9 * max(1.0, n * np.abs(d).sum())
@@ -526,7 +526,7 @@ def assert_ground_orders_match_branch_and_bound(n, mus):
     for mu_tilde, f in zip(mus, found):
         orders = f.orders if isinstance(f, AmbiguousGround) else (f,)
         z = 1.0 - 2.0 * ((orders[0].canonical >> np.arange(n - 1, -1, -1)) & 1)
-        mu = resolve_detuning(spec, mu_tilde).resolved
+        (mu,) = resolve_detunings(spec, [mu_tilde])
         d = 1.0 / (mu * mu - spec.frequencies**2)
         incumbent = float(d @ (z @ spec.mode_matrix) ** 2 - d.sum())
         if branch_and_bound_ground(n, mu_tilde, incumbent) != {o.canonical for o in orders}:
@@ -668,9 +668,7 @@ def test_spectrum_invariant_under_global_flip_relabeling(coupling_n7_51):
 
 
 def test_spectrum_invariant_under_ion_reversal(coupling_n7_51):
-    reversed_j = CouplingMatrix.from_matrix(
-        coupling_n7_51.j[::-1, ::-1], detuning=coupling_n7_51.detuning
-    )
+    reversed_j = CouplingMatrix.from_matrix(coupling_n7_51.j[::-1, ::-1])
     a = lowest_eigenpairs(coupling_n7_51, 0.4, k=4).eigenvalues
     b = lowest_eigenpairs(reversed_j, 0.4, k=4).eigenvalues
     assert np.max(np.abs(a - b)) <= 1e-10
