@@ -206,7 +206,7 @@ def cmd_gap(cfg):
         "gap_scaling.csv": (
             ["N", "B_over_NJbar", "delta_E", "mu_star"],
             np.column_stack((
-                [p.n_ions for p in points],
+                [f.n_ions for f in fits for _ in f.points],
                 [p.b_over_njbar for p in points],
                 [p.gap for p in points],
                 [p.mu_star for p in points],

@@ -105,7 +105,7 @@ def _require_labels(path, name, labels):
 
 
 def check_positions(path):
-    _, cols, rows = read_csv(path)
+    config, cols, rows = read_csv(path)
     _require(cols == ["n", "u"], f"{path}: unexpected columns {cols}")
     _require_labels(path, "n", rows[:, 0])
     u = rows[:, 1]
@@ -117,6 +117,7 @@ def check_positions(path):
     # Newton stops at a gradient of 1e-12; written files read about 1e-14
     residual = float(np.max(np.abs(potential_gradient(u))))
     _require(residual <= 1e-10, f"{path}: positions not in equilibrium (gradient {residual:.3e})")
+    _require(int(config.get("n", len(u))) == len(u), f"{path}: header n={config.get('n')} for {len(u)} positions")
     return f"{path}: {len(u)} positions labelled, ascending, odd-symmetric and in equilibrium"
 
 
@@ -155,6 +156,8 @@ def check_modes(path, positions_path):
                 f"{path}: modes are not those of the chain in {positions_path}",
             )
             messages.append(f"{path}: reproduced from {positions_path}")
+    _require(cols == ["k", "omega"] + [f"b_{i}" for i in range(1, n + 1)], f"{path}: unexpected columns {cols}")
+    _require(int(config.get("n", n)) == n, f"{path}: header n={config.get('n')} for {n} modes")
     return "; ".join(messages)
 
 
@@ -262,6 +265,10 @@ def check_phase_table(path):
             _require(
                 (t["left_order"], t["right_order"]) == (left["order"], right["order"]),
                 f"{path}: transition at {t['mu_tilde']} does not join the orders of its subintervals",
+            )
+            _require(
+                t["mu_tilde"] == left["hi"],
+                f"{path}: transition at {t['mu_tilde']} is not the edge {left['hi']} of its subintervals",
             )
     return f"{path}: tiling contiguous, orders canonical, adjacent orders distinct"
 

@@ -290,8 +290,6 @@ def even_odd_symmetry_report(table):
 class ScanGrid:
     """Row-major (mu, B) grid of ground-state observables."""
 
-    n_ions: int
-    beta: float
     mu_values: np.ndarray
     b_values: np.ndarray  # units of Jbar at each mu
     order_parameter: np.ndarray
@@ -356,7 +354,7 @@ def scan_2d(n_ions, beta, mu_range, b_range, resolution=(128, 64)):
     for i, mu in enumerate(mu_values):
         values[:, i], failed = _scan_column(n_ions, beta, float(mu), fields)
         failures.extend((i, l, f"{type(exc).__name__}: {exc}") for l, exc in failed.items())
-    return ScanGrid(n_ions, float(beta), mu_values, b_values, *values, failures=failures)
+    return ScanGrid(mu_values, b_values, *values, failures=failures)
 
 
 @functools.cache
@@ -390,8 +388,6 @@ class GapPoint:
     the physical field.
     """
 
-    n_ions: int
-    beta: float
     b_over_njbar: float
     b_abs: float
     mu_star: float
@@ -502,8 +498,11 @@ def min_gap(n_ions, beta, b_over_njbar):
     the two levels in between belong to other symmetry sectors and cross
     essentially unavoided.  The minimum sits at a corner (the crossing pair
     passes through it), so the default search tolerance localizes the
-    detuning well below the nominal 1e-8 target to pin the gap value itself
-    to ~1e-9.
+    detuning well below the nominal 1e-8 target.  The gap is the lowest
+    probe's, which lies above the corner's (the root of the two crossing
+    sector levels) by 1e-10 to 7e-8 relative at N = 9 and by up to 8e-7 at
+    N >= 11; a rerun reproduces it to 1e-9 at N = 9 only on the same BLAS
+    build and thread count.
 
     The absolute field b_abs = b_over_njbar * N * Jbar(zero-field transition)
     is held fixed while the detuning is scanned, mirroring a level diagram
@@ -514,8 +513,6 @@ def min_gap(n_ions, beta, b_over_njbar):
     lo, hi, b_abs = _fixed_field(n_ions, beta, b_over_njbar)
     mu_star, gap = _minimize_gap_scan(n_ions, beta, b_abs, lo, hi)
     return GapPoint(
-        n_ions=n_ions,
-        beta=float(beta),
         b_over_njbar=float(b_over_njbar),
         b_abs=float(b_abs),
         mu_star=float(mu_star),
@@ -545,7 +542,6 @@ def linear_fit(x_values, y_values):
 @dataclass(frozen=True)
 class AlphaFit:
     n_ions: int
-    beta: float
     alpha: float
     residual: float
     points: tuple
@@ -584,7 +580,6 @@ def fit_alpha(n_ions, beta=10.0, b_over_njbar=None):
     alpha, rms = power_law_fit([p.b_over_njbar for p in points], [p.gap for p in points])
     return AlphaFit(
         n_ions=n_ions,
-        beta=float(beta),
         alpha=alpha,
         residual=rms,
         points=tuple(points),

@@ -65,9 +65,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    n_ions: int
-    b_field: float
-    b_abs: float
     method: str
     residuals: np.ndarray
 
@@ -662,9 +659,6 @@ def field_spectra(coupling, b_fields, k=4):
             results[i] = SpectrumResult(
                 eigenvalues=evals[i],
                 eigenvectors=vecs[j],
-                n_ions=n,
-                b_field=float(b_fields[i]),
-                b_abs=float(b_abs[i]),
                 method="diagonal" if b_abs[i] == 0.0 else method,
                 residuals=resid[j],
             )
@@ -757,7 +751,7 @@ def cluster_averages(results, bases):
     evals = np.array([r.eigenvalues for r in results])
     vecs = np.stack([r.eigenvectors for r in results], axis=1)  # (2^N, fields, k)
     levels = [_level_weights(vecs, _basis_indices(basis, len(vecs))) for basis in bases]
-    levels.append(_level_polarizations(vecs, results[0].n_ions))
+    levels.append(_level_polarizations(vecs, len(vecs).bit_length() - 1))
     members = _cluster_mask(evals)  # per field: the sum over its cluster / the cluster's size
     means = np.sum(np.array(levels) * members, axis=-1) / np.sum(members, axis=-1)
     return means[:-1], means[-1]

@@ -146,6 +146,7 @@ CAUGHT = {
     "positions-descending": ("modes", "positions.csv", _rows(lambda r: r * [1, -1]), "not strictly ascending"),
     "positions-shifted": ("modes", "positions.csv", _rows(lambda r: r + [0, 1e-6]), "not odd-symmetric"),
     "positions-stretched": ("modes", "positions.csv", _rows(lambda r: r * [1, 1.001]), "not in equilibrium"),
+    "positions-header-n": ("modes", "positions.csv", _header("n", "9"), "header n=9 for 7 positions"),
     "modes-columns": ("modes", "modes.csv", _columns(lambda c: ["k", "w", *c[2:]]), "unexpected columns"),
     "modes-row-dropped": ("modes", "modes.csv", _rows(lambda r: r[:-1]), "is not 6x6"),
     "modes-label": ("modes", "modes.csv", _rows(_set((0, 0), 2.0)), "labels k"),
@@ -158,6 +159,8 @@ CAUGHT = {
         "modes", "modes.csv", _rows(_set((3, 1), lambda w: w + 1e-9)), "not those of the chain"
     ),
     "modes-ions-swapped": ("modes", "modes.csv", _rows(_swap(2, 3, axis=1)), "not those of the chain"),
+    "modes-column-renamed": ("modes", "modes.csv", _columns(lambda c: [*c[:3], "zz", *c[4:]]), "unexpected columns"),
+    "modes-header-n": ("modes", "modes.csv", _header("n", "9"), "header n=9 for 7 modes"),
     "couplings-columns": ("couplings", "couplings.csv", _columns(lambda c: ["m", "n", "J"]), "unexpected columns"),
     "couplings-pair-dropped": ("couplings", "couplings.csv", _rows(lambda r: r[:-1]), "one row per pair"),
     "couplings-pairs-swapped": ("couplings", "couplings.csv", _rows(_swap(0, 1)), "one row per pair"),
@@ -198,6 +201,9 @@ CAUGHT = {
     "table-uncertainty": ("phase-table", "phase_table.json", _transition(0, uncertainty=1e-3), "not bracketed"),
     "table-transition-orders": (
         "phase-table", "phase_table.json", _transition(0, left_order="00110"), "does not join",
+    ),
+    "table-transition-off-its-edge": (
+        "phase-table", "phase_table.json", _transition(0, mu_tilde=1.5), "is not the edge",
     ),
     "scan-columns": ("scan2d", "scan2d.csv", _columns(lambda c: [*c[:4], "E_0", "E1"]), "unexpected columns"),
     "scan-order-parameter": ("scan2d", "scan2d.csv", _rows(_set((1, 2), 1.5)), "order parameter outside"),
@@ -268,21 +274,9 @@ BLIND = {
         "phase-table", "phase_table.json", _doc(_move_first_transition),
         "the tiling stays contiguous; only a recomputed table could place the change",
     ),
-    "table-transition-off-its-edge": (
-        "phase-table", "phase_table.json", _transition(0, mu_tilde=1.5),
-        "a transition's mu_tilde is not compared with the edge its subintervals share",
-    ),
     "table-exact-crossing": (
         "phase-table", "phase_table.json", _transition(0, exact_crossing=True),
         "exact ties are not recomputed",
-    ),
-    "positions-header-n": (
-        "modes", "positions.csv", _header("n", "9"),
-        "the ion count is read from the rows; no header value of positions.csv is read",
-    ),
-    "modes-header-n": (
-        "modes", "modes.csv", _header("n", "9"),
-        "the ion count is read from the rows; only beta of the modes.csv header is read",
     ),
     "scan-header-mu_range": (
         "scan2d", "scan2d.csv", _header("mu_range", "3.0:3.5"),

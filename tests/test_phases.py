@@ -605,7 +605,7 @@ def one_field_loses_transition(monkeypatch, request):
     def fake_min_gap(n_ions, beta, b):
         if 0.025 < b < 0.035:
             raise TransitionLost(message)
-        return phases.GapPoint(n_ions, beta, b, b, 3.5, b**2)
+        return phases.GapPoint(b, b, 3.5, b**2)
 
     monkeypatch.setattr(phases, "min_gap", fake_min_gap)
 
