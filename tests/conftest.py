@@ -23,13 +23,16 @@ def rng():
 def force_solver(monkeypatch):
     """force_solver("dense") or force_solver("lanczos") picks that eigensolver path for every N.
 
-    "lanczos" solves each global-flip sector with ``lanczos.lowest_eigenpairs``,
-    first with a block for k levels of which k // 2 + 1 must converge, then,
-    in a sector that holds more of the k lowest, once more for all the
-    levels it can contribute, restarted from its first solve's vectors.  The
+    "dense" diagonalizes in the four (global flip, reflection) sectors below
+    2^N = 2^9 and in the full space from 2^9 on (``spins._FULL_SPACE_DIM``).
+    "lanczos" splits by the global flip only: it solves each flip sector
+    with ``lanczos.lowest_eigenpairs``, first with a block for k levels of
+    which k // 2 + 1 must converge, then, in a sector that holds more of the
+    k lowest, once more for all the levels it can contribute, restarted from
+    its first solve's vectors.  The
     solver diagonalizes a sector densely below five block widths (levels + 2
     vectors each): at k = 6 that is every N <= 6, for the restart too, so
-    there it means sector-dense, not LOBPCG.
+    there it means a dense solve of each flip sector, not LOBPCG.
     """
     from ionspins import spins
 

@@ -417,36 +417,15 @@ def test_min_gap_matches_fine_grid_dense_oracle():
 def _sector_ground_energy(j, b_abs, flip, reflection):
     """Lowest level of H = z.J.z - b_abs * sum_p X_p in one (global flip, reflection) sector.
 
-    The sector basis holds one state per orbit {s, flip s, reverse s, flip
-    reverse s} that its characters do not cancel: sum_g chi(g) |g s> for the
-    least member s, with chi(g) = 1, ``flip``, ``reflection`` and their
-    product.  With w(s) the sum of chi(g) over the g that fix s, a spin flip
-    taking representative b to t adds -b_abs * (sum of chi(g) over g t = a)
-    / sqrt(w(a) w(b)) to <a|H|b>.  J must be reflection-symmetric; then the
-    ion order of the spins in z does not matter.
+    The sector basis and its flip matrix are the library's
+    (``spins._sector_tables``); the diagonal is z.J.z at each representative.
+    J must be reflection-symmetric; then every orbit member has that energy,
+    and the ion order of the spins in z does not matter.
     """
     n = len(j)
-    mask = (1 << n) - 1
-    chi = np.array([1, flip, reflection, flip * reflection])[:, None]
-
-    def characters(s, rep):
-        r = spins.reflected_configs(s, n)
-        return np.sum((np.stack([s, s ^ mask, r, r ^ mask]) == rep) * chi, axis=0)
-
-    every = np.arange(1 << n, dtype=np.int64)
-    reps = every[spins.canonical_configs(every, n) == every]
-    w = characters(reps, reps)
-    reps, w = reps[w > 0], w[w > 0]
-    z = 1.0 - 2.0 * ((reps[:, None] >> np.arange(n)) & 1)
-    h = np.diag(np.einsum("si,ij,sj->s", z, j, z))
-    cols = np.arange(len(reps))
-    for p in range(n):
-        t = reps ^ (1 << p)
-        rep = spins.canonical_configs(t, n)
-        a = np.minimum(np.searchsorted(reps, rep), len(reps) - 1)
-        hit = reps[a] == rep
-        element = -b_abs * characters(t, rep) / np.sqrt(w[a] * w)
-        np.add.at(h, (a[hit], cols[hit]), element[hit])
+    sector = spins._sector_tables(n)[spins._SECTORS.index((flip, reflection))]
+    z = 1.0 - 2.0 * ((sector.reps[:, None] >> np.arange(n)) & 1)
+    h = np.diag(np.einsum("si,ij,sj->s", z, j, z)) - b_abs * sector.flips
     return np.linalg.eigvalsh(h)[0]
 
 
@@ -517,11 +496,23 @@ def test_transition_line_tilts_with_field():
 
 
 @pytest.mark.parametrize("lo, hi", [(3.0001, 3.0002), (3.9998, 3.9999)])
-def test_gap_scan_reports_missing_interior_minimum(lo, hi):
-    """A bracket at either end of (3, 4) cannot expand past the interval caps."""
+def test_gap_scan_reports_missing_interior_minimum(monkeypatch, lo, hi):
+    """A bracket at either end of (3, 4) cannot expand past the interval caps.
+
+    The gap falls strictly toward the nearer cap.  N = 5's own gap is flat
+    to 1e-11 across (3.9998, 3.9999), so there rounding alone would decide
+    whether the coarse scan sees an interior minimum.
+    """
+    monkeypatch.setattr(phases, "_levels_at", lambda n_ions, beta, mu, b_abs: 1.0 - abs(mu - 3.5))
+    with pytest.raises(TransitionLost, match="no interior gap minimum"):
+        phases._minimize_gap_scan(5, 10.0, 0.1, lo, hi)
+
+
+def test_gap_scan_reports_missing_interior_minimum_at_the_lower_cap():
+    """N = 5's gap falls from 17.3 to 9.6 across (3.0001, 3.0002): its minimum lies past the lower cap."""
     _, _, b_abs = phases._fixed_field(5, 10.0, 0.05)
     with pytest.raises(TransitionLost, match="no interior gap minimum"):
-        phases._minimize_gap_scan(5, 10.0, b_abs, lo, hi)
+        phases._minimize_gap_scan(5, 10.0, b_abs, 3.0001, 3.0002)
 
 
 @pytest.mark.parametrize("mu_min", [3.05, 3.55], ids=["below", "above"])

@@ -772,6 +772,83 @@ def test_sector_operator_is_the_full_operator_on_sector_states(n):
         assert np.max(np.abs(full - sector)) <= 1e-13 * np.max(np.abs(full))
 
 
+def sector_embedding(sector):
+    """The sector's basis states as the columns of a full-space matrix, from its coef and col."""
+    q = np.zeros((len(sector.coef), len(sector.reps)))
+    t = np.flatnonzero(sector.coef)  # the members of the sector's orbits
+    q[t, sector.col[t]] = sector.coef[t]
+    return q
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sector_solves_match_the_full_space_oracle(n, monkeypatch):
+    """Below 2^9 the dense path solves the four sectors; dense_hamiltonian + eigh is its oracle.
+
+    B = 1e-3 leaves the FM pair nearly degenerate; B = 5 puts the one-magnon
+    band above a lone ground state.  The full-space matrix is never built.
+    """
+    rng = np.random.default_rng(0x5EC + n)
+    k = min(6, 1 << n)
+    fields = [1e-3, 0.05, 0.3, 1.5, 5.0]
+    bases = [fm_basis(n)] + ([kink_basis(n)] if n % 2 else [])
+    for mu in detunings(rng, n, 2):
+        j = coupling_from_trap(n, 10.0, mu)
+        oracle = []
+        for b in fields:
+            w, v = np.linalg.eigh(dense_hamiltonian(j, b))
+            oracle.append(spins.SpectrumResult(w[:k], v[:, :k], "dense", None))
+        with monkeypatch.context() as m:
+            m.setattr(spins._SpinOperator, "dense", None)
+            spectra = field_spectra(j, fields, k=k)
+        assert all(s.method == "dense" for s in spectra)
+        for got, ref in zip(spectra, oracle):
+            scale = np.maximum(1.0, np.abs(ref.eigenvalues))
+            assert np.all(np.abs(got.eigenvalues - ref.eigenvalues) <= 1e-12 * scale), (n, mu)
+        for got, ref in zip(cluster_averages(spectra, bases), cluster_averages(oracle, bases)):
+            assert np.max(np.abs(got - ref)) <= 1e-10, (n, mu)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sectors_split_the_space_orthonormally(n):
+    """The four sectors' embedded basis states are one orthonormal basis of the 2^N space."""
+    sectors = spins._sector_tables(n)
+    q = np.concatenate([sector_embedding(s) for s in sectors], axis=1)
+    assert q.shape == (1 << n, 1 << n)
+    assert np.max(np.abs(q.T @ q - np.eye(1 << n))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "n, dims", [(5, (10, 6, 10, 6)), (9, (136, 120, 136, 120)), (13, (2080, 2016, 2080, 2016))]
+)
+def test_sector_dimensions(n, dims):
+    """The (flip, reflection) = (+, +), (+, -), (-, +), (-, -) dimensions, from the bases alone."""
+    got = tuple(len(spins._sector_basis(n, *sector)[0]) for sector in spins._SECTORS)
+    assert got == dims and sum(got) == 1 << n
+
+
+@pytest.mark.parametrize("n, mu", [(5, 3.4), (6, 4.3), (7, 5.1)])
+def test_sector_energies_are_orbit_averages(n, mu):
+    """A sector's diagonal holds (E(s) + E(reverse s)) / 2, so its matrix is Q^T H Q.
+
+    Reflection is exact only up to the rounding of J: E(s) and E(reverse s)
+    differ in their last bits, so the rule decides the diagonal's bits.
+    """
+    j = coupling_from_trap(n, 10.0, mu)
+    diag = spins._SpinOperator(j).diag
+    h = dense_hamiltonian(j, 0.7)
+    b_abs = np.array([0.7 * spins.field_scale(j)])
+    differ = 0
+    for sector in spins._sector_tables(n):
+        e = diag[sector.reps]
+        average = 0.5 * (e + diag[reflected_configs(sector.reps, n)])
+        differ += np.sum(average != e)
+        assert np.array_equal(np.diag(spins._sector_matrices(sector, diag, np.zeros(1))[0]), average)
+        got = spins._sector_matrices(sector, diag, b_abs)[0]
+        q = sector_embedding(sector)
+        assert np.max(np.abs(got - q.T @ h @ q)) <= 1e-13 * np.max(np.abs(diag))
+    assert differ > 0
+
+
 @pytest.mark.parametrize("mu", [1.1, 3.064, 10.009])
 def test_krylov_converges_at_n11(mu, force_solver):
     # each of these points ran into the former block Krylov basis cap
@@ -1032,7 +1109,23 @@ def test_field_spectra_return_a_krylov_failure_for_its_field_only(
     assert [type(s) for s in spectra] == [NoConvergence, NoConvergence]
 
 
-def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch, force_solver):
+def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch):
+    """At N = 7 the dense solve runs in the four sectors: a wrong sector matrix fails its field only."""
+    build = spins._sector_matrices
+
+    def off_at_second_field(sector, diag, b_abs):
+        h = build(sector, diag, b_abs)
+        h[1, 0, 0] += 1e-3  # each sector's stack solves a matrix that is not H at this field
+        return h
+
+    monkeypatch.setattr(spins, "_sector_matrices", off_at_second_field)
+    spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4)
+    assert isinstance(spectra[1], NoConvergence) and "residual" in str(spectra[1])
+    assert spectra[0].method == spectra[2].method == "dense"
+
+
+def test_field_spectra_check_residuals_per_field_in_the_full_space(monkeypatch):
+    """At N = 9 the dense solve stays in the full space: a wrong full matrix fails its field only."""
     dense = spins._SpinOperator.dense
 
     def off_at_second_field(self, b_abs):
@@ -1041,8 +1134,7 @@ def test_field_spectra_check_residuals_per_field(coupling_n7_51, monkeypatch, fo
         return h
 
     monkeypatch.setattr(spins._SpinOperator, "dense", off_at_second_field)
-    force_solver("dense")
-    spectra = field_spectra(coupling_n7_51, [0.2, 0.5, 0.9], k=4)
+    spectra = field_spectra(coupling_from_trap(9, 10.0, 7.4), [0.2, 0.5, 0.9], k=4)
     assert isinstance(spectra[1], NoConvergence) and "residual" in str(spectra[1])
     assert spectra[0].method == spectra[2].method == "dense"
 
